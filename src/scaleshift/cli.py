@@ -10,13 +10,12 @@ import argparse
 import json
 import os
 import sys
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
 from .combinatorics import PartSpec, transversal_of
 from .scales import (
+    DEFAULT_CAP,
     EnumerationCapError,
     distinguished_set_scales,
     global_dims,
@@ -24,6 +23,7 @@ from .scales import (
     wheels_bgf,
     wheels_gf,
 )
+from .series import DEFAULT_ORDER
 from .shiftspace import (
     DegenerateShiftError,
     ReducibleShiftError,
@@ -51,8 +51,6 @@ EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
-DEFAULT_ORDER = 64
-DEFAULT_CAP = 10_000_000
 MAX_LANGUAGE_ORDER = 14
 FIXTURES_ENV = "SCALESHIFT_FIXTURES"
 
@@ -67,14 +65,11 @@ class CommandError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    order: int = DEFAULT_ORDER
     fmt: str | None = None
     cap: int = DEFAULT_CAP
     fixtures: Path = Path(__file__).parent / "fixtures"
 
     def __post_init__(self):
-        if self.order < 1:
-            raise CommandError(EXIT_USAGE, "--order must be at least 1")
         if self.cap < 1:
             raise CommandError(EXIT_USAGE, "--cap must be at least 1")
 
@@ -116,12 +111,12 @@ def cmd_wheels(args, config: RunConfig) -> int:
         spec = PartSpec.parse(args.parts)
     except ValueError as err:
         raise CommandError(EXIT_USAGE, f"bad --parts: {err}") from err
-    total = int(wheels_gf(spec, args.n).coefficient(args.n))
+    total = wheels_gf(spec, args.n).coefficient(args.n)
     data = {"n": args.n, "parts": args.parts, "total": total}
     lines = [str(total)]
     if args.by_length:
         table = wheels_bgf(spec, args.n)
-        row = [int(table.coefficient(args.n, m)) for m in range(1, args.n + 1)]
+        row = list(table.rows[args.n][1:])
         data["by_length"] = row
         lines = [",".join(str(v) for v in row)]
     _emit(data, config.format_or("text"), lines)
@@ -144,13 +139,11 @@ def _require_symbol(args, shift: VertexShift) -> str:
 
 def cmd_vertex(args, config: RunConfig) -> int:
     shift = _load_shift(args.matrix)
-    order = args.order if args.order is not None else config.order
-    if order < 1:
-        raise CommandError(EXIT_USAGE, "--order must be at least 1")
+    order = args.order
     fmt = config.format_or("json")
     if args.vertex_command == "zeta":
         form = zeta_rational(shift)
-        coeffs = [int(zeta(shift, order).coefficient(n)) for n in range(order + 1)]
+        coeffs = list(zeta(shift, order).coeffs)
         data = {
             "numerator": list(form.numerator),
             "denominator": list(form.denominator),
@@ -161,7 +154,7 @@ def cmd_vertex(args, config: RunConfig) -> int:
     if args.vertex_command == "loops":
         symbol = _require_symbol(args, shift)
         loops = first_return(shift, symbol, order)
-        coeffs = [int(loops.series.coefficient(n)) for n in range(order + 1)]
+        coeffs = loops.series.coeffs
         _emit(loops.to_json(), fmt, [",".join(str(c) for c in coeffs)])
         return EXIT_OK
     if args.vertex_command == "dims":
@@ -237,7 +230,7 @@ def cmd_sft(args, config: RunConfig) -> int:
         )
     matrix = first_return_matrix(shift, distinguished, args.order)
     table = {
-        f"{s}->{t}": [int(series.coefficient(n)) for n in range(args.order + 1)]
+        f"{s}->{t}": list(series.coeffs)
         for (s, t), series in matrix.items()
     }
     scales = {
@@ -326,6 +319,8 @@ def _parse_bfile(text: str) -> list[int]:
 
 
 def _fetch_bfile(sequence_id: str) -> str:
+    import urllib.request
+
     url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
     with urllib.request.urlopen(url, timeout=10) as response:
         return response.read().decode("utf-8")
@@ -347,7 +342,7 @@ def cmd_oeis(args, config: RunConfig) -> int:
         try:
             text = _fetch_bfile(sequence_id)
             source = "oeis.org"
-        except (urllib.error.URLError, OSError, TimeoutError) as err:
+        except OSError as err:
             print(f"warning: fetch failed ({err}); using bundled snapshot", file=sys.stderr)
     if text is None:
         path = config.fixtures / f"b{sequence_id[1:]}.txt"
@@ -400,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact scale combinatorics over shift spaces.",
     )
     parser.add_argument("--format", choices=("json", "text"), default=None)
-    parser.add_argument("--order", type=_positive_int, default=None, help="truncation order")
     parser.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
     parser.add_argument("--fixtures", default=None, help="snapshot directory")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -415,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     vertex.add_argument("vertex_command", choices=("zeta", "loops", "dims", "global", "language"))
     vertex.add_argument("--matrix", required=True)
     vertex.add_argument("--symbol", default=None)
-    vertex.add_argument("--order", type=_positive_int, default=None)
+    vertex.add_argument("--order", type=_positive_int, default=DEFAULT_ORDER)
     vertex.add_argument("--bivariate", action="store_true")
     vertex.set_defaults(handler=cmd_vertex)
 
@@ -469,7 +463,6 @@ def main(argv=None) -> int:
         return exit_request.code if isinstance(exit_request.code, int) else EXIT_USAGE
     try:
         config = RunConfig(
-            order=args.order if getattr(args, "order", None) is not None else DEFAULT_ORDER,
             fmt=args.format,
             cap=args.cap,
             fixtures=_resolve_fixtures(args.fixtures),

@@ -42,21 +42,6 @@ def orbit(w: Composition) -> frozenset[Composition]:
 
 
 @dataclass(frozen=True)
-class OrbitSummary:
-    orbit_size: int
-    period: int
-    length: int
-
-
-def summarize(w: Composition) -> OrbitSummary:
-    """Orbit size and period of a nonempty composition; orbit_size * period = length."""
-    if not w:
-        raise ValueError("empty composition has no orbit summary")
-    size = len(orbit(w))
-    return OrbitSummary(orbit_size=size, period=len(w) // size, length=len(w))
-
-
-@dataclass(frozen=True)
 class Wheel:
     """Rotation class of a composition, keyed by its least rotation."""
 
@@ -197,9 +182,6 @@ class PartSpec:
         """All non-members 1 <= k <= limit, ascending; errors beyond the horizon."""
         present = set(self.members_up_to(limit))
         return tuple(k for k in range(1, limit + 1) if k not in present)
-
-    def is_empty_up_to(self, limit: int) -> bool:
-        return not self.members_up_to(limit)
 
     def describe(self) -> str:
         if self.tail_from is not None:

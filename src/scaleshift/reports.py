@@ -48,7 +48,7 @@ class DimReport:
     def _check_row_sums(table, univariate, constant):
         if table is None:
             return
-        sums = table.at_u1().integer_coeffs()
+        sums = table.at_u1().coeffs
         if sums[0] != constant:
             raise ValueError("bivariate constant term disagrees")
         upto = min(len(univariate), table.order)

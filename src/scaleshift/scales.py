@@ -37,6 +37,7 @@ from .shiftspace import (
     first_return,
     is_irreducible,
     language_from,
+    word_counts,
 )
 
 DEFAULT_CAP = 10_000_000
@@ -187,12 +188,13 @@ def a_bgf(parts, order: int = DEFAULT_ORDER) -> BivariateSeries:
 
 
 def b_series(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Modes swept by the out-of-K scales: u d/du of a at u = 1."""
-    return a_bgf(parts, order).partial_u_at_1()
+    """Modes swept by the out-of-K scales: u d/du of a at u = 1.
 
-
-def b_bgf(parts, order: int = DEFAULT_ORDER) -> BivariateSeries:
-    return a_bgf(parts, order).length_weighted()
+    With a = u e C and C = 1/(1 - u s), d/du at u = 1 is
+    e C + e s C^2 = e C^2, since 1 + s C = C; so b = a C.
+    """
+    spec = _coerce_spec(parts)
+    return a_series(spec, order) * composition_gf(spec, order)
 
 
 def symbol_dims(
@@ -216,10 +218,10 @@ def symbol_dims(
     comp = composition_gf(spec, order)
     extras = _indicator(tail_sizes(spec, order), order)
     a = comp * extras
-    b = b_series(spec, order)
-    transversal = (wheels_gf(spec, order) + a).integer_coeffs()[1:]
-    orbital = (comp + b).integer_coeffs()[1:]
-    sizes = (comp + a).integer_coeffs()[1:]
+    b = a * comp
+    transversal = (wheels_gf(spec, order) + a).coeffs[1:]
+    orbital = (comp + b).coeffs[1:]
+    sizes = (comp + a).coeffs[1:]
     table_t = table_o = None
     if bivariate:
         comp2 = composition_bgf(spec, order)
@@ -235,20 +237,6 @@ def symbol_dims(
         bivariate_transversal=table_t,
         bivariate_orbital=table_o,
     )
-
-
-def _word_counts(shift: VertexShift, order: int) -> list[int]:
-    """Number of length-n words for n = 1..order, via matrix powers."""
-    k = shift.size
-    power = [[int(i == j) for j in range(k)] for i in range(k)]
-    counts = []
-    for _ in range(order):
-        counts.append(sum(sum(row) for row in power))
-        power = [
-            [sum(power[i][l] * shift.matrix[l][j] for l in range(k)) for j in range(k)]
-            for i in range(k)
-        ]
-    return counts
 
 
 def _charge(budget: list[int], amount: int, n: int) -> None:
@@ -267,7 +255,7 @@ def global_dims(
     Enumerates every word, distinguishes its first symbol, and reduces
     the resulting scale sets exactly; no closed form is attempted.
     """
-    counts = _word_counts(shift, order)
+    counts = word_counts(shift, order)
     budget = [cap]
     transversal = []
     orbital = []
@@ -326,7 +314,7 @@ def scale_class(
 ) -> ScaleClass:
     """Enumerated scale sets of the words starting at ``symbol``."""
     shift.alphabet.index(symbol)
-    counts = _word_counts(shift, order)
+    counts = word_counts(shift, order)
     budget = [cap]
     by_size = {}
     for n in range(1, order + 1):
@@ -360,7 +348,7 @@ def distinguished_set_scales(
         if start is not None
         else sorted(members, key=shift.alphabet.index)
     )
-    counts = _word_counts(shift, order)
+    counts = word_counts(shift, order)
     budget = [cap]
     by_size = {}
     for n in range(1, order + 1):

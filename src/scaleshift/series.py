@@ -1,44 +1,46 @@
-"""Exact truncated formal power series over the rationals.
+"""Exact truncated formal power series over the integers.
 
 Three carriers:
 
-- ``TruncatedSeries``: dense rational coefficient table for z^0 .. z^N.
+- ``TruncatedSeries``: dense integer coefficient table for z^0 .. z^N.
 - ``BivariateSeries``: triangular table c[n][m] for 0 <= m <= n <= N, where z
   marks size and u marks length; truncation applies to z only, the bound
   m <= n is structural (no composition has more parts than its size).
 - ``RationalFunction``: quotient of integer polynomials, expandable at 0.
 
-All arithmetic is exact. Counting series must have integer coefficients, so
-the integral view (``integer_coeffs``) raises ``NonIntegralCoefficientError``
-instead of rounding; that failure mode is a bug signal, never data.
+Every series here counts something, so coefficients are plain ``int`` and a
+constructor given anything else raises ``NonIntegralCoefficientError``. The
+ring operations never divide; the closed forms that do (wheel counts,
+Newton's identities) check the remainder where they divide.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 #: Default truncation order; every bundled check needs N <= 16, headroom is cheap.
 DEFAULT_ORDER = 64
 
-Scalar = Union[int, Fraction]
-
 
 class NonIntegralCoefficientError(ValueError):
-    """An exported counting series has a coefficient with denominator != 1."""
+    """A counting series was given a coefficient that is not an ``int``."""
 
 
-def _fractions(values: Iterable[Scalar]) -> list[Fraction]:
-    return [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+def _ints(values: Iterable[int]) -> list[int]:
+    out = list(values)
+    for v in out:
+        if not isinstance(v, int):
+            raise NonIntegralCoefficientError(f"coefficient {v!r} is not an int")
+    return out
 
 
 class TruncatedSeries:
-    """Formal power series truncated at a fixed order N, coefficients exact."""
+    """Formal power series truncated at a fixed order N, integer coefficients."""
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
-        values = _fractions(coeffs)
+    def __init__(self, coeffs: Iterable[int], order: int | None = None):
+        values = _ints(coeffs)
         if order is None:
             if not values:
                 raise ValueError("empty coefficient list needs an explicit order")
@@ -46,7 +48,7 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
         if len(values) < order + 1:
-            values.extend([Fraction(0)] * (order + 1 - len(values)))
+            values.extend([0] * (order + 1 - len(values)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(values[: order + 1]))
 
@@ -64,26 +66,21 @@ class TruncatedSeries:
         return cls([1], order)
 
     @classmethod
-    def monomial(cls, k: int, order: int, coeff: Scalar = 1) -> "TruncatedSeries":
+    def monomial(cls, k: int, order: int, coeff: int = 1) -> "TruncatedSeries":
         """The series coeff * z^k (zero if k exceeds the order)."""
         if k < 0:
             raise ValueError(f"exponent must be >= 0, got {k}")
-        coeffs = [Fraction(0)] * (order + 1)
+        coeffs = [0] * (order + 1)
         if k <= order:
-            coeffs[k] = Fraction(coeff)
+            coeffs[k] = coeff
         return cls(coeffs, order)
 
     # -- basics ------------------------------------------------------------
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient index {n} outside 0..{self.order}")
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[: order + 1], order)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -95,7 +92,7 @@ class TruncatedSeries:
     def _coerce(self, value) -> "TruncatedSeries | None":
         if isinstance(value, TruncatedSeries):
             return value
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int):
             return TruncatedSeries([value], self.order)
         return None
 
@@ -126,14 +123,13 @@ class TruncatedSeries:
         return g + (-self)
 
     def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return TruncatedSeries([f * a for a in self.coeffs], self.order)
+        if isinstance(other, int):
+            return TruncatedSeries([other * a for a in self.coeffs], self.order)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
         n = self.order
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -156,86 +152,17 @@ class TruncatedSeries:
         if self.coeffs[0] != 0:
             raise ValueError("quasi-inverse needs zero constant term")
         n = self.order
-        h = [Fraction(0)] * (n + 1)
-        h[0] = Fraction(1)
+        terms = [(k, g) for k, g in enumerate(self.coeffs) if g != 0]
+        h = [0] * (n + 1)
+        h[0] = 1
         for i in range(1, n + 1):
-            h[i] = sum((self.coeffs[k] * h[i - k] for k in range(1, i + 1)), Fraction(0))
+            h[i] = sum(g * h[i - k] for k, g in terms if k <= i)
         return TruncatedSeries(h, n)
 
-    def log_quasi_inverse(self) -> "TruncatedSeries":
-        """log(1/(1 - g)) = sum_{i>=1} g^i / i, exact rational coefficients.
-
-        Computed through L' = g' / (1 - g): with h = quasi_inverse(g),
-        n * L_n = sum_{k=1..n} k * g_k * h_{n-k}. Quadratic in the order, no
-        repeated powering.
-        """
-        if self.coeffs[0] != 0:
-            raise ValueError("log of quasi-inverse needs zero constant term")
-        n = self.order
-        h = self.quasi_inverse().coeffs
-        out = [Fraction(0)] * (n + 1)
-        for i in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, i + 1):
-                if self.coeffs[k] != 0:
-                    acc += k * self.coeffs[k] * h[i - k]
-            out[i] = acc / i
-        return TruncatedSeries(out, n)
-
-    def exp(self) -> "TruncatedSeries":
-        """exp(g) for g with zero constant term, by E' = g' * E."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp needs zero constant term")
-        n = self.order
-        e = [Fraction(0)] * (n + 1)
-        e[0] = Fraction(1)
-        for i in range(1, n + 1):
-            acc = Fraction(0)
-            for k in range(1, i + 1):
-                if self.coeffs[k] != 0:
-                    acc += k * self.coeffs[k] * e[i - k]
-            e[i] = acc / i
-        return TruncatedSeries(e, n)
-
-    def derivative(self) -> "TruncatedSeries":
-        """Formal derivative; the result is only known through order N - 1."""
-        if self.order == 0:
-            raise ValueError("derivative of an order-0 series retains no terms")
-        return TruncatedSeries(
-            [k * self.coeffs[k] for k in range(1, self.order + 1)], self.order - 1
-        )
-
-    def substitute_power(self, k: int) -> "TruncatedSeries":
-        """f(z^k), truncated at the same order."""
-        if k < 1:
-            raise ValueError(f"power substitution needs k >= 1, got {k}")
-        out = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if i * k > self.order:
-                break
-            out[i * k] = a
-        return TruncatedSeries(out, self.order)
-
-    # -- views and serialization --------------------------------------------
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def integer_coeffs(self) -> tuple[int, ...]:
-        """Coefficients as plain integers; loud failure on any true rational."""
-        for n, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                raise NonIntegralCoefficientError(
-                    f"coefficient of z^{n} is {c}, not an integer"
-                )
-        return tuple(c.numerator for c in self.coeffs)
+    # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON form with decimal-string integer coefficients (hard integrality)."""
-        return {"order": self.order, "coeffs": [str(c) for c in self.integer_coeffs()]}
-
-    def to_debug_json(self) -> dict:
-        """JSON form allowing rationals as "p/q" strings; for debugging only."""
+        """JSON form with decimal-string integer coefficients."""
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
     def __eq__(self, other: object) -> bool:
@@ -247,7 +174,7 @@ class TruncatedSeries:
         return hash((self.order, self.coeffs))
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({[str(c) for c in self.coeffs]}, order={self.order})"
+        return f"TruncatedSeries({list(self.coeffs)}, order={self.order})"
 
     def __str__(self) -> str:
         terms = []
@@ -269,8 +196,8 @@ class BivariateSeries:
 
     __slots__ = ("order", "rows")
 
-    def __init__(self, rows: Sequence[Iterable[Scalar]], order: int | None = None):
-        table = [_fractions(row) for row in rows]
+    def __init__(self, rows: Sequence[Iterable[int]], order: int | None = None):
+        table = [_ints(row) for row in rows]
         if order is None:
             order = len(table) - 1
         if order < 0:
@@ -279,9 +206,9 @@ class BivariateSeries:
         for n, row in enumerate(table):
             if len(row) > n + 1:
                 raise ValueError(f"row {n} has {len(row)} entries, limit is {n + 1}")
-            row.extend([Fraction(0)] * (n + 1 - len(row)))
+            row.extend([0] * (n + 1 - len(row)))
         for n in range(len(table), order + 1):
-            table.append([Fraction(0)] * (n + 1))
+            table.append([0] * (n + 1))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "rows", tuple(tuple(row) for row in table))
 
@@ -297,20 +224,20 @@ class BivariateSeries:
         return cls([[1]], order)
 
     @classmethod
-    def term(cls, coeff: Scalar, n: int, m: int, order: int) -> "BivariateSeries":
+    def term(cls, coeff: int, n: int, m: int, order: int) -> "BivariateSeries":
         """The monomial coeff * z^n u^m; requires the structural bound m <= n."""
         if not 0 <= m <= n:
             raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-        table: list[list[Scalar]] = [[0] * (i + 1) for i in range(order + 1)]
+        table: list[list[int]] = [[0] * (i + 1) for i in range(order + 1)]
         if n <= order:
             table[n][m] = coeff
         return cls(table, order)
 
-    def coefficient(self, n: int, m: int) -> Fraction:
+    def coefficient(self, n: int, m: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"size index {n} outside 0..{self.order}")
         if not 0 <= m <= n:
-            return Fraction(0)
+            return 0
         return self.rows[n][m]
 
     def _check_order(self, other: "BivariateSeries") -> None:
@@ -335,14 +262,13 @@ class BivariateSeries:
         return self + (-other)
 
     def __mul__(self, other) -> "BivariateSeries":
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return BivariateSeries([[f * a for a in row] for row in self.rows], self.order)
+        if isinstance(other, int):
+            return BivariateSeries([[other * a for a in row] for row in self.rows], self.order)
         if not isinstance(other, BivariateSeries):
             return NotImplemented
         self._check_order(other)
         order = self.order
-        out = [[Fraction(0)] * (n + 1) for n in range(order + 1)]
+        out = [[0] * (n + 1) for n in range(order + 1)]
         for n1 in range(order + 1):
             row1 = self.rows[n1]
             for m1 in range(n1 + 1):
@@ -364,11 +290,11 @@ class BivariateSeries:
         if self.rows[0][0] != 0:
             raise ValueError("quasi-inverse needs zero constant term")
         order = self.order
-        h = [[Fraction(0)] * (n + 1) for n in range(order + 1)]
-        h[0][0] = Fraction(1)
+        h = [[0] * (n + 1) for n in range(order + 1)]
+        h[0][0] = 1
         for n in range(1, order + 1):
             for m in range(n + 1):
-                acc = Fraction(0)
+                acc = 0
                 for n1 in range(1, n + 1):
                     row = self.rows[n1]
                     lo = max(0, m - (n - n1))
@@ -388,32 +314,10 @@ class BivariateSeries:
 
     def at_u1(self) -> TruncatedSeries:
         """Row sums: the univariate series obtained by setting u = 1."""
-        return TruncatedSeries([sum(row, Fraction(0)) for row in self.rows], self.order)
-
-    def partial_u_at_1(self) -> TruncatedSeries:
-        """sum_n (sum_m m * c[n][m]) z^n, the cumulative series d/du at u = 1."""
-        return TruncatedSeries(
-            [sum((m * c for m, c in enumerate(row)), Fraction(0)) for row in self.rows],
-            self.order,
-        )
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for row in self.rows for c in row)
-
-    def integer_rows(self) -> tuple[tuple[int, ...], ...]:
-        for n, row in enumerate(self.rows):
-            for m, c in enumerate(row):
-                if c.denominator != 1:
-                    raise NonIntegralCoefficientError(
-                        f"coefficient of z^{n} u^{m} is {c}, not an integer"
-                    )
-        return tuple(tuple(c.numerator for c in row) for row in self.rows)
+        return TruncatedSeries([sum(row) for row in self.rows], self.order)
 
     def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "rows": [[str(c) for c in row] for row in self.integer_rows()],
-        }
+        return {"order": self.order, "rows": [[str(c) for c in row] for row in self.rows]}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BivariateSeries):
@@ -424,19 +328,23 @@ class BivariateSeries:
         return hash((self.order, self.rows))
 
     def __repr__(self) -> str:
-        return f"BivariateSeries(order={self.order}, rows={[[str(c) for c in row] for row in self.rows]})"
+        return f"BivariateSeries(order={self.order}, rows={[list(row) for row in self.rows]})"
 
 
 class RationalFunction:
-    """Quotient of integer polynomials with invertible constant denominator term."""
+    """Quotient of integer polynomials whose denominator has constant term ±1.
+
+    ±1 are the only invertible integers, so the expansion at 0 stays integral
+    and never divides.
+    """
 
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: Sequence[int], denominator: Sequence[int]):
         num = _trim(numerator)
         den = _trim(denominator)
-        if not den or den[0] == 0:
-            raise ValueError("denominator needs a nonzero constant term")
+        if not den or den[0] not in (1, -1):
+            raise ValueError("denominator needs constant term 1 or -1")
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
 
@@ -446,13 +354,13 @@ class RationalFunction:
     def expand(self, order: int) -> TruncatedSeries:
         """Series expansion at 0: the unique s with numerator = denominator * s."""
         num, den = self.numerator, self.denominator
-        s = [Fraction(0)] * (order + 1)
-        d0 = Fraction(den[0])
+        d0 = den[0]  # its own inverse
+        s = [0] * (order + 1)
         for n in range(order + 1):
-            acc = Fraction(num[n]) if n < len(num) else Fraction(0)
+            acc = num[n] if n < len(num) else 0
             for k in range(1, min(n, len(den) - 1) + 1):
                 acc -= den[k] * s[n - k]
-            s[n] = acc / d0
+            s[n] = acc * d0
         return TruncatedSeries(s, order)
 
     def __eq__(self, other: object) -> bool:
@@ -468,55 +376,7 @@ class RationalFunction:
 
 
 def _trim(poly: Sequence[int]) -> tuple[int, ...]:
-    coeffs = [int(c) for c in poly]
+    coeffs = _ints(poly)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def poly_sub(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """Integer polynomial difference p - q (dense coefficient lists)."""
-    n = max(len(p), len(q))
-    return _trim([(p[i] if i < len(p) else 0) - (q[i] if i < len(q) else 0) for i in range(n)])
-
-
-def poly_mul(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """Integer polynomial product."""
-    if not p or not q:
-        return ()
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-
-# Thin functional aliases; each dispatches on the carrier type.
-
-def add(f, g):
-    return f + g
-
-
-def mul(f, g):
-    return f * g
-
-
-def quasi_inverse(g):
-    return g.quasi_inverse()
-
-
-def log_quasi_inverse(g: TruncatedSeries) -> TruncatedSeries:
-    return g.log_quasi_inverse()
-
-
-def substitute_power(f: TruncatedSeries, k: int) -> TruncatedSeries:
-    return f.substitute_power(k)
-
-
-def expand(r: RationalFunction, order: int) -> TruncatedSeries:
-    return r.expand(order)
-
-
-def partial_u_at_1(f: BivariateSeries) -> TruncatedSeries:
-    return f.partial_u_at_1()

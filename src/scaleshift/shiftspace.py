@@ -11,7 +11,6 @@ first return loop systems, and the language dimension formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .combinatorics import PartSpec
@@ -263,18 +262,14 @@ def _char_det(matrix) -> list[int]:
     k = len(matrix)
     powers = _power_table(matrix, k)
     traces = [sum(powers[i][j][j] for j in range(k)) for i in range(k + 1)]
-    elem = [Fraction(1)]
+    elem = [1]
     for i in range(1, k + 1):
-        acc = Fraction(0)
-        for j in range(1, i + 1):
-            acc += (-1) ** (j - 1) * elem[i - j] * traces[j]
-        elem.append(acc / i)
-    out = []
-    for i, e in enumerate(elem):
-        if e.denominator != 1:
-            raise ArithmeticError(f"non-integer elementary symmetric value {e}")
-        out.append((-1) ** i * e.numerator)
-    return out
+        acc = sum((-1) ** (j - 1) * elem[i - j] * traces[j] for j in range(1, i + 1))
+        quot, rem = divmod(acc, i)
+        if rem:
+            raise ArithmeticError(f"non-integer elementary symmetric value {acc}/{i}")
+        elem.append(quot)
+    return [(-1) ** i * e for i, e in enumerate(elem)]
 
 
 def _mat_mul(a, b):
@@ -292,6 +287,12 @@ def _power_table(matrix, top):
     for _ in range(top):
         powers.append(_mat_mul(powers[-1], matrix))
     return powers
+
+
+def word_counts(shift: VertexShift, order: int) -> list[int]:
+    """Number of length-n words for n = 1..order: the entry sum of A^(n-1)."""
+    powers = _power_table(shift.matrix, max(order - 1, 0))
+    return [sum(map(sum, powers[n])) for n in range(order)]
 
 
 def zeta_rational(shift: VertexShift) -> RationalFunction:

@@ -375,7 +375,7 @@ def check_wheel_integrality(draws: int = 200, seed: int = 93) -> list[OracleRepo
     good = 0
     for parts in sampled:
         try:
-            wheels_gf(PartSpec.finite(parts), 32).integer_coeffs()
+            wheels_gf(PartSpec.finite(parts), 32)
             good += 1
         except ValueError:
             pass

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import scaleshift
 from scaleshift.cli import main
 
 from refsets import WHEELS_12_BY_LENGTH
@@ -44,6 +49,9 @@ def test_vertex_zeta(capsys):
     data = json.loads(out)
     assert data["denominator"] == [1, -1, -1]
     assert data["coefficients"] == [1, 1, 2, 3, 5, 8, 13, 21, 34]
+    code, out, _ = run(["--format", "text", "vertex", "zeta", "--matrix", GOLDEN_MAT], capsys)
+    assert code == 0
+    assert len(out.strip().split(",")) == 65
 
 
 def test_vertex_loops(capsys):
@@ -264,6 +272,22 @@ def test_usage_errors(capsys):
     assert main(["subst", "scales", "--preset", "unknown", "--n", "4"]) == 2
     assert main(["verify", "--suite", "other"]) == 2
     assert main([]) == 2
+    # --order belongs to the vertex and sft subcommands, never before them
+    assert main(["--format", "text", "--order", "5", "vertex", "zeta", "--matrix", GOLDEN_MAT]) == 2
+
+
+def test_cli_import_loads_no_network_or_fractions():
+    src = str(Path(scaleshift.__file__).resolve().parents[1])
+    probe = "import sys, scaleshift.cli; print(sorted({'urllib.request', 'fractions'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_snapshot_checks_cover_all_bundled_sequences(capsys):
@@ -278,13 +302,11 @@ def test_snapshot_checks_cover_all_bundled_sequences(capsys):
 
     golden = VertexShift.from_rows(("∘", "•"), ((1, 1), (1, 0)))
     qbar = periodic_orbit_counts(golden, 16)
+    fib = RationalFunction([0, 1, -1], [1, -1, -1]).expand(11)
     checks = {
         "A000358": [qbar[n] for n in range(1, 17)],
         "A006206": list(minimal_periodic_orbit_counts(golden, 12)),
-        "A006490": [
-            int(RationalFunction([0, 1, -1], [1, -1, -1]).expand(11).derivative().coefficient(n))
-            for n in range(10)
-        ],
+        "A006490": [(n + 1) * fib.coefficient(n + 1) for n in range(10)],
         "A032190": [int(wheels_gf(PartSpec.from_min(2), 12).coefficient(n)) for n in range(1, 13)],
         "A006367": [int(b_series(PartSpec.from_min(2), 12).coefficient(n)) for n in range(1, 13)],
         "A206268": [

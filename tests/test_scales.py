@@ -12,7 +12,6 @@ from scaleshift.scales import (
     EnumerationCapError,
     a_bgf,
     a_series,
-    b_bgf,
     b_series,
     composition_bgf,
     composition_gf,
@@ -77,12 +76,12 @@ def test_induced_scale():
 
 
 def test_composition_gf():
-    assert composition_gf({1, 2}, 12).integer_coeffs() == (1,) + GOLDEN_C_CIRC
+    assert composition_gf({1, 2}, 12).coeffs == (1,) + GOLDEN_C_CIRC
     bull = composition_gf(PartSpec.from_min(2), 12)
-    assert bull.integer_coeffs() == (1,) + GOLDEN_C_BULL
-    assert composition_gf((), 8).integer_coeffs() == (1,) + (0,) * 8
+    assert bull.coeffs == (1,) + GOLDEN_C_BULL
+    assert composition_gf((), 8).coeffs == (1,) + (0,) * 8
     full = composition_gf(PartSpec.naturals(), 20)
-    assert full.integer_coeffs()[1:] == tuple(2 ** (n - 1) for n in range(1, 21))
+    assert full.coeffs[1:] == tuple(2 ** (n - 1) for n in range(1, 21))
 
 
 def test_composition_bgf():
@@ -97,15 +96,15 @@ def test_composition_bgf():
 
 def test_wheels_gf():
     full = wheels_gf(PartSpec.naturals(), 12)
-    assert full.integer_coeffs()[1:7] == WHEELS_PREFIX
+    assert full.coeffs[1:7] == WHEELS_PREFIX
     assert full.coefficient(12) == WHEELS_12
-    assert wheels_gf({1, 2}, 12).integer_coeffs()[1:] == GOLDEN_W_CIRC
-    assert wheels_gf(PartSpec.from_min(2), 12).integer_coeffs()[1:] == GOLDEN_W_BULL
+    assert wheels_gf({1, 2}, 12).coeffs[1:] == GOLDEN_W_CIRC
+    assert wheels_gf(PartSpec.from_min(2), 12).coeffs[1:] == GOLDEN_W_BULL
 
 
 def test_wheels_bgf():
     table = wheels_bgf(PartSpec.naturals(), 12)
-    assert table.integer_rows()[12][1:] == WHEELS_12_BY_LENGTH
+    assert table.rows[12][1:] == WHEELS_12_BY_LENGTH
     assert table.at_u1() == wheels_gf(PartSpec.naturals(), 12)
     restricted = wheels_bgf(PartSpec.from_min(2), 12)
     assert restricted.at_u1() == wheels_gf(PartSpec.from_min(2), 12)
@@ -133,12 +132,16 @@ def test_tail_sizes():
 
 def test_a_and_b_series():
     bull = PartSpec.from_min(2)
-    assert a_series(bull, 12).integer_coeffs()[1:] == GOLDEN_A_BULL
-    assert b_series(bull, 12).integer_coeffs()[1:] == GOLDEN_B_BULL
+    assert a_series(bull, 12).coeffs[1:] == GOLDEN_A_BULL
+    assert b_series(bull, 12).coeffs[1:] == GOLDEN_B_BULL
     assert a_series({1, 2}, 12).is_zero()
     assert b_series({1, 2}, 12).is_zero()
     assert a_bgf(bull, 12).at_u1() == a_series(bull, 12)
-    assert b_bgf(bull, 12).at_u1() == b_series(bull, 12)
+    # b = a C is the derivative of the bivariate a at u = 1, taken the long way
+    specs = [bull, PartSpec.finite({2, 5}), PartSpec.finite({3}), PartSpec.finite({1, 2})]
+    specs += [first_return(GOLDEN, symbol, 24) for symbol in (CIRC, BULL)]
+    for spec in specs:
+        assert b_series(spec, 24) == a_bgf(spec, 24).length_weighted().at_u1()
     # the loop system itself is accepted as the part description
     loop = first_return(GOLDEN, BULL, 12)
     assert a_series(loop, 12) == a_series(bull, 12)
