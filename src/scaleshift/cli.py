@@ -25,6 +25,7 @@ from .scales import (
 )
 from .series import DEFAULT_ORDER
 from .shiftspace import (
+    BlockCountError,
     DegenerateShiftError,
     ReducibleShiftError,
     VertexShift,
@@ -471,7 +472,7 @@ def main(argv=None) -> int:
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except ReducibleShiftError as err:
+    except (ReducibleShiftError, BlockCountError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except EnumerationCapError as err:

@@ -2,30 +2,21 @@
 
 A composition is a plain tuple of positive integers; the empty tuple is the
 empty composition (size 0, length 0). The cyclic shift alpha rotates parts
-left; its orbits are the modes of a scale, and a wheel is an orbit class
-stored by canonical (lexicographically least) representative.
+left; its orbits are the modes of a scale, and a wheel is an orbit class,
+keyed by its canonical (lexicographically least) rotation.
 
 ``PartSpec`` describes a set K of allowed part sizes. Besides explicit finite
 sets it covers the two shapes that first-return supports produce: cofinite
 sets ("every k >= k0") and partially known sets (membership known up to a
-horizon, plus boundedness data from graph analysis).
+horizon, plus boundedness data read off the rational loop series).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Union
+from typing import Collection, Iterable
 
 Composition = tuple[int, ...]
-
-
-def as_composition(parts: Iterable[int]) -> Composition:
-    """Validate and normalize an iterable of parts into a composition."""
-    w = tuple(int(p) for p in parts)
-    for p in w:
-        if p < 1:
-            raise ValueError(f"composition parts must be >= 1, got {p}")
-    return w
 
 
 def rotate(w: Composition, j: int) -> Composition:
@@ -41,16 +32,6 @@ def orbit(w: Composition) -> frozenset[Composition]:
     return frozenset(rotate(w, j) for j in range(max(len(w), 1)))
 
 
-@dataclass(frozen=True)
-class Wheel:
-    """Rotation class of a composition, keyed by its least rotation."""
-
-    rep: Composition
-
-    def to_json(self) -> dict:
-        return {"rep": list(self.rep)}
-
-
 def least_rotation(w: tuple) -> tuple:
     """Lexicographically least rotation of any tuple (compositions or words)."""
     if len(w) < 2:
@@ -58,12 +39,6 @@ def least_rotation(w: tuple) -> tuple:
     doubled = w + w
     n = len(w)
     return min(doubled[i : i + n] for i in range(n))
-
-
-def canonical_wheel(w: Composition) -> Wheel:
-    if not w:
-        raise ValueError("the empty composition does not form a wheel")
-    return Wheel(least_rotation(w))
 
 
 def transversal_dim(B: Collection[Composition]) -> int:
@@ -182,52 +157,3 @@ class PartSpec:
         """All non-members 1 <= k <= limit, ascending; errors beyond the horizon."""
         present = set(self.members_up_to(limit))
         return tuple(k for k in range(1, limit + 1) if k not in present)
-
-    def describe(self) -> str:
-        if self.tail_from is not None:
-            extra = sorted(k for k in self.known if k < self.tail_from)
-            head = ",".join(str(k) for k in extra)
-            tail = f"{self.tail_from}+"
-            return f"{{{head},{tail}}}" if head else f"{{{tail}}}"
-        body = ",".join(str(k) for k in sorted(self.known))
-        if self.horizon is not None:
-            mark = "..." if self.unbounded else f"<= {self.max_part}"
-            return f"{{{body}}} (known to {self.horizon}, {mark})"
-        return f"{{{body}}}"
-
-
-PartsLike = Union[PartSpec, Iterable[int]]
-
-
-def _explicit_parts(parts: PartsLike, n: int) -> tuple[int, ...]:
-    if isinstance(parts, PartSpec):
-        return parts.members_up_to(n) if n >= 1 else ()
-    return tuple(sorted({int(k) for k in parts if 1 <= int(k) <= n}))
-
-
-def enumerate_compositions(n: int, parts: PartsLike) -> set[Composition]:
-    """All compositions of n with every part in the allowed set."""
-    if n < 0:
-        raise ValueError(f"composition size must be >= 0, got {n}")
-    if n == 0:
-        return {()}
-    allowed = _explicit_parts(parts, n)
-    out: set[Composition] = set()
-    stack: list[tuple[int, Composition]] = [(n, ())]
-    while stack:
-        remaining, prefix = stack.pop()
-        for k in allowed:
-            if k > remaining:
-                break
-            if k == remaining:
-                out.add(prefix + (k,))
-            else:
-                stack.append((remaining - k, prefix + (k,)))
-    return out
-
-
-def enumerate_wheels(n: int, parts: PartsLike) -> set[Wheel]:
-    """All wheels of size n >= 1 with parts in the allowed set (brute force)."""
-    if n < 1:
-        raise ValueError(f"wheel size must be >= 1, got {n}")
-    return {canonical_wheel(w) for w in enumerate_compositions(n, parts)}

@@ -77,14 +77,6 @@ def _indicator(sizes, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order)
 
 
-def _indicator_bgf(sizes, order: int) -> BivariateSeries:
-    rows = [[0] * (n + 1) for n in range(order + 1)]
-    for k in sizes:
-        if 1 <= k <= order:
-            rows[k][1] = 1
-    return BivariateSeries(rows, order)
-
-
 def composition_gf(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """1/(1 - sum_{k in K} z^k): compositions with all parts in K."""
     spec = _coerce_spec(parts)
@@ -92,9 +84,27 @@ def composition_gf(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 
 def composition_bgf(parts, order: int = DEFAULT_ORDER) -> BivariateSeries:
-    """Same with u marking the number of parts."""
+    """Same with u marking the number of parts: c[n][m] = sum_{j in K} c[n-j][m-1]."""
     spec = _coerce_spec(parts)
-    return _indicator_bgf(spec.members_up_to(order), order).quasi_inverse()
+    rows = [[1]]
+    _append_shifted(rows, rows, spec.members_up_to(order), order)
+    return BivariateSeries(rows, order)
+
+
+def _append_shifted(rows: list, source, sizes, order: int) -> None:
+    """Append rows 1..order of sum_{k in sizes} u z^k S(z, u) to ``rows``.
+
+    ``sizes`` ascend.  ``source`` holds the rows of S; passing ``rows``
+    itself turns the sum into the recurrence of 1/(1 - u sum_k z^k).
+    """
+    for n in range(1, order + 1):
+        row = [0] * (n + 1)
+        for k in sizes:
+            if k > n:
+                break
+            for m, c in enumerate(source[n - k], start=1):
+                row[m] += c
+        rows.append(row)
 
 
 def wheels_gf(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -106,16 +116,11 @@ def wheels_gf(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     z^n coefficient is (1/n) sum_{k|n} phi(k) P_{n/k}, an integer.
     """
     spec = _coerce_spec(parts)
-    members = set(spec.members_up_to(order))
-    s = [1 if k in members else 0 for k in range(order + 1)]
-    s[0] = 0
-    h = [0] * (order + 1)
-    h[0] = 1
-    for m in range(1, order + 1):
-        h[m] = sum(s[j] * h[m - j] for j in range(1, m + 1))
+    members = spec.members_up_to(order)
+    h = composition_gf(spec, order).coeffs
     p = [0] * (order + 1)
     for m in range(1, order + 1):
-        p[m] = sum(j * h[m - j] for j in range(1, m + 1) if s[j])
+        p[m] = sum(j * h[m - j] for j in members if j <= m)
     coeffs = [0] * (order + 1)
     for n in range(1, order + 1):
         total = sum(totient(k) * p[n // k] for k in divisors(n))
@@ -134,18 +139,11 @@ def wheels_bgf(parts, order: int = DEFAULT_ORDER) -> BivariateSeries:
     With S_{a,b} the number of compositions of a into exactly b parts
     from K, the (n,m) entry is (1/m) sum_{k | gcd(n,m)} phi(k) S_{n/k,m/k}.
     """
-    spec = _coerce_spec(parts)
-    members = spec.members_up_to(order)
-    table = [[0] * (order + 1) for _ in range(order + 1)]
-    table[0][0] = 1
-    for a in range(1, order + 1):
-        row = table[a]
-        for j in members:
-            if j > a:
-                break
-            prev = table[a - j]
-            for b in range(1, a + 1):
-                row[b] += prev[b - 1]
+    return _wheel_table(composition_bgf(parts, order))
+
+
+def _wheel_table(comp: BivariateSeries) -> BivariateSeries:
+    order, table = comp.order, comp.rows
     rows = [[0]]
     for n in range(1, order + 1):
         row = [0] * (n + 1)
@@ -182,9 +180,15 @@ def a_series(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 
 def a_bgf(parts, order: int = DEFAULT_ORDER) -> BivariateSeries:
+    """a_series with u marking the number of parts: a[n][m] = sum_{k in E} c[n-k][m-1]."""
     spec = _coerce_spec(parts)
-    extras = _indicator_bgf(tail_sizes(spec, order), order)
-    return composition_bgf(spec, order) * extras
+    return _tailed(composition_bgf(spec, order), tail_sizes(spec, order))
+
+
+def _tailed(comp: BivariateSeries, tails) -> BivariateSeries:
+    rows = [[0]]
+    _append_shifted(rows, comp.rows, tails, comp.order)
+    return BivariateSeries(rows, comp.order)
 
 
 def b_series(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -216,8 +220,8 @@ def symbol_dims(
     loop = first_return(shift, symbol, order)
     spec = loop.part_spec()
     comp = composition_gf(spec, order)
-    extras = _indicator(tail_sizes(spec, order), order)
-    a = comp * extras
+    tails = tail_sizes(spec, order)
+    a = comp * _indicator(tails, order)
     b = a * comp
     transversal = (wheels_gf(spec, order) + a).coeffs[1:]
     orbital = (comp + b).coeffs[1:]
@@ -225,8 +229,8 @@ def symbol_dims(
     table_t = table_o = None
     if bivariate:
         comp2 = composition_bgf(spec, order)
-        a2 = a_bgf(spec, order)
-        table_t = wheels_bgf(spec, order) + a2
+        a2 = _tailed(comp2, tails)
+        table_t = _wheel_table(comp2) + a2
         table_o = comp2 + a2.length_weighted()
     return DimReport(
         transversal,
@@ -239,12 +243,29 @@ def symbol_dims(
     )
 
 
-def _charge(budget: list[int], amount: int, n: int) -> None:
-    budget[0] -= amount
-    if budget[0] < 0:
-        raise EnumerationCapError(
-            f"enumerating {amount} words of length {n} exceeds the cap"
-        )
+def _scale_levels(shift: VertexShift, walks, order: int, cap: int, keep) -> list:
+    """[keep(scales of the length-n words) for n = 1..order], one level at a time.
+
+    ``walks`` pairs each start symbol with the symbols whose visits mark the
+    gaps of its words.  Each level first charges every word of its length
+    against ``cap``, and only what ``keep`` returns outlives the level.
+    """
+    counts = word_counts(shift, order)
+    budget = cap
+    kept = []
+    for n in range(1, order + 1):
+        budget -= counts[n - 1]
+        if budget < 0:
+            raise EnumerationCapError(
+                f"enumerating {counts[n - 1]} words of length {n} exceeds the cap"
+            )
+        scales = set()
+        for start, marked in walks:
+            for word in language_from(shift, start, n):
+                positions = [i for i, letter in enumerate(word) if letter in marked]
+                scales.add(_gap_composition(positions, n))
+        kept.append(keep(scales))
+    return kept
 
 
 def global_dims(
@@ -255,25 +276,16 @@ def global_dims(
     Enumerates every word, distinguishes its first symbol, and reduces
     the resulting scale sets exactly; no closed form is attempted.
     """
-    counts = word_counts(shift, order)
-    budget = [cap]
-    transversal = []
-    orbital = []
-    sizes = []
-    for n in range(1, order + 1):
-        _charge(budget, counts[n - 1], n)
-        scales = set()
-        for symbol in shift.alphabet:
-            for word in language_from(shift, symbol, n):
-                scales.add(induced_scale(word))
-        transversal.append(transversal_dim(scales))
-        orbital.append(orbital_dim(scales))
-        sizes.append(len(scales))
+    walks = [(symbol, {symbol}) for symbol in shift.alphabet]
+    dims = _scale_levels(
+        shift, walks, order, cap,
+        lambda scales: (transversal_dim(scales), orbital_dim(scales), len(scales)),
+    )
     return DimReport(
-        tuple(transversal),
-        tuple(orbital),
+        tuple(t for t, _, _ in dims),
+        tuple(o for _, o, _ in dims),
         ENUMERATION,
-        class_sizes=tuple(sizes),
+        class_sizes=tuple(size for _, _, size in dims),
     )
 
 
@@ -314,15 +326,8 @@ def scale_class(
 ) -> ScaleClass:
     """Enumerated scale sets of the words starting at ``symbol``."""
     shift.alphabet.index(symbol)
-    counts = word_counts(shift, order)
-    budget = [cap]
-    by_size = {}
-    for n in range(1, order + 1):
-        _charge(budget, counts[n - 1], n)
-        by_size[n] = frozenset(
-            induced_scale(word) for word in language_from(shift, symbol, n)
-        )
-    return ScaleClass(shift, symbol, by_size)
+    levels = _scale_levels(shift, [(symbol, {symbol})], order, cap, frozenset)
+    return ScaleClass(shift, symbol, dict(enumerate(levels, start=1)))
 
 
 def distinguished_set_scales(
@@ -348,15 +353,7 @@ def distinguished_set_scales(
         if start is not None
         else sorted(members, key=shift.alphabet.index)
     )
-    counts = word_counts(shift, order)
-    budget = [cap]
-    by_size = {}
-    for n in range(1, order + 1):
-        _charge(budget, counts[n - 1], n)
-        scales = set()
-        for symbol in starts:
-            for word in language_from(shift, symbol, n):
-                positions = [i for i, letter in enumerate(word) if letter in members]
-                scales.add(_gap_composition(positions, n))
-        by_size[n] = frozenset(scales)
+    walks = [(symbol, members) for symbol in starts]
+    levels = _scale_levels(shift, walks, order, cap, frozenset)
+    by_size = dict(enumerate(levels, start=1))
     return ScaleClass(shift, start if start is not None else "all", by_size)

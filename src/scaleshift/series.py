@@ -220,10 +220,6 @@ class BivariateSeries:
         return cls([], order)
 
     @classmethod
-    def one(cls, order: int) -> "BivariateSeries":
-        return cls([[1]], order)
-
-    @classmethod
     def term(cls, coeff: int, n: int, m: int, order: int) -> "BivariateSeries":
         """The monomial coeff * z^n u^m; requires the structural bound m <= n."""
         if not 0 <= m <= n:
@@ -240,71 +236,15 @@ class BivariateSeries:
             return 0
         return self.rows[n][m]
 
-    def _check_order(self, other: "BivariateSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"mismatched truncation orders {self.order} and {other.order}")
-
     def __add__(self, other) -> "BivariateSeries":
         if not isinstance(other, BivariateSeries):
             return NotImplemented
-        self._check_order(other)
+        if self.order != other.order:
+            raise ValueError(f"mismatched truncation orders {self.order} and {other.order}")
         return BivariateSeries(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.order,
         )
-
-    def __neg__(self) -> "BivariateSeries":
-        return BivariateSeries([[-a for a in row] for row in self.rows], self.order)
-
-    def __sub__(self, other) -> "BivariateSeries":
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "BivariateSeries":
-        if isinstance(other, int):
-            return BivariateSeries([[other * a for a in row] for row in self.rows], self.order)
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        self._check_order(other)
-        order = self.order
-        out = [[0] * (n + 1) for n in range(order + 1)]
-        for n1 in range(order + 1):
-            row1 = self.rows[n1]
-            for m1 in range(n1 + 1):
-                a = row1[m1]
-                if a == 0:
-                    continue
-                for n2 in range(order + 1 - n1):
-                    row2 = other.rows[n2]
-                    for m2 in range(n2 + 1):
-                        b = row2[m2]
-                        if b != 0:
-                            out[n1 + n2][m1 + m2] += a * b
-        return BivariateSeries(out, order)
-
-    __rmul__ = __mul__
-
-    def quasi_inverse(self) -> "BivariateSeries":
-        """1/(1 - g) for g with zero constant term, graded by z-degree."""
-        if self.rows[0][0] != 0:
-            raise ValueError("quasi-inverse needs zero constant term")
-        order = self.order
-        h = [[0] * (n + 1) for n in range(order + 1)]
-        h[0][0] = 1
-        for n in range(1, order + 1):
-            for m in range(n + 1):
-                acc = 0
-                for n1 in range(1, n + 1):
-                    row = self.rows[n1]
-                    lo = max(0, m - (n - n1))
-                    hi = min(n1, m)
-                    for m1 in range(lo, hi + 1):
-                        g = row[m1]
-                        if g != 0:
-                            acc += g * h[n - n1][m - m1]
-                h[n][m] = acc
-        return BivariateSeries(h, order)
 
     def length_weighted(self) -> "BivariateSeries":
         """u * d/du applied termwise: entry (n, m) becomes m * c[n][m]."""

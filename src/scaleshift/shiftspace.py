@@ -29,6 +29,10 @@ class DegenerateShiftError(ValueError):
     """The presentation admits no blocks at all."""
 
 
+class BlockCountError(ValueError):
+    """The higher block presentation would need too many blocks (a cost guard)."""
+
+
 @dataclass(frozen=True)
 class Alphabet:
     symbols: tuple[str, ...]
@@ -142,7 +146,8 @@ class LoopSystem:
 
     ``support`` lists the sizes k <= order with a nonzero coefficient.
     When the untruncated support is bounded, ``support_max`` is its true
-    maximum (from graph analysis, valid beyond the truncation order).
+    maximum (read off the rational form of the series, valid beyond the
+    truncation order).
     """
 
     symbol: str
@@ -181,7 +186,7 @@ def higher_block(sft: SftPresentation) -> HigherBlock:
     m = sft.step
     symbols = tuple(sft.alphabet)
     if len(symbols) ** m > 2_000_000:
-        raise ValueError(f"block enumeration over {len(symbols)}^{m} is too large")
+        raise BlockCountError(f"block enumeration over {len(symbols)}^{m} is too large")
     blocks = tuple(
         b for b in product(symbols, repeat=m)
         if not any(_is_subword(f, b) for f in sft.forbidden)
@@ -337,7 +342,14 @@ def periodic_orbit_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> Ari
 
 
 def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> LoopSystem:
-    """The loop system at ``symbol``: 1 - det(I-zA)/det(I-zB), B = A minus 𝔰."""
+    """The loop system at ``symbol``: 1 - det(I-zA)/det(I-zB), B = A minus 𝔰.
+
+    The series is num/den with den(0) = 1, so past deg num its coefficients
+    follow the recurrence of den, and a polynomial quotient has degree at
+    most deg num.  The support is therefore bounded exactly when the deg den
+    coefficients after deg num vanish; its maximum is then the last nonzero
+    coefficient.
+    """
     s = shift.alphabet.index(symbol)
     det_a = _char_det(shift.matrix)
     minor = tuple(
@@ -346,13 +358,14 @@ def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) ->
         if i != s
     )
     det_b = _char_det(minor) if minor else [1]
-    num = [b - a for a, b in _pad_pair(det_a, det_b)]
-    series = RationalFunction(num, det_b).expand(order)
-    support = frozenset(
-        k for k in range(1, order + 1) if series.coefficient(k) != 0
-    )
-    unbounded, bound = _support_bound(shift, s)
-    return LoopSystem(symbol, series, support, unbounded, bound)
+    form = RationalFunction([b - a for a, b in _pad_pair(det_a, det_b)], det_b)
+    top = len(form.numerator) - 1
+    window = len(form.denominator) - 1
+    coeffs = form.expand(max(order, top + window)).coeffs
+    unbounded = any(coeffs[top + 1 : top + window + 1])
+    bound = None if unbounded else max((k for k, c in enumerate(coeffs) if c), default=None)
+    support = frozenset(k for k in range(1, order + 1) if coeffs[k])
+    return LoopSystem(symbol, TruncatedSeries(coeffs, order), support, unbounded, bound)
 
 
 def _pad_pair(a, b):
@@ -360,99 +373,6 @@ def _pad_pair(a, b):
     a = list(a) + [0] * (top - len(a))
     b = list(b) + [0] * (top - len(b))
     return zip(a, b)
-
-
-def _support_bound(shift: VertexShift, s: int):
-    """(unbounded, max): sizes of first return loops at vertex s.
-
-    Loops of length >= 2 run through interior vertices that are both
-    reachable from an out-neighbor of s and co-reachable to an
-    in-neighbor of s without touching s.  A cycle among those vertices
-    pumps loops of unbounded length; otherwise the interior graph is
-    acyclic and the longest interior path caps the loop length.
-    """
-    matrix = shift.matrix
-    k = shift.size
-    interior = [v for v in range(k) if v != s]
-    outs = [v for v in interior if matrix[s][v]]
-    ins = [v for v in interior if matrix[v][s]]
-    fwd = _closure(matrix, outs, s, transpose=False)
-    bwd = _closure(matrix, ins, s, transpose=True)
-    valid = fwd & bwd
-    if _has_cycle(matrix, valid):
-        return True, None
-    best = None
-    if valid:
-        topo = _topological(matrix, valid)
-        longest = {v: (0 if v in set(outs) else None) for v in topo}
-        for v in topo:
-            if longest[v] is None:
-                continue
-            for t in valid:
-                if matrix[v][t] and (longest[t] is None or longest[t] < longest[v] + 1):
-                    longest[t] = longest[v] + 1
-        ends = [longest[v] for v in ins if v in valid and longest[v] is not None]
-        if ends:
-            best = 2 + max(ends)
-    if matrix[s][s]:
-        best = max(best or 0, 1)
-    return False, best
-
-
-def _closure(matrix, seeds, s, transpose):
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        i = frontier.pop()
-        for j in range(len(matrix)):
-            e = matrix[j][i] if transpose else matrix[i][j]
-            if e and j != s and j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return seen
-
-
-def _has_cycle(matrix, vertices) -> bool:
-    state = {v: 0 for v in vertices}
-    for root in vertices:
-        if state[root]:
-            continue
-        stack = [(root, iter([t for t in vertices if matrix[root][t]]))]
-        state[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for t in it:
-                if state[t] == 1:
-                    return True
-                if state[t] == 0:
-                    state[t] = 1
-                    stack.append((t, iter([u for u in vertices if matrix[t][u]])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return False
-
-
-def _topological(matrix, vertices):
-    indeg = {v: 0 for v in vertices}
-    for u in vertices:
-        for v in vertices:
-            if matrix[u][v]:
-                indeg[v] += 1
-    order = [v for v in vertices if indeg[v] == 0]
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        for v in vertices:
-            if matrix[u][v]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    order.append(v)
-    return order
 
 
 def first_return_matrix(shift: VertexShift, distinguished, order: int = DEFAULT_ORDER):

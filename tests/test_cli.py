@@ -159,6 +159,16 @@ def test_sft_degenerate(tmp_path, capsys):
     assert code == 1
 
 
+def test_sft_block_count_guard(tmp_path, capsys):
+    # a 22-letter forbidden block needs 2^21 blocks of 21 letters: a cost guard
+    target = tmp_path / "long.forb"
+    target.write_text("# alphabet: ∘ •\n" + "∘" * 21 + "•\n", encoding="utf-8")
+    code, out, err = run(["sft", "scales", "--forbidden", str(target), "--order", "4"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "2^21 is too large" in err
+
+
 def test_subst_scales(capsys):
     code, out, _ = run(["subst", "scales", "--preset", "fibonacci", "--n", "12"], capsys)
     assert code == 0

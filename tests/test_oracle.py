@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from scaleshift.combinatorics import PartSpec
@@ -97,6 +99,24 @@ def test_first_return_matches_closed_form():
             loops = first_return(shift, symbol, order=10)
             for k in range(1, 11):
                 assert oracle_first_return(shift, symbol, k) == loops.series.coefficient(k)
+
+
+def test_loop_support_matches_oracle():
+    # every 0/1 matrix on up to 3 symbols; a loop longer than the alphabet
+    # repeats an interior symbol, so it can be pumped.  Order 1 makes the
+    # support data come from past the truncation.
+    for size in range(1, 4):
+        symbols = "abc"[:size]
+        for bits in itertools.product((0, 1), repeat=size * size):
+            rows = [bits[i * size:(i + 1) * size] for i in range(size)]
+            shift = VertexShift.from_rows(symbols, rows)
+            for symbol in symbols:
+                loops = first_return(shift, symbol, 1)
+                sizes = [k for k in range(1, 9) if oracle_first_return(shift, symbol, k) > 0]
+                if loops.support_unbounded:
+                    assert max(sizes) > size
+                else:
+                    assert max(sizes, default=None) == loops.support_max
 
 
 def test_oracle_report():

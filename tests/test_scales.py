@@ -2,12 +2,12 @@ import pytest
 
 from scaleshift.combinatorics import (
     PartSpec,
-    enumerate_wheels,
     least_rotation,
     orbit,
     transversal_dim,
     transversal_of,
 )
+from scaleshift.oracle import oracle_series_coeff
 from scaleshift.scales import (
     EnumerationCapError,
     a_bgf,
@@ -63,6 +63,13 @@ GOLDEN = VertexShift.from_rows((CIRC, BULL), GOLDEN_ROWS)
 FULL2 = VertexShift.from_rows((CIRC, BULL), ((1, 1), (1, 1)))
 SFT2 = higher_block(SftPresentation.of((CIRC, BULL), SFT2_FORBIDDEN)).shift
 GOLDEN_C_CIRC = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)
+ORACLE_SPECS = (
+    PartSpec.naturals(),
+    PartSpec.finite({1, 2}),
+    PartSpec.from_min(2),
+    PartSpec.finite({2, 5}),
+    PartSpec.finite({3}),
+)
 
 
 def test_induced_scale():
@@ -92,6 +99,11 @@ def test_composition_bgf():
     assert table.coefficient(4, 2) == 1
     bull = composition_bgf(PartSpec.from_min(2), 10)
     assert bull.at_u1() == composition_gf(PartSpec.from_min(2), 10)
+    for spec in ORACLE_SPECS:
+        table = composition_bgf(spec, 12)
+        for n in range(13):
+            for m in range(n + 1):
+                assert table.coefficient(n, m) == oracle_series_coeff("compositions", spec, n, m)
 
 
 def test_wheels_gf():
@@ -110,15 +122,19 @@ def test_wheels_bgf():
     assert restricted.at_u1() == wheels_gf(PartSpec.from_min(2), 12)
     # wheels of 5 into 2 parts >= 2: just (2,3) up to rotation
     assert restricted.coefficient(5, 2) == 1
+    for spec in ORACLE_SPECS:
+        table = wheels_bgf(spec, 12)
+        assert table.coefficient(0, 0) == 0
+        for n in range(1, 13):
+            for m in range(n + 1):
+                assert table.coefficient(n, m) == oracle_series_coeff("wheels", spec, n, m)
 
 
 def test_wheels_match_enumeration():
-    specs = [PartSpec.naturals(), PartSpec.finite({1, 2}), PartSpec.from_min(2),
-             PartSpec.finite({2, 5}), PartSpec.finite({3,})]
-    for spec in specs:
+    for spec in ORACLE_SPECS:
         series = wheels_gf(spec, 8)
         for n in range(1, 9):
-            assert series.coefficient(n) == len(enumerate_wheels(n, spec))
+            assert series.coefficient(n) == oracle_series_coeff("wheels", spec, n)
 
 
 def test_tail_sizes():

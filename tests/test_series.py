@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from scaleshift.combinatorics import PartSpec
+from scaleshift.scales import a_bgf, composition_bgf
 from scaleshift.series import (
     BivariateSeries,
     NonIntegralCoefficientError,
@@ -124,7 +126,7 @@ def test_bivariate_triangular_shape_enforced():
 
 def test_bivariate_compositions_by_length():
     # 1/(1 - u(z + z^2)): compositions of n with parts in {1,2}, u marks length
-    comp = u_marked_parts({1, 2}, 6).quasi_inverse()
+    comp = composition_bgf({1, 2}, 6)
     assert comp.coefficient(0, 0) == 1
     # n = 4: (1,1,1,1); (1,1,2) x3 orderings; (2,2)
     assert [comp.coefficient(4, m) for m in range(5)] == [0, 0, 1, 3, 1]
@@ -141,21 +143,16 @@ def test_bivariate_partial_u_trivial():
 
 def test_bivariate_partial_u_tail_class():
     # a(z,u) = u z (1-z) / (1 - z - u z^2); d/du at u=1 gives z + 2z^3 + 2z^4 + 5z^5 + 8z^6
-    order = 6
-    uz = BivariateSeries.term(1, 1, 1, order)
-    uz2 = BivariateSeries.term(1, 2, 1, order)
-    z = BivariateSeries.term(1, 1, 0, order)
-    a = (uz - uz * z) * (z + uz2).quasi_inverse()
+    a = a_bgf(PartSpec.from_min(2), 6)
     assert a.length_weighted().at_u1().coeffs == (0, 1, 0, 2, 2, 5, 8)
 
 
 def test_bivariate_length_weighted_matches_partial():
     # u d/du of C = 1/(1 - u s) at u = 1 is s C^2
-    parts = u_marked_parts({1, 3}, 8)
-    comp = parts.quasi_inverse()
+    comp = composition_bgf({1, 3}, 8)
     weighted = comp.length_weighted()
     c = comp.at_u1()
-    assert weighted.at_u1() == parts.at_u1() * c * c
+    assert weighted.at_u1() == S(0, 1, 0, 1, order=8) * c * c
     for n in range(9):
         for m in range(n + 1):
             assert weighted.coefficient(n, m) == m * comp.coefficient(n, m)
@@ -165,16 +162,6 @@ def test_bivariate_u1_commutes_with_operations():
     f = u_marked_parts({1, 2}, 8)
     g = u_marked_parts({2, 3}, 8)
     assert (f + g).at_u1() == f.at_u1() + g.at_u1()
-    assert (f * g).at_u1() == f.at_u1() * g.at_u1()
-    assert f.quasi_inverse().at_u1() == f.at_u1().quasi_inverse()
-
-
-def test_bivariate_mul_commutes_and_associates():
-    a = u_marked_parts({1}, 6)
-    b = u_marked_parts({2, 3}, 6)
-    c = BivariateSeries.term(2, 1, 0, 6) + BivariateSeries.one(6)
-    assert a * b == b * a
-    assert (a * b) * c == a * (b * c)
 
 
 def test_bivariate_integer_rows_and_json():
