@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .combinatorics import PartSpec, transversal_of
@@ -33,6 +32,7 @@ from .shiftspace import (
     first_return_matrix,
     higher_block,
     language,
+    language_witnesses,
     parse_forbidden,
     parse_matrix,
     periodic_counts,
@@ -45,7 +45,7 @@ from .substitutions import (
     morphism_from_json,
     substitution_scales,
 )
-from .verify import language_witnesses, run_reference_suite
+from .verify import MAX_GRID_N, run_reference_suite
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -62,20 +62,6 @@ class CommandError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    fmt: str | None = None
-    cap: int = DEFAULT_CAP
-    fixtures: Path = Path(__file__).parent / "fixtures"
-
-    def __post_init__(self):
-        if self.cap < 1:
-            raise CommandError(EXIT_USAGE, "--cap must be at least 1")
-
-    def format_or(self, default: str) -> str:
-        return self.fmt if self.fmt is not None else default
 
 
 def _emit(data: dict, fmt: str, text_lines) -> None:
@@ -107,7 +93,7 @@ def _word_text(word: tuple[str, ...], separator_needed: bool) -> str:
 # -- wheels ---------------------------------------------------------------
 
 
-def cmd_wheels(args, config: RunConfig) -> int:
+def cmd_wheels(args) -> int:
     try:
         spec = PartSpec.parse(args.parts)
     except ValueError as err:
@@ -120,7 +106,7 @@ def cmd_wheels(args, config: RunConfig) -> int:
         row = list(table.rows[args.n][1:])
         data["by_length"] = row
         lines = [",".join(str(v) for v in row)]
-    _emit(data, config.format_or("text"), lines)
+    _emit(data, args.format or "text", lines)
     return EXIT_OK
 
 
@@ -138,10 +124,10 @@ def _require_symbol(args, shift: VertexShift) -> str:
     return args.symbol
 
 
-def cmd_vertex(args, config: RunConfig) -> int:
+def cmd_vertex(args) -> int:
     shift = _load_shift(args.matrix)
     order = args.order
-    fmt = config.format_or("json")
+    fmt = args.format or "json"
     if args.vertex_command == "zeta":
         form = zeta_rational(shift)
         coeffs = list(zeta(shift, order).coeffs)
@@ -169,7 +155,7 @@ def cmd_vertex(args, config: RunConfig) -> int:
         _emit(data, fmt, lines)
         return EXIT_OK
     if args.vertex_command == "global":
-        report = global_dims(shift, order, cap=config.cap)
+        report = global_dims(shift, order, cap=args.cap)
         lines = [
             f"n={n} transversal={report.transversal_at(n)} orbital={report.orbital_at(n)}"
             for n in range(1, order + 1)
@@ -200,7 +186,7 @@ def cmd_vertex(args, config: RunConfig) -> int:
 # -- sft ------------------------------------------------------------------
 
 
-def cmd_sft(args, config: RunConfig) -> int:
+def cmd_sft(args) -> int:
     try:
         presentation = parse_forbidden(_read_file(args.forbidden))
     except ValueError as err:
@@ -236,7 +222,7 @@ def cmd_sft(args, config: RunConfig) -> int:
     }
     scales = {
         start: distinguished_set_scales(
-            shift, distinguished, args.order, start=start, cap=config.cap
+            shift, distinguished, args.order, start=start, cap=args.cap
         ).to_json()
         for start in distinguished
     }
@@ -251,14 +237,14 @@ def cmd_sft(args, config: RunConfig) -> int:
     for start in distinguished:
         sizes = {entry["n"]: len(entry["scales"]) for entry in scales[start]["sets"]}
         lines.append(f"scales from {start}: " + ",".join(str(sizes[n]) for n in sorted(sizes)))
-    _emit(data, config.format_or("json"), lines)
+    _emit(data, args.format or "json", lines)
     return EXIT_OK
 
 
 # -- subst ----------------------------------------------------------------
 
 
-def cmd_subst(args, config: RunConfig) -> int:
+def cmd_subst(args) -> int:
     if args.preset:
         morphism = PRESETS[args.preset]
     else:
@@ -275,16 +261,16 @@ def cmd_subst(args, config: RunConfig) -> int:
         f"orbital_dim: {study.orbital_dim}",
     ]
     lines += [",".join(str(k) for k in comp) for comp in sorted(study.combined)]
-    _emit(data, config.format_or("json"), lines)
+    _emit(data, args.format or "json", lines)
     return EXIT_OK
 
 
 # -- verify ---------------------------------------------------------------
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     results = run_reference_suite(args.max_n)
-    fmt = config.format_or("text")
+    fmt = args.format or "text"
     failed = False
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -327,7 +313,16 @@ def _fetch_bfile(sequence_id: str) -> str:
         return response.read().decode("utf-8")
 
 
-def cmd_oeis(args, config: RunConfig) -> int:
+def _resolve_fixtures(flag_value: str | None) -> Path:
+    if flag_value:
+        return Path(flag_value)
+    env_value = os.environ.get(FIXTURES_ENV)
+    if env_value:
+        return Path(env_value)
+    return Path(__file__).parent / "fixtures"
+
+
+def cmd_oeis(args) -> int:
     sequence_id = args.id
     if len(sequence_id) != 7 or sequence_id[0] != "A" or not sequence_id[1:].isdigit():
         raise CommandError(EXIT_USAGE, f"bad sequence id {sequence_id!r}, expected Annnnnn")
@@ -346,7 +341,7 @@ def cmd_oeis(args, config: RunConfig) -> int:
         except OSError as err:
             print(f"warning: fetch failed ({err}); using bundled snapshot", file=sys.stderr)
     if text is None:
-        path = config.fixtures / f"b{sequence_id[1:]}.txt"
+        path = _resolve_fixtures(args.fixtures) / f"b{sequence_id[1:]}.txt"
         if not path.exists():
             raise CommandError(EXIT_DATA, f"no bundled snapshot for {sequence_id} at {path}")
         text = path.read_text(encoding="utf-8")
@@ -363,7 +358,7 @@ def cmd_oeis(args, config: RunConfig) -> int:
     if len(coeffs) > len(values):
         data["match"] = False
         data["reason"] = "prefix longer than the snapshot"
-        _emit(data, config.format_or("text"), [f"mismatch: {data['reason']}"])
+        _emit(data, args.format or "text", [f"mismatch: {data['reason']}"])
         return EXIT_DATA
     for i, (given, known) in enumerate(zip(coeffs, values)):
         if given != known:
@@ -371,12 +366,12 @@ def cmd_oeis(args, config: RunConfig) -> int:
             data["first_mismatch"] = {"position": i, "given": given, "expected": known}
             _emit(
                 data,
-                config.format_or("text"),
+                args.format or "text",
                 [f"mismatch at position {i}: given {given}, expected {known}"],
             )
             return EXIT_DATA
     data["match"] = True
-    _emit(data, config.format_or("text"), ["match"])
+    _emit(data, args.format or "text", ["match"])
     return EXIT_OK
 
 
@@ -387,6 +382,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _grid_order(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_GRID_N:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_GRID_N}")
     return value
 
 
@@ -433,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = commands.add_parser("verify", help="run a regression suite")
     verify.add_argument("--suite", choices=("paper",), required=True)
-    verify.add_argument("--max-n", type=_positive_int, default=10, dest="max_n")
+    verify.add_argument("--max-n", type=_grid_order, default=MAX_GRID_N, dest="max_n")
     verify.set_defaults(handler=cmd_verify)
 
     oeis = commands.add_parser("oeis", help="sequence snapshot checks")
@@ -447,15 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_fixtures(flag_value: str | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env_value = os.environ.get(FIXTURES_ENV)
-    if env_value:
-        return Path(env_value)
-    return Path(__file__).parent / "fixtures"
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -463,12 +456,7 @@ def main(argv=None) -> int:
     except SystemExit as exit_request:
         return exit_request.code if isinstance(exit_request.code, int) else EXIT_USAGE
     try:
-        config = RunConfig(
-            fmt=args.format,
-            cap=args.cap,
-            fixtures=_resolve_fixtures(args.fixtures),
-        )
-        return args.handler(args, config)
+        return args.handler(args)
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code

@@ -41,18 +41,15 @@ def least_rotation(w: tuple) -> tuple:
     return min(doubled[i : i + n] for i in range(n))
 
 
-def transversal_dim(B: Collection[Composition]) -> int:
-    """Number of distinct rotation classes represented in B."""
-    return len({least_rotation(w) for w in B})
-
-
-def orbital_dim(B: Collection[Composition]) -> int:
-    """Cardinality of the union of the full rotation orbits of members of B.
+def rotation_dims(B: Collection[Composition]) -> tuple[int, int]:
+    """(transversal, orbital): the rotation classes B meets, and the size of
+    the union of their full orbits.
 
     Distinct classes have disjoint orbits, so summing one orbit size per
     represented class equals the size of the union.
     """
-    return sum(len(orbit(rep)) for rep in {least_rotation(w) for w in B})
+    keys = {least_rotation(w) for w in B}
+    return len(keys), sum(len(orbit(key)) for key in keys)
 
 
 def transversal_of(B: Collection[Composition]) -> set[Composition]:
@@ -136,14 +133,6 @@ class PartSpec:
             return
         if self.horizon is not None and k > self.horizon:
             raise ValueError(f"membership of {k} unknown beyond horizon {self.horizon}")
-
-    def contains(self, k: int) -> bool:
-        if k < 1:
-            return False
-        if self.tail_from is not None and k >= self.tail_from:
-            return True
-        self._require_known(k)
-        return k in self.known
 
     def members_up_to(self, limit: int) -> tuple[int, ...]:
         """All members k <= limit, ascending; errors beyond the horizon."""

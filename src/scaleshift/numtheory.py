@@ -1,9 +1,12 @@
 """Elementary arithmetic functions for periodic-point and necklace counting.
 
 Implements the Mobius function mu(n), Euler's totient phi(n), divisor
-enumeration, and Mobius inversion of 1-indexed integer sequences:
+enumeration, Mobius inversion of 1-indexed integer sequences:
 
-    q_n = sum_{k | n} mu(n/k) * p_k    <=>    p_n = sum_{k | n} q_k.
+    q_n = sum_{k | n} mu(n/k) * p_k    <=>    p_n = sum_{k | n} q_k,
+
+and the Burnside orbit count of a cyclic group action, the one place where
+the system divides to count rotation classes.
 
 Factorization is plain trial division on purpose: arguments never exceed a
 series truncation order (a few hundred at most), so a sieve would be noise.
@@ -11,7 +14,10 @@ series truncation order (a few hundred at most), so a sieve would be noise.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator
+
+from .series import NonIntegralCoefficientError
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -63,6 +69,28 @@ def divisors(n: int) -> tuple[int, ...]:
                 large.append(n // d)
         d += 1
     return tuple(small + large[::-1])
+
+
+def burnside(length: int, g: int, fixed: Callable[[int], int]) -> int:
+    """Orbits of the cyclic group of order ``length``, by Burnside's lemma.
+
+    (1/length) sum_{k | g} phi(k) fixed(k): the group has phi(k) elements of
+    each order k, and fixed(k) counts the objects one of them fixes; orders
+    not dividing ``g`` fix nothing.  A remainder means the fixed counts are
+    inconsistent, and raises ``NonIntegralCoefficientError``.
+    """
+    total = sum(phi * fixed(k) for k, phi in _orders(g))
+    quot, rem = divmod(total, length)
+    if rem:
+        raise NonIntegralCoefficientError(f"orbit count {total}/{length} is not an integer")
+    return quot
+
+
+@lru_cache(maxsize=None)
+def _orders(g: int) -> tuple[tuple[int, int], ...]:
+    """(k, phi(k)) for every divisor k of g; cached, as the wheel table asks
+    for the same few g once per cell."""
+    return tuple((k, totient(k)) for k in divisors(g))
 
 
 class ArithSequence:

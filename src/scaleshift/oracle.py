@@ -28,7 +28,6 @@ def _rotations(word: tuple) -> set[tuple]:
     return {word[i:] + word[:i] for i in range(len(word))}
 
 
-@lru_cache(maxsize=None)
 def _admissible_words(shift: VertexShift, n: int) -> tuple[Word, ...]:
     # layered extension: every admissible word of length j, one edge at a time
     words: list[Word] = [(s,) for s in shift.alphabet]
@@ -112,7 +111,8 @@ def oracle_series_coeff(
         comps = [comp for comp in comps if len(comp) == m]
     if kind == "compositions":
         return len(comps)
-    return len({min(_rotations(comp)) for comp in comps})
+    # a wheel has at least one part: the empty composition is no wheel
+    return len({min(_rotations(comp)) for comp in comps if comp})
 
 
 def oracle_first_return(shift: VertexShift, symbol: str, k: int) -> int:

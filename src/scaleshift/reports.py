@@ -65,11 +65,6 @@ class DimReport:
     def orbital_at(self, n: int) -> int:
         return self.orbital[n - 1]
 
-    def class_size_at(self, n: int) -> int:
-        if self.class_sizes is None:
-            raise ValueError("report carries no class sizes")
-        return self.class_sizes[n - 1]
-
     def to_json(self) -> dict:
         rows = []
         for n in range(1, self.order + 1):

@@ -15,20 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .combinatorics import (
-    Composition,
-    PartSpec,
-    orbital_dim,
-    transversal_dim,
-)
-from .numtheory import divisors, totient
+from .combinatorics import Composition, PartSpec, rotation_dims
+from .numtheory import burnside
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
-from .series import (
-    DEFAULT_ORDER,
-    BivariateSeries,
-    NonIntegralCoefficientError,
-    TruncatedSeries,
-)
+from .series import DEFAULT_ORDER, BivariateSeries, TruncatedSeries
 from .shiftspace import (
     LoopSystem,
     ReducibleShiftError,
@@ -113,7 +103,7 @@ def wheels_gf(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     sum_k phi(k)/k log 1/(1 - sum_{j in K} z^{jk}), computed without
     fractions: with s the indicator of K and h = 1/(1-s), the inner log
     has m-th coefficient P_m / m where P_m = sum_j j s_j h_{m-j}, so the
-    z^n coefficient is (1/n) sum_{k|n} phi(k) P_{n/k}, an integer.
+    z^n coefficient is the Burnside count (1/n) sum_{k|n} phi(k) P_{n/k}.
     """
     spec = _coerce_spec(parts)
     members = spec.members_up_to(order)
@@ -121,15 +111,7 @@ def wheels_gf(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     p = [0] * (order + 1)
     for m in range(1, order + 1):
         p[m] = sum(j * h[m - j] for j in members if j <= m)
-    coeffs = [0] * (order + 1)
-    for n in range(1, order + 1):
-        total = sum(totient(k) * p[n // k] for k in divisors(n))
-        quot, rem = divmod(total, n)
-        if rem:
-            raise NonIntegralCoefficientError(
-                f"wheel count {total}/{n} at order {n} is not an integer"
-            )
-        coeffs[n] = quot
+    coeffs = [0] + [burnside(n, n, lambda k: p[n // k]) for n in range(1, order + 1)]
     return TruncatedSeries(coeffs, order)
 
 
@@ -137,7 +119,8 @@ def wheels_bgf(parts, order: int = DEFAULT_ORDER) -> BivariateSeries:
     """Wheels refined by the number of parts.
 
     With S_{a,b} the number of compositions of a into exactly b parts
-    from K, the (n,m) entry is (1/m) sum_{k | gcd(n,m)} phi(k) S_{n/k,m/k}.
+    from K, the (n,m) entry is the Burnside count
+    (1/m) sum_{k | gcd(n,m)} phi(k) S_{n/k,m/k}.
     """
     return _wheel_table(composition_bgf(parts, order))
 
@@ -148,15 +131,7 @@ def _wheel_table(comp: BivariateSeries) -> BivariateSeries:
     for n in range(1, order + 1):
         row = [0] * (n + 1)
         for m in range(1, n + 1):
-            total = 0
-            for k in divisors(gcd(n, m)):
-                total += totient(k) * table[n // k][m // k]
-            quot, rem = divmod(total, m)
-            if rem:
-                raise NonIntegralCoefficientError(
-                    f"wheel count {total}/{m} at ({n},{m}) is not an integer"
-                )
-            row[m] = quot
+            row[m] = burnside(m, gcd(n, m), lambda k: table[n // k][m // k])
         rows.append(row)
     return BivariateSeries(rows, order)
 
@@ -177,12 +152,6 @@ def a_series(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     spec = _coerce_spec(parts)
     extras = _indicator(tail_sizes(spec, order), order)
     return composition_gf(spec, order) * extras
-
-
-def a_bgf(parts, order: int = DEFAULT_ORDER) -> BivariateSeries:
-    """a_series with u marking the number of parts: a[n][m] = sum_{k in E} c[n-k][m-1]."""
-    spec = _coerce_spec(parts)
-    return _tailed(composition_bgf(spec, order), tail_sizes(spec, order))
 
 
 def _tailed(comp: BivariateSeries, tails) -> BivariateSeries:
@@ -279,7 +248,7 @@ def global_dims(
     walks = [(symbol, {symbol}) for symbol in shift.alphabet]
     dims = _scale_levels(
         shift, walks, order, cap,
-        lambda scales: (transversal_dim(scales), orbital_dim(scales), len(scales)),
+        lambda scales: (*rotation_dims(scales), len(scales)),
     )
     return DimReport(
         tuple(t for t, _, _ in dims),

@@ -10,8 +10,9 @@ Three carriers:
 
 Every series here counts something, so coefficients are plain ``int`` and a
 constructor given anything else raises ``NonIntegralCoefficientError``. The
-ring operations never divide; the closed forms that do (wheel counts,
-Newton's identities) check the remainder where they divide.
+ring operations never divide; the closed forms that do (the Burnside orbit
+count in ``numtheory``, Newton's identities) check the remainder where they
+divide.
 """
 
 from __future__ import annotations
@@ -55,35 +56,12 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order)
-
-    @classmethod
-    def monomial(cls, k: int, order: int, coeff: int = 1) -> "TruncatedSeries":
-        """The series coeff * z^k (zero if k exceeds the order)."""
-        if k < 0:
-            raise ValueError(f"exponent must be >= 0, got {k}")
-        coeffs = [0] * (order + 1)
-        if k <= order:
-            coeffs[k] = coeff
-        return cls(coeffs, order)
-
     # -- basics ------------------------------------------------------------
 
     def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient index {n} outside 0..{self.order}")
         return self.coeffs[n]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -106,21 +84,6 @@ class TruncatedSeries:
         return TruncatedSeries([a + b for a, b in zip(self.coeffs, g.coeffs)], self.order)
 
     __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-a for a in self.coeffs], self.order)
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return self + (-g)
-
-    def __rsub__(self, other) -> "TruncatedSeries":
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        return g + (-self)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, int):
@@ -176,21 +139,6 @@ class TruncatedSeries:
     def __repr__(self) -> str:
         return f"TruncatedSeries({list(self.coeffs)}, order={self.order})"
 
-    def __str__(self) -> str:
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                terms.append(str(c))
-            elif n == 1:
-                terms.append("z" if c == 1 else f"{c}*z")
-            else:
-                terms.append(f"z^{n}" if c == 1 else f"{c}*z^{n}")
-        body = " + ".join(terms) if terms else "0"
-        return f"{body} + O(z^{self.order + 1})"
-
-
 class BivariateSeries:
     """Triangular bivariate series: z marks size, u marks length, m <= n."""
 
@@ -214,20 +162,6 @@ class BivariateSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("BivariateSeries is immutable")
-
-    @classmethod
-    def zero(cls, order: int) -> "BivariateSeries":
-        return cls([], order)
-
-    @classmethod
-    def term(cls, coeff: int, n: int, m: int, order: int) -> "BivariateSeries":
-        """The monomial coeff * z^n u^m; requires the structural bound m <= n."""
-        if not 0 <= m <= n:
-            raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-        table: list[list[int]] = [[0] * (i + 1) for i in range(order + 1)]
-        if n <= order:
-            table[n][m] = coeff
-        return cls(table, order)
 
     def coefficient(self, n: int, m: int) -> int:
         if not 0 <= n <= self.order:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .combinatorics import PartSpec
-from .numtheory import ArithSequence, divisors, mobius_invert
+from .combinatorics import PartSpec, transversal_of
+from .numtheory import ArithSequence, burnside
 from .reports import CLOSED_FORM, DimReport
 from .series import DEFAULT_ORDER, RationalFunction, TruncatedSeries
 
@@ -220,6 +220,14 @@ def language_from(shift: VertexShift, symbol: str, n: int) -> frozenset[Word]:
     return frozenset(_paths(shift, [shift.alphabet.index(symbol)], n))
 
 
+def language_witnesses(shift: VertexShift, n: int) -> set[Word]:
+    """One word of L_n per rotation class: the least in symbol-index order."""
+    symbols = shift.alphabet.symbols
+    code = {symbol: i for i, symbol in enumerate(symbols)}
+    coded = {tuple(code[s] for s in word) for word in language(shift, n)}
+    return {tuple(symbols[i] for i in word) for word in transversal_of(coded)}
+
+
 def _paths(shift: VertexShift, starts, n: int):
     if n < 0:
         raise ValueError("word length must be >= 0")
@@ -317,28 +325,10 @@ def periodic_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> ArithSequ
     )
 
 
-def minimal_periodic_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> ArithSequence:
-    """q_n: points of least period exactly n, by Mobius inversion of p."""
-    return mobius_invert(periodic_counts(shift, order))
-
-
-def minimal_periodic_orbit_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> ArithSequence:
-    """q_n / n: closed orbits of length exactly n."""
-    q = minimal_periodic_counts(shift, order)
-    out = []
-    for n in range(1, order + 1):
-        if q[n] % n:
-            raise ArithmeticError(f"q_{n} = {q[n]} is not divisible by {n}")
-        out.append(q[n] // n)
-    return ArithSequence(out)
-
-
 def periodic_orbit_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> ArithSequence:
-    """Necklace counts sum_{k|n} q_k / k: closed orbits of length dividing n."""
-    per_orbit = minimal_periodic_orbit_counts(shift, order)
-    return ArithSequence(
-        sum(per_orbit[k] for k in divisors(n)) for n in range(1, order + 1)
-    )
+    """Necklace counts: closed orbits of length dividing n, Burnside on p."""
+    p = periodic_counts(shift, order)
+    return ArithSequence(burnside(n, n, lambda k: p[n // k]) for n in range(1, order + 1))
 
 
 def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> LoopSystem:
@@ -403,21 +393,20 @@ def first_return_matrix(shift: VertexShift, distinguished, order: int = DEFAULT_
 
 
 def language_dims(shift: VertexShift, order: int = DEFAULT_ORDER) -> DimReport:
-    """Transversal and orbital dimensions of L_n for n = 1..order."""
-    matrix = shift.matrix
-    k = shift.size
-    powers = _power_table(matrix, order)
-    necklaces = periodic_orbit_counts(shift, order)
+    """Transversal and orbital dimensions of L_n for n = 1..order.
+
+    Of the w_n words, p_n close up (the last symbol may precede the first);
+    their classes are the necklaces, and their orbits stay inside them.  No
+    rotation of any other word is admissible, so each of the w_n - p_n
+    stranded words is a class of its own whose orbit has all n rotations.
+    """
+    words = word_counts(shift, order)
     p = periodic_counts(shift, order)
+    necklaces = periodic_orbit_counts(shift, order)
     transversal = []
     orbital = []
     for n in range(1, order + 1):
-        stranded = sum(
-            powers[n - 1][i][j]
-            for i in range(k)
-            for j in range(k)
-            if matrix[j][i] == 0
-        )
+        stranded = words[n - 1] - p[n]
         transversal.append(stranded + necklaces[n])
         orbital.append(n * stranded + p[n])
     return DimReport(tuple(transversal), tuple(orbital), CLOSED_FORM)

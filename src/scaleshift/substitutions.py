@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .combinatorics import Composition, orbital_dim, transversal_dim
+from .combinatorics import Composition, rotation_dims
 from .scales import induced_scale
 from .shiftspace import Alphabet, Word
 
@@ -92,16 +92,6 @@ PRESETS = {
 }
 
 
-def fixed_point_prefix(morphism: Morphism, length: int) -> Word:
-    """The first ``length`` letters of the one-sided fixed point."""
-    if length < 1:
-        raise ValueError("prefix length must be >= 1")
-    word = (morphism.seed,)
-    while len(word) < length:
-        word = morphism.apply(word)
-    return word[:length]
-
-
 @dataclass(frozen=True)
 class StabilizationCertificate:
     """Evidence that the n-block set of the fixed point was exhausted.
@@ -173,10 +163,4 @@ def substitution_scales(morphism: Morphism, n: int) -> ScaleStudy:
         for symbol in morphism.alphabet
     }
     combined = frozenset().union(*per_symbol.values())
-    return ScaleStudy(
-        n,
-        per_symbol,
-        combined,
-        transversal_dim(combined),
-        orbital_dim(combined),
-    )
+    return ScaleStudy(n, per_symbol, combined, *rotation_dims(combined))

@@ -40,8 +40,8 @@ from .shiftspace import (
     first_return_matrix,
     higher_block,
     is_irreducible,
-    language,
     language_dims,
+    language_witnesses,
     periodic_counts,
     periodic_orbit_counts,
     zeta,
@@ -53,6 +53,9 @@ CIRC = "∘"
 BULL = "•"
 
 GOLDEN = VertexShift.from_rows((CIRC, BULL), ((1, 1), (1, 0)))
+
+#: Largest word length the oracle grid compares; the CLI rejects larger --max-n.
+MAX_GRID_N = 10
 
 WHEELS_PREFIX = (1, 2, 3, 5, 7, 13)
 WHEELS_12 = 351
@@ -153,20 +156,6 @@ def check_golden_series() -> list[OracleReport]:
     matched = sum(f_bull.coefficient(n) == (1 if n >= 2 else 0) for n in range(17))
     reports.append(_report("golden.first_return_bull", {"order": 16}, 17, matched))
     return reports
-
-
-def language_witnesses(shift: VertexShift, n: int) -> set[tuple[str, ...]]:
-    """One admissible word per rotation class: the least in symbol-index order."""
-    words = language(shift, n)
-
-    def key(word):
-        return tuple(shift.alphabet.index(s) for s in word)
-
-    witnesses = set()
-    for word in words:
-        admissible = {word[i:] + word[:i] for i in range(n)} & words
-        witnesses.add(min(admissible, key=key))
-    return witnesses
 
 
 def check_golden_language() -> list[OracleReport]:
@@ -333,8 +322,9 @@ def _irreducible_shifts(max_symbols: int = 3) -> list[VertexShift]:
     return shifts
 
 
-def check_oracle_grid(max_n: int = 10) -> list[OracleReport]:
-    max_n = max(1, min(max_n, 10))
+def check_oracle_grid(max_n: int = MAX_GRID_N) -> list[OracleReport]:
+    if not 1 <= max_n <= MAX_GRID_N:
+        raise ValueError(f"oracle grid needs 1 <= max_n <= {MAX_GRID_N}, got {max_n}")
     reports = []
     shifts = _irreducible_shifts()
     reports.append(_report("oracle.grid_size", {"max_symbols": 3}, 149, len(shifts)))
@@ -424,7 +414,7 @@ def check_bivariate_row_sums() -> list[OracleReport]:
     return reports
 
 
-def check_property_suites(max_n: int = 10) -> list[OracleReport]:
+def check_property_suites(max_n: int = MAX_GRID_N) -> list[OracleReport]:
     reports = []
     reports.extend(check_oracle_grid(max_n))
     reports.extend(check_wheel_integrality())
@@ -452,7 +442,7 @@ class CheckResult:
         return tuple(report for report in self.reports if not report.match)
 
 
-def run_reference_suite(max_n: int = 10) -> list[CheckResult]:
+def run_reference_suite(max_n: int = MAX_GRID_N) -> list[CheckResult]:
     checks = (
         (1, "wheel counts", check_wheel_counts),
         (2, "composition counts", check_composition_counts),

@@ -284,6 +284,10 @@ def test_usage_errors(capsys):
     assert main([]) == 2
     # --order belongs to the vertex and sft subcommands, never before them
     assert main(["--format", "text", "--order", "5", "vertex", "zeta", "--matrix", GOLDEN_MAT]) == 2
+    # the oracle grid stops at n = 10; a larger --max-n is refused, not clamped
+    assert main(["verify", "--suite", "paper", "--max-n", "50"]) == 2
+    assert main(["verify", "--suite", "paper", "--max-n", "11"]) == 2
+    assert main(["verify", "--suite", "paper", "--max-n", "0"]) == 2
 
 
 def test_cli_import_loads_no_network_or_fractions():
@@ -302,20 +306,18 @@ def test_cli_import_loads_no_network_or_fractions():
 
 def test_snapshot_checks_cover_all_bundled_sequences(capsys):
     from scaleshift.combinatorics import PartSpec
+    from scaleshift.numtheory import mobius_invert
     from scaleshift.scales import b_series, composition_gf, wheels_gf
     from scaleshift.series import RationalFunction
-    from scaleshift.shiftspace import (
-        VertexShift,
-        minimal_periodic_orbit_counts,
-        periodic_orbit_counts,
-    )
+    from scaleshift.shiftspace import VertexShift, periodic_counts, periodic_orbit_counts
 
     golden = VertexShift.from_rows(("∘", "•"), ((1, 1), (1, 0)))
     qbar = periodic_orbit_counts(golden, 16)
+    q = mobius_invert(periodic_counts(golden, 12))
     fib = RationalFunction([0, 1, -1], [1, -1, -1]).expand(11)
     checks = {
         "A000358": [qbar[n] for n in range(1, 17)],
-        "A006206": list(minimal_periodic_orbit_counts(golden, 12)),
+        "A006206": [q[n] // n for n in range(1, 13)],
         "A006490": [(n + 1) * fib.coefficient(n + 1) for n in range(10)],
         "A032190": [int(wheels_gf(PartSpec.from_min(2), 12).coefficient(n)) for n in range(1, 13)],
         "A006367": [int(b_series(PartSpec.from_min(2), 12).coefficient(n)) for n in range(1, 13)],

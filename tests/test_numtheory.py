@@ -2,7 +2,15 @@ import math
 
 import pytest
 
-from scaleshift.numtheory import ArithSequence, divisors, mobius, mobius_invert, totient
+from scaleshift.numtheory import (
+    ArithSequence,
+    burnside,
+    divisors,
+    mobius,
+    mobius_invert,
+    totient,
+)
+from scaleshift.series import NonIntegralCoefficientError
 
 
 def test_mobius_examples():
@@ -117,3 +125,20 @@ def test_mobius_inversion_round_trip():
         q = mobius_invert(p)
         for n in range(1, len(p) + 1):
             assert sum(q[k] for k in divisors(n)) == p[n]
+
+
+def test_burnside_binary_necklaces():
+    # rotation classes of binary words of length n, against brute force
+    for n in range(1, 11):
+        brute = len({
+            min(w[i:] + w[:i] for i in range(n))
+            for w in (tuple((bits >> i) & 1 for i in range(n)) for bits in range(2**n))
+        })
+        assert burnside(n, n, lambda k: 2 ** (n // k)) == brute
+
+
+def test_burnside_remainder_raises():
+    with pytest.raises(NonIntegralCoefficientError):
+        burnside(3, 1, lambda k: 4)
+    with pytest.raises(ValueError):
+        burnside(4, 2, lambda k: 1)

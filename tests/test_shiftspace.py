@@ -1,5 +1,6 @@
 import pytest
 
+from scaleshift.numtheory import divisors, mobius_invert
 from scaleshift.series import RationalFunction, TruncatedSeries
 from scaleshift.shiftspace import (
     Alphabet,
@@ -14,8 +15,6 @@ from scaleshift.shiftspace import (
     language,
     language_dims,
     language_from,
-    minimal_periodic_counts,
-    minimal_periodic_orbit_counts,
     parse_forbidden,
     parse_matrix,
     periodic_counts,
@@ -23,6 +22,7 @@ from scaleshift.shiftspace import (
     zeta,
     zeta_rational,
 )
+from scaleshift.verify import _irreducible_shifts
 
 from refsets import (
     BULL,
@@ -79,12 +79,28 @@ def test_zeta_other_shifts():
     assert zeta_rational(SFT2.shift) == RationalFunction([1], [1, 0, -1, -1])
 
 
+def minimal_orbit_counts(shift, order):
+    """q_n / n, with q_n the points of least period n by Mobius inversion of p."""
+    q = mobius_invert(periodic_counts(shift, order))
+    assert all(q[n] % n == 0 for n in range(1, order + 1))
+    return tuple(q[n] // n for n in range(1, order + 1))
+
+
 def test_periodic_count_family():
     n = len(GOLDEN_P)
     assert periodic_counts(GOLDEN, n).values() == GOLDEN_P
-    assert minimal_periodic_counts(GOLDEN, n).values() == GOLDEN_Q
-    assert minimal_periodic_orbit_counts(GOLDEN, n).values() == GOLDEN_Q_ORBITS
+    assert mobius_invert(periodic_counts(GOLDEN, n)).values() == GOLDEN_Q
+    assert minimal_orbit_counts(GOLDEN, n) == GOLDEN_Q_ORBITS
     assert periodic_orbit_counts(GOLDEN, n).values() == GOLDEN_QBAR
+
+
+def test_necklaces_match_mobius_route():
+    # Burnside on p against the Mobius route: closed orbits of length k | n
+    for shift in _irreducible_shifts():
+        per_orbit = minimal_orbit_counts(shift, 24)
+        necklaces = periodic_orbit_counts(shift, 24)
+        for n in range(1, 25):
+            assert necklaces[n] == sum(per_orbit[k - 1] for k in divisors(n))
 
 
 def test_periodic_counts_match_language_closures():
@@ -106,7 +122,7 @@ def test_zeta_log_consistency():
         z_det_prime = TruncatedSeries([n * c for n, c in enumerate(det.coeffs)], order)
         p = periodic_counts(shift, order)
         traces = TruncatedSeries([0] + [p[n] for n in range(1, order + 1)], order)
-        assert -z_det_prime == det * traces
+        assert z_det_prime * -1 == det * traces
 
 
 def test_language_small():
@@ -197,9 +213,9 @@ def test_first_return_support_analysis():
 def test_first_return_matrix_two_symbol_hole():
     double = SFT2.shift.alphabet.symbols
     table = first_return_matrix(SFT2.shift, double[:2], 8)
-    z = TruncatedSeries.monomial(1, 8)
-    z2 = TruncatedSeries.monomial(2, 8)
-    assert table[(double[0], double[0])] == TruncatedSeries.zero(8)
+    z = TruncatedSeries([0, 1], 8)
+    z2 = TruncatedSeries([0, 0, 1], 8)
+    assert table[(double[0], double[0])] == TruncatedSeries([], 8)
     assert table[(double[0], double[1])] == z
     assert table[(double[1], double[0])] == z2
     assert table[(double[1], double[1])] == z2
@@ -215,7 +231,7 @@ def test_first_return_matrix_consistency():
     table = first_return_matrix(GOLDEN, (CIRC, BULL), 6)
     for s in (CIRC, BULL):
         for t in (CIRC, BULL):
-            expected = TruncatedSeries.monomial(1, 6, GOLDEN.entry(s, t))
+            expected = TruncatedSeries([0, GOLDEN.entry(s, t)], 6)
             assert table[(s, t)] == expected
     with pytest.raises(ValueError):
         first_return_matrix(GOLDEN, (), 6)

@@ -1,13 +1,12 @@
 import pytest
 
-from scaleshift.combinatorics import mutually_independent, orbital_dim, transversal_dim
+from scaleshift.combinatorics import mutually_independent, rotation_dims
 from scaleshift.substitutions import (
     ITERATION_CAP,
     Morphism,
     PRESETS,
     StabilizationError,
     block_language,
-    fixed_point_prefix,
     morphism_from_json,
     stabilized_blocks,
     substitution_scales,
@@ -35,19 +34,26 @@ FIB = PRESETS["fibonacci"]
 FEIG = PRESETS["feigenbaum"]
 
 
+def iterate(morphism, length):
+    """Apply the morphism to the seed until the word has ``length`` letters."""
+    word = (morphism.seed,)
+    while len(word) < length:
+        word = morphism.apply(word)
+    return word
+
+
 def test_preset_prefixes():
-    assert fixed_point_prefix(TM, 16) == TM_PREFIX_16
-    assert fixed_point_prefix(FIB, 13) == FIB_PREFIX_13
-    assert fixed_point_prefix(FEIG, 12) == FEIG_PREFIX_12
+    assert iterate(TM, 16)[:16] == TM_PREFIX_16
+    assert iterate(FIB, 13)[:13] == FIB_PREFIX_13
+    assert iterate(FEIG, 12)[:12] == FEIG_PREFIX_12
 
 
 def test_prefix_is_iteration_independent():
+    # each iterate is a prefix of the next, so they all agree with the fixed point
     for morphism in (TM, FIB, FEIG):
-        long = fixed_point_prefix(morphism, 64)
         for length in (1, 2, 7, 33):
-            assert fixed_point_prefix(morphism, length) == long[:length]
-    with pytest.raises(ValueError):
-        fixed_point_prefix(TM, 0)
+            word = iterate(morphism, length)
+            assert morphism.apply(word)[: len(word)] == word
 
 
 def test_morphism_validation():
@@ -114,8 +120,8 @@ def test_fibonacci_scales():
     assert len(study.combined) == 13
     assert study.transversal_dim == 10
     assert study.orbital_dim == 66
-    assert transversal_dim(FIB_SCALES_CIRC) == 6
-    assert transversal_dim(FIB_SCALES_BULL) == 4
+    assert rotation_dims(FIB_SCALES_CIRC)[0] == 6
+    assert rotation_dims(FIB_SCALES_BULL)[0] == 4
 
 
 def test_feigenbaum_scales():
@@ -126,10 +132,8 @@ def test_feigenbaum_scales():
     assert len(study.combined) == 20
     assert study.transversal_dim == 6
     assert study.orbital_dim == 28
-    assert transversal_dim(FEIG_SCALES_CIRC) == 3
-    assert transversal_dim(FEIG_SCALES_BULL) == 3
-    assert orbital_dim(FEIG_SCALES_CIRC) == 10
-    assert orbital_dim(FEIG_SCALES_BULL) == 18
+    assert rotation_dims(FEIG_SCALES_CIRC) == (3, 10)
+    assert rotation_dims(FEIG_SCALES_BULL) == (3, 18)
 
 
 def test_case_studies_mutually_independent():

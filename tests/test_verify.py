@@ -1,11 +1,13 @@
+import pytest
+
 from scaleshift.oracle import OracleReport
-from scaleshift.shiftspace import VertexShift
+from scaleshift.shiftspace import VertexShift, language_witnesses
 from scaleshift.verify import (
     CheckResult,
     check_exclusions,
+    check_oracle_grid,
     check_wheel_integrality,
     _irreducible_shifts,
-    language_witnesses,
     run_reference_suite,
 )
 
@@ -54,3 +56,9 @@ def test_suite_shrinks_with_max_n():
     grid = [r for r in results[9].reports if r.quantity == "oracle.dims_grid"]
     assert len(grid) == 149
     assert all(report.expected <= 4 for report in grid)
+
+
+def test_oracle_grid_rejects_max_n_outside_range():
+    for max_n in (0, 11, 50):
+        with pytest.raises(ValueError):
+            check_oracle_grid(max_n)
