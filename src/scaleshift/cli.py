@@ -39,12 +39,7 @@ from .shiftspace import (
     zeta,
     zeta_rational,
 )
-from .substitutions import (
-    PRESETS,
-    StabilizationError,
-    morphism_from_json,
-    substitution_scales,
-)
+from .substitutions import PRESETS, morphism_from_json, substitution_scales
 from .verify import MAX_GRID_N, run_reference_suite
 
 EXIT_OK = 0
@@ -114,8 +109,6 @@ def cmd_wheels(args) -> int:
 
 
 def _require_symbol(args, shift: VertexShift) -> str:
-    if args.symbol is None:
-        raise CommandError(EXIT_USAGE, "this command needs --symbol")
     if args.symbol not in shift.alphabet:
         raise CommandError(
             EXIT_USAGE,
@@ -124,63 +117,70 @@ def _require_symbol(args, shift: VertexShift) -> str:
     return args.symbol
 
 
-def cmd_vertex(args) -> int:
+def _dims_lines(report, order: int) -> list[str]:
+    return [
+        f"n={n} transversal={report.transversal_at(n)} orbital={report.orbital_at(n)}"
+        for n in range(1, order + 1)
+    ]
+
+
+def cmd_vertex_zeta(args) -> int:
+    shift = _load_shift(args.matrix)
+    form = zeta_rational(shift)
+    coeffs = list(zeta(shift, args.order).coeffs)
+    data = {
+        "numerator": list(form.numerator),
+        "denominator": list(form.denominator),
+        "coefficients": coeffs,
+    }
+    _emit(data, args.format or "json", [",".join(str(c) for c in coeffs)])
+    return EXIT_OK
+
+
+def cmd_vertex_loops(args) -> int:
+    shift = _load_shift(args.matrix)
+    loops = first_return(shift, _require_symbol(args, shift), args.order)
+    coeffs = loops.series.coeffs
+    _emit(loops.to_json(), args.format or "json", [",".join(str(c) for c in coeffs)])
+    return EXIT_OK
+
+
+def cmd_vertex_dims(args) -> int:
+    shift = _load_shift(args.matrix)
+    symbol = _require_symbol(args, shift)
+    report = symbol_dims(shift, symbol, args.order, bivariate=args.bivariate)
+    data = {"symbol": symbol, **report.to_json()}
+    _emit(data, args.format or "json", _dims_lines(report, args.order))
+    return EXIT_OK
+
+
+def cmd_vertex_global(args) -> int:
+    shift = _load_shift(args.matrix)
+    report = global_dims(shift, args.order, cap=args.cap)
+    _emit(report.to_json(), args.format or "json", _dims_lines(report, args.order))
+    return EXIT_OK
+
+
+def cmd_vertex_language(args) -> int:
     shift = _load_shift(args.matrix)
     order = args.order
-    fmt = args.format or "json"
-    if args.vertex_command == "zeta":
-        form = zeta_rational(shift)
-        coeffs = list(zeta(shift, order).coeffs)
-        data = {
-            "numerator": list(form.numerator),
-            "denominator": list(form.denominator),
-            "coefficients": coeffs,
-        }
-        _emit(data, fmt, [",".join(str(c) for c in coeffs)])
-        return EXIT_OK
-    if args.vertex_command == "loops":
-        symbol = _require_symbol(args, shift)
-        loops = first_return(shift, symbol, order)
-        coeffs = loops.series.coeffs
-        _emit(loops.to_json(), fmt, [",".join(str(c) for c in coeffs)])
-        return EXIT_OK
-    if args.vertex_command == "dims":
-        symbol = _require_symbol(args, shift)
-        report = symbol_dims(shift, symbol, order, bivariate=args.bivariate)
-        data = {"symbol": symbol, **report.to_json()}
-        lines = [
-            f"n={n} transversal={report.transversal_at(n)} orbital={report.orbital_at(n)}"
-            for n in range(1, order + 1)
-        ]
-        _emit(data, fmt, lines)
-        return EXIT_OK
-    if args.vertex_command == "global":
-        report = global_dims(shift, order, cap=args.cap)
-        lines = [
-            f"n={n} transversal={report.transversal_at(n)} orbital={report.orbital_at(n)}"
-            for n in range(1, order + 1)
-        ]
-        _emit(report.to_json(), fmt, lines)
-        return EXIT_OK
-    if args.vertex_command == "language":
-        if order > MAX_LANGUAGE_ORDER:
-            raise CommandError(
-                EXIT_PRECONDITION,
-                f"language enumeration is limited to --order {MAX_LANGUAGE_ORDER}",
-            )
-        spaced = any(len(symbol) > 1 for symbol in shift.alphabet)
-        key = lambda word: tuple(shift.alphabet.index(s) for s in word)
-        words = sorted(language(shift, order), key=key)
-        witnesses = sorted(language_witnesses(shift, order), key=key)
-        data = {
-            "n": order,
-            "count": len(words),
-            "words": [_word_text(word, spaced) for word in words],
-            "witnesses": [_word_text(word, spaced) for word in witnesses],
-        }
-        _emit(data, fmt, [data["words"] and ",".join(data["words"]) or ""])
-        return EXIT_OK
-    raise CommandError(EXIT_USAGE, f"unknown vertex command {args.vertex_command!r}")
+    if order > MAX_LANGUAGE_ORDER:
+        raise CommandError(
+            EXIT_PRECONDITION,
+            f"language enumeration is limited to --order {MAX_LANGUAGE_ORDER}",
+        )
+    spaced = any(len(symbol) > 1 for symbol in shift.alphabet)
+    key = lambda word: tuple(shift.alphabet.index(s) for s in word)
+    words = sorted(language(shift, order), key=key)
+    witnesses = sorted(language_witnesses(shift, order), key=key)
+    data = {
+        "n": order,
+        "count": len(words),
+        "words": [_word_text(word, spaced) for word in words],
+        "witnesses": [_word_text(word, spaced) for word in witnesses],
+    }
+    _emit(data, args.format or "json", [data["words"] and ",".join(data["words"]) or ""])
+    return EXIT_OK
 
 
 # -- sft ------------------------------------------------------------------
@@ -252,7 +252,7 @@ def cmd_subst(args) -> int:
             morphism = morphism_from_json(_read_file(args.rules))
         except ValueError as err:
             raise CommandError(EXIT_DATA, f"bad rules file {args.rules}: {err}") from err
-    study = substitution_scales(morphism, args.n)
+    study = substitution_scales(morphism, args.n, cap=args.cap)
     data = study.to_json()
     data["transversal"] = [list(comp) for comp in sorted(transversal_of(study.combined))]
     lines = [
@@ -409,12 +409,23 @@ def build_parser() -> argparse.ArgumentParser:
     wheels.set_defaults(handler=cmd_wheels)
 
     vertex = commands.add_parser("vertex", help="vertex shift computations")
-    vertex.add_argument("vertex_command", choices=("zeta", "loops", "dims", "global", "language"))
-    vertex.add_argument("--matrix", required=True)
-    vertex.add_argument("--symbol", default=None)
-    vertex.add_argument("--order", type=_positive_int, default=DEFAULT_ORDER)
-    vertex.add_argument("--bivariate", action="store_true")
-    vertex.set_defaults(handler=cmd_vertex)
+    vertex_commands = vertex.add_subparsers(dest="vertex_command", required=True)
+
+    def vertex_leaf(name, handler, help_text):
+        leaf = vertex_commands.add_parser(name, help=help_text)
+        leaf.add_argument("--matrix", required=True)
+        leaf.add_argument("--order", type=_positive_int, default=DEFAULT_ORDER)
+        leaf.set_defaults(handler=handler)
+        return leaf
+
+    vertex_leaf("zeta", cmd_vertex_zeta, "zeta function coefficients")
+    loops = vertex_leaf("loops", cmd_vertex_loops, "first-return loops at a symbol")
+    loops.add_argument("--symbol", required=True)
+    dims = vertex_leaf("dims", cmd_vertex_dims, "closed-form dimensions at a symbol")
+    dims.add_argument("--symbol", required=True)
+    dims.add_argument("--bivariate", action="store_true")
+    vertex_leaf("global", cmd_vertex_global, "enumerated dimensions over all symbols")
+    vertex_leaf("language", cmd_vertex_language, "words of one length and their witnesses")
 
     sft = commands.add_parser("sft", help="shift of finite type computations")
     sft_commands = sft.add_subparsers(dest="sft_command", required=True)
@@ -426,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     subst = commands.add_parser("subst", help="substitution fixed-point computations")
     subst_commands = subst.add_subparsers(dest="subst_command", required=True)
-    subst_scales = subst_commands.add_parser("scales", help="scales of stabilized blocks")
+    subst_scales = subst_commands.add_parser("scales", help="scales of the exact block language")
     source = subst_scales.add_mutually_exclusive_group(required=True)
     source.add_argument("--preset", choices=sorted(PRESETS))
     source.add_argument("--rules", help="morphism JSON file")
@@ -464,9 +475,10 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except EnumerationCapError as err:
-        print(f"error: {err}; lower --order or raise --cap", file=sys.stderr)
+        size = "--n" if args.command == "subst" else "--order"
+        print(f"error: {err}; lower {size} or raise --cap", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (DegenerateShiftError, StabilizationError) as err:
+    except DegenerateShiftError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as err:

@@ -132,12 +132,6 @@ class ArithSequence:
     def values(self) -> tuple[int, ...]:
         return self._values
 
-    def prefix(self, k: int) -> tuple[int, ...]:
-        """The first k terms (a_1, ..., a_k)."""
-        if not 1 <= k <= len(self._values):
-            raise IndexError(f"prefix length {k} outside 1..{len(self._values)}")
-        return self._values[:k]
-
 
 def mobius_invert(p: ArithSequence) -> ArithSequence:
     """Mobius inversion: q_n = sum_{k | n} mu(n/k) p_k for every index n.

@@ -262,13 +262,8 @@ def global_dims(
 class ScaleClass:
     """The scale sets of one distinguished symbol, graded by total."""
 
-    source: VertexShift | str
     symbol: str
     by_size: dict[int, frozenset[Composition]] = field(repr=False)
-
-    @property
-    def order(self) -> int:
-        return max(self.by_size, default=0)
 
     def at(self, n: int) -> frozenset[Composition]:
         try:
@@ -278,7 +273,7 @@ class ScaleClass:
 
     def to_json(self) -> dict:
         return {
-            "source": self.source if isinstance(self.source, str) else "vertex shift",
+            "source": "vertex shift",
             "symbol": self.symbol,
             "sets": [
                 {"n": n, "scales": [list(c) for c in sorted(self.by_size[n])]}
@@ -296,7 +291,7 @@ def scale_class(
     """Enumerated scale sets of the words starting at ``symbol``."""
     shift.alphabet.index(symbol)
     levels = _scale_levels(shift, [(symbol, {symbol})], order, cap, frozenset)
-    return ScaleClass(shift, symbol, dict(enumerate(levels, start=1)))
+    return ScaleClass(symbol, dict(enumerate(levels, start=1)))
 
 
 def distinguished_set_scales(
@@ -325,4 +320,4 @@ def distinguished_set_scales(
     walks = [(symbol, members) for symbol in starts]
     levels = _scale_levels(shift, walks, order, cap, frozenset)
     by_size = dict(enumerate(levels, start=1))
-    return ScaleClass(shift, start if start is not None else "all", by_size)
+    return ScaleClass(start if start is not None else "all", by_size)

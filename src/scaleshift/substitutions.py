@@ -1,10 +1,10 @@
 """Iterated morphisms and the scale sets of their fixed points.
 
 A morphism whose seed image starts with the seed converges to a
-one-sided fixed point.  Its admissible n-blocks are collected from
-iterate prefixes until the block set stops growing, with a recorded
-certificate; the blocks then induce scales through the distinguished
-first symbol, grouped per symbol and combined.
+one-sided fixed point.  Its n-block language is computed exactly, as the
+closure of the fixed point's first n-block under the morphism; the blocks
+then induce scales through the distinguished first symbol, grouped per
+symbol and combined.
 """
 
 from __future__ import annotations
@@ -14,14 +14,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .combinatorics import Composition, rotation_dims
-from .scales import induced_scale
+from .scales import DEFAULT_CAP, EnumerationCapError, induced_scale
 from .shiftspace import Alphabet, Word
-
-ITERATION_CAP = 30
-
-
-class StabilizationError(RuntimeError):
-    """The block language kept changing within the iteration budget."""
 
 
 @dataclass(frozen=True)
@@ -61,14 +55,8 @@ class Morphism:
         raise ValueError(f"unknown symbol {symbol!r}")
 
     def apply(self, word: Word) -> Word:
-        return tuple(chain.from_iterable(self.image(letter) for letter in word))
-
-    def to_json(self) -> dict:
-        return {
-            "alphabet": list(self.alphabet.symbols),
-            "rules": {symbol: list(image) for symbol, image in self.rules},
-            "seed": self.seed,
-        }
+        images = dict(self.rules)
+        return tuple(chain.from_iterable(map(images.__getitem__, word)))
 
 
 def morphism_from_json(text: str) -> Morphism:
@@ -92,41 +80,43 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class StabilizationCertificate:
-    """Evidence that the n-block set of the fixed point was exhausted.
+def block_language(morphism: Morphism, n: int, cap: int = DEFAULT_CAP) -> frozenset[Word]:
+    """The n-blocks of the fixed point u = σ(u) that starts with the seed.
 
-    Two consecutive iterates produced the same block set and the later
-    iterate is at least 4n letters long.
+    They form the least set S that holds u[0:n] and, with every block v,
+    the blocks σ(v)[r:r+n] for 0 <= r < |σ(v_0)|.  Every such slice fits,
+    because each image is non-empty: |σ(v)| >= |σ(v_0)| + n - 1.
+
+    S holds every block of u, by induction on its position i.  At i = 0 it
+    is u[0:n].  At i > 0: as u = σ(u), position i lies in the image σ(u_j)
+    of a unique j, so the block is σ(v)[r:r+n] with v = u[j:j+n] and
+    r < |σ(v_0)|.  Since |σ(u_0)| >= 2 and every image is non-empty, the
+    images of u_0 .. u_{j-1} cover at least j + 1 letters when j >= 1;
+    either way j < i, so v is in S.  Conversely σ maps blocks of u to
+    factors of σ(u) = u, so every element of S is a block of u.
+
+    Each block added to S is charged against ``cap``.
     """
-
-    n: int
-    iterations: int
-    prefix_length: int
-    blocks: frozenset[Word]
-
-
-def stabilized_blocks(morphism: Morphism, n: int) -> StabilizationCertificate:
     if n < 1:
         raise ValueError("block length must be >= 1")
-    word = (morphism.seed,)
-    previous = None
-    for step in range(1, ITERATION_CAP + 1):
-        word = morphism.apply(word)
-        blocks = frozenset(
-            word[i:i + n] for i in range(len(word) - n + 1)
-        )
-        if blocks == previous and len(word) >= 4 * n:
-            return StabilizationCertificate(n, step, len(word), blocks)
-        previous = blocks
-    raise StabilizationError(
-        f"{n}-block set not certified after {ITERATION_CAP} iterations"
-    )
-
-
-def block_language(morphism: Morphism, n: int) -> frozenset[Word]:
-    """The admissible n-blocks of the fixed point."""
-    return stabilized_blocks(morphism, n).blocks
+    # u = σ(u_0) σ(u_1) ..., so the prefix extends itself letter by letter.
+    prefix = list(morphism.image(morphism.seed))
+    i = 1
+    while len(prefix) < n:
+        prefix += morphism.image(prefix[i])
+        i += 1
+    blocks = set()
+    pending = [tuple(prefix[:n])]
+    while pending:
+        block = pending.pop()
+        if block in blocks:
+            continue
+        blocks.add(block)
+        if len(blocks) > cap:
+            raise EnumerationCapError(f"the {n}-block language has more than {cap} blocks")
+        image = morphism.apply(block)
+        pending.extend(image[r:r + n] for r in range(len(morphism.image(block[0]))))
+    return frozenset(blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,9 +143,9 @@ class ScaleStudy:
         }
 
 
-def substitution_scales(morphism: Morphism, n: int) -> ScaleStudy:
+def substitution_scales(morphism: Morphism, n: int, cap: int = DEFAULT_CAP) -> ScaleStudy:
     """Scales induced by the admissible n-blocks of the fixed point."""
-    blocks = block_language(morphism, n)
+    blocks = block_language(morphism, n, cap)
     per_symbol = {
         symbol: frozenset(
             induced_scale(block) for block in blocks if block[0] == symbol

@@ -194,14 +194,27 @@ def test_subst_rules_file(tmp_path, capsys):
 
 
 def test_subst_stabilization_failure(tmp_path, capsys):
+    # each iterate of the crawler adds one block, so no iterate count bounds its language
     rules = tmp_path / "crawl.json"
     rules.write_text(
         '{"alphabet": ["∘", "•"], "rules": {"∘": "∘•", "•": "•"}, "seed": "∘"}',
         encoding="utf-8",
     )
-    code, _, err = run(["subst", "scales", "--rules", str(rules), "--n", "10"], capsys)
-    assert code == 1
-    assert "iteration" in err
+    code, out, _ = run(["subst", "scales", "--rules", str(rules), "--n", "10"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["per_symbol"] == {"∘": [[10]], "•": [[1] * 10]}
+    assert (data["transversal_dim"], data["orbital_dim"]) == (2, 2)
+
+
+def test_subst_scales_honours_cap(capsys):
+    code, out, err = run(["--cap", "5", "subst", "scales", "--preset", "thue-morse", "--n", "10"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "lower --n or raise --cap" in err
+    code, _, err = run(["--cap", "5", "vertex", "global", "--matrix", GOLDEN_MAT, "--order", "10"], capsys)
+    assert code == 3
+    assert "lower --order or raise --cap" in err
 
 
 def test_verify_small_grid(capsys):
@@ -284,6 +297,9 @@ def test_usage_errors(capsys):
     assert main([]) == 2
     # --order belongs to the vertex and sft subcommands, never before them
     assert main(["--format", "text", "--order", "5", "vertex", "zeta", "--matrix", GOLDEN_MAT]) == 2
+    # each vertex command rejects the flags it would ignore
+    assert main(["vertex", "zeta", "--matrix", GOLDEN_MAT, "--symbol", "∘"]) == 2
+    assert main(["vertex", "global", "--matrix", GOLDEN_MAT, "--bivariate"]) == 2
     # the oracle grid stops at n = 10; a larger --max-n is refused, not clamped
     assert main(["verify", "--suite", "paper", "--max-n", "50"]) == 2
     assert main(["verify", "--suite", "paper", "--max-n", "11"]) == 2

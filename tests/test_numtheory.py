@@ -68,7 +68,6 @@ def test_arith_sequence_is_one_indexed():
     assert seq[1] == 5
     assert seq[3] == 9
     assert list(seq) == [5, 7, 9]
-    assert seq.prefix(2) == (5, 7)
     with pytest.raises(IndexError):
         seq[0]
     with pytest.raises(IndexError):

@@ -323,6 +323,7 @@ def test_scale_class_json():
     data = cls.to_json()
     assert data["symbol"] == BULL
     assert data["sets"][0] == {"n": 1, "scales": [[1]]}
-    assert cls.order == 3
+    assert data["source"] == "vertex shift"
+    assert [entry["n"] for entry in data["sets"]] == [1, 2, 3]
     with pytest.raises(ValueError):
         cls.at(9)

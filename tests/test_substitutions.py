@@ -1,14 +1,14 @@
+import random
+
 import pytest
 
 from scaleshift.combinatorics import mutually_independent, rotation_dims
+from scaleshift.scales import EnumerationCapError
 from scaleshift.substitutions import (
-    ITERATION_CAP,
     Morphism,
     PRESETS,
-    StabilizationError,
     block_language,
     morphism_from_json,
-    stabilized_blocks,
     substitution_scales,
 )
 
@@ -40,6 +40,10 @@ def iterate(morphism, length):
     while len(word) < length:
         word = morphism.apply(word)
     return word
+
+
+def blocks_of(word, n):
+    return {word[i:i + n] for i in range(len(word) - n + 1)}
 
 
 def test_preset_prefixes():
@@ -87,19 +91,47 @@ def test_block_language_small():
     assert len(block_language(FIB, 12)) == FIB_BLOCK_COUNT_12
 
 
-def test_stabilization_certificate():
-    cert = stabilized_blocks(TM, 4)
-    assert cert.n == 4
-    assert cert.prefix_length >= 16
-    assert cert.iterations <= ITERATION_CAP
-    assert cert.blocks == block_language(TM, 4)
-
-
 def test_stabilization_cap():
+    # each iterate of the crawler adds one block, so no iterate count bounds its language
     crawler = Morphism.of({CIRC: "∘•", BULL: "•"}, CIRC)
     assert block_language(crawler, 2) == {w("∘•"), w("••")}
-    with pytest.raises(StabilizationError):
-        block_language(crawler, 10)
+    assert block_language(crawler, 10) == {w("∘" + "•" * 9), w("•" * 10)}
+
+
+def test_block_language_of_slow_growing_morphism():
+    # its 10-block set still grows at the 16th iterate, 1.9e6 letters long
+    slow = Morphism.of({"a": "aab", "b": "ac", "c": "c"}, "a")
+    assert len(block_language(slow, 10)) == 98
+
+
+def test_block_language_cap():
+    assert len(block_language(TM, 10, cap=28)) == 28
+    with pytest.raises(EnumerationCapError):
+        block_language(TM, 10, cap=27)
+    with pytest.raises(EnumerationCapError):
+        substitution_scales(TM, 10, cap=27)
+    with pytest.raises(ValueError):
+        block_language(TM, 0)
+
+
+def test_block_language_contains_every_iterate():
+    rng = random.Random(0)
+    for _ in range(200):
+        letters = "abc"[: rng.choice((2, 3))]
+        rules = {s: "".join(rng.choices(letters, k=rng.randint(1, 3))) for s in letters}
+        seed = rng.choice(letters)
+        rules[seed] = seed + "".join(rng.choices(letters, k=rng.randint(1, 2)))
+        morphism = Morphism.of(rules, seed)
+        n = rng.randint(1, 8)
+        language = block_language(morphism, n)
+        word = (seed,)
+        while len(word) < 500:
+            assert blocks_of(word, n) <= language
+            word = morphism.apply(word)
+    # the presets are recurrent: a long enough iterate shows every block
+    for morphism in (TM, FIB, FEIG):
+        for n in (1, 5, 12, 30):
+            assert blocks_of(iterate(morphism, 64 * n), n) == block_language(morphism, n)
 
 
 def test_thue_morse_scales():
@@ -156,7 +188,7 @@ def test_morphism_from_json():
     text = '{"alphabet": ["∘", "•"], "rules": {"∘": "∘•", "•": "∘"}, "seed": "∘"}'
     parsed = morphism_from_json(text)
     assert parsed == FIB
-    assert parsed.to_json()["rules"] == {CIRC: [CIRC, BULL], BULL: [CIRC]}
+    assert parsed.rules == ((CIRC, (CIRC, BULL)), (BULL, (CIRC,)))
     with pytest.raises(ValueError):
         morphism_from_json('{"alphabet": ["∘"], "rules": {"∘": "∘•", "•": "∘"}, "seed": "∘"}')
     with pytest.raises(ValueError):
