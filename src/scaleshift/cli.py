@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -16,8 +15,8 @@ from .combinatorics import PartSpec, transversal_of
 from .scales import (
     DEFAULT_CAP,
     EnumerationCapError,
-    distinguished_set_scales,
     global_dims,
+    scale_class,
     symbol_dims,
     wheels_bgf,
     wheels_gf,
@@ -36,6 +35,7 @@ from .shiftspace import (
     parse_forbidden,
     parse_matrix,
     periodic_counts,
+    word_counts,
     zeta,
     zeta_rational,
 )
@@ -46,9 +46,6 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
-
-MAX_LANGUAGE_ORDER = 14
-FIXTURES_ENV = "SCALESHIFT_FIXTURES"
 
 
 class CommandError(Exception):
@@ -164,11 +161,9 @@ def cmd_vertex_global(args) -> int:
 def cmd_vertex_language(args) -> int:
     shift = _load_shift(args.matrix)
     order = args.order
-    if order > MAX_LANGUAGE_ORDER:
-        raise CommandError(
-            EXIT_PRECONDITION,
-            f"language enumeration is limited to --order {MAX_LANGUAGE_ORDER}",
-        )
+    count = word_counts(shift, order)[-1]
+    if count > args.cap:
+        raise EnumerationCapError(f"enumerating {count} words of length {order} exceeds the cap")
     spaced = any(len(symbol) > 1 for symbol in shift.alphabet)
     key = lambda word: tuple(shift.alphabet.index(s) for s in word)
     words = sorted(language(shift, order), key=key)
@@ -203,13 +198,15 @@ def cmd_sft(args) -> int:
             "degenerate shift: the block graph has no cycles, so no bi-infinite sequences remain",
         )
     blocks = shift.alphabet.symbols
-    if args.set:
+    if args.set is not None:
         distinguished = tuple(token for token in args.set.split(",") if token)
         missing = [token for token in distinguished if token not in blocks]
         if missing:
             raise CommandError(
                 EXIT_USAGE, f"unknown block symbols {missing}; choose from {list(blocks)}"
             )
+        if not distinguished or len(set(distinguished)) < len(distinguished):
+            raise CommandError(EXIT_USAGE, f"--set must name distinct blocks, got {args.set!r}")
     else:
         head = presentation.alphabet.symbols[0]
         distinguished = tuple(
@@ -221,8 +218,8 @@ def cmd_sft(args) -> int:
         for (s, t), series in matrix.items()
     }
     scales = {
-        start: distinguished_set_scales(
-            shift, distinguished, args.order, start=start, cap=args.cap
+        start: scale_class(
+            shift, start, args.order, args.cap, distinguished=distinguished
         ).to_json()
         for start in distinguished
     }
@@ -305,23 +302,6 @@ def _parse_bfile(text: str) -> list[int]:
     return values
 
 
-def _fetch_bfile(sequence_id: str) -> str:
-    import urllib.request
-
-    url = f"https://oeis.org/{sequence_id}/b{sequence_id[1:]}.txt"
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return response.read().decode("utf-8")
-
-
-def _resolve_fixtures(flag_value: str | None) -> Path:
-    if flag_value:
-        return Path(flag_value)
-    env_value = os.environ.get(FIXTURES_ENV)
-    if env_value:
-        return Path(env_value)
-    return Path(__file__).parent / "fixtures"
-
-
 def cmd_oeis(args) -> int:
     sequence_id = args.id
     if len(sequence_id) != 7 or sequence_id[0] != "A" or not sequence_id[1:].isdigit():
@@ -332,26 +312,15 @@ def cmd_oeis(args) -> int:
         raise CommandError(EXIT_USAGE, f"bad --coeffs: {err}") from err
     if not coeffs:
         raise CommandError(EXIT_USAGE, "--coeffs needs at least one integer")
-    text = None
-    source = "snapshot"
-    if not args.offline:
-        try:
-            text = _fetch_bfile(sequence_id)
-            source = "oeis.org"
-        except OSError as err:
-            print(f"warning: fetch failed ({err}); using bundled snapshot", file=sys.stderr)
-    if text is None:
-        path = _resolve_fixtures(args.fixtures) / f"b{sequence_id[1:]}.txt"
-        if not path.exists():
-            raise CommandError(EXIT_DATA, f"no bundled snapshot for {sequence_id} at {path}")
-        text = path.read_text(encoding="utf-8")
+    path = Path(args.fixtures) / f"b{sequence_id[1:]}.txt"
+    if not path.exists():
+        raise CommandError(EXIT_DATA, f"no b-file snapshot for {sequence_id} at {path}")
     try:
-        values = _parse_bfile(text)
+        values = _parse_bfile(path.read_text(encoding="utf-8"))
     except ValueError as err:
         raise CommandError(EXIT_DATA, f"unreadable b-file for {sequence_id}: {err}") from err
     data = {
         "id": sequence_id,
-        "source": source,
         "compared": len(coeffs),
         "available": len(values),
     }
@@ -399,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "text"), default=None)
     parser.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
-    parser.add_argument("--fixtures", default=None, help="snapshot directory")
     commands = parser.add_subparsers(dest="command", required=True)
 
     wheels = commands.add_parser("wheels", help="count cyclic composition classes")
@@ -454,7 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     oeis_check = oeis_commands.add_parser("check", help="compare coefficients with a b-file")
     oeis_check.add_argument("--id", required=True)
     oeis_check.add_argument("--coeffs", required=True)
-    oeis_check.add_argument("--offline", action="store_true")
+    oeis_check.add_argument(
+        "--fixtures", default=Path(__file__).parent / "fixtures", help="b-file snapshot directory"
+    )
     oeis_check.set_defaults(handler=cmd_oeis)
 
     return parser

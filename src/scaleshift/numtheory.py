@@ -129,9 +129,6 @@ class ArithSequence:
     def __repr__(self) -> str:
         return f"ArithSequence({list(self._values)!r})"
 
-    def values(self) -> tuple[int, ...]:
-        return self._values
-
 
 def mobius_invert(p: ArithSequence) -> ArithSequence:
     """Mobius inversion: q_n = sum_{k | n} mu(n/k) p_k for every index n.

@@ -287,37 +287,20 @@ def scale_class(
     symbol: str,
     order: int = DEFAULT_ORDER,
     cap: int = DEFAULT_CAP,
+    *,
+    distinguished=None,
 ) -> ScaleClass:
-    """Enumerated scale sets of the words starting at ``symbol``."""
-    shift.alphabet.index(symbol)
-    levels = _scale_levels(shift, [(symbol, {symbol})], order, cap, frozenset)
-    return ScaleClass(symbol, dict(enumerate(levels, start=1)))
+    """Enumerated scale sets of the words starting at ``symbol``.
 
-
-def distinguished_set_scales(
-    shift: VertexShift,
-    distinguished,
-    order: int = DEFAULT_ORDER,
-    start: str | None = None,
-    cap: int = DEFAULT_CAP,
-) -> ScaleClass:
-    """Scales with gaps measured between visits to a set of symbols.
-
-    Words start at ``start`` when given, otherwise anywhere in the set.
+    Gaps are measured between visits to the ``distinguished`` symbols,
+    ``{symbol}`` by default; ``symbol`` must be one of them.
     """
-    members = frozenset(distinguished)
+    members = frozenset((symbol,) if distinguished is None else distinguished)
     if not members:
         raise ValueError("distinguished set is empty")
-    for symbol in members:
-        shift.alphabet.index(symbol)
-    if start is not None and start not in members:
-        raise ValueError(f"start symbol {start!r} is not distinguished")
-    starts = (
-        [start]
-        if start is not None
-        else sorted(members, key=shift.alphabet.index)
-    )
-    walks = [(symbol, members) for symbol in starts]
-    levels = _scale_levels(shift, walks, order, cap, frozenset)
-    by_size = dict(enumerate(levels, start=1))
-    return ScaleClass(start if start is not None else "all", by_size)
+    for member in members:
+        shift.alphabet.index(member)
+    if symbol not in members:
+        raise ValueError(f"start symbol {symbol!r} is not distinguished")
+    levels = _scale_levels(shift, [(symbol, members)], order, cap, frozenset)
+    return ScaleClass(symbol, dict(enumerate(levels, start=1)))

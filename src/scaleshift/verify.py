@@ -25,7 +25,6 @@ from .scales import (
     b_series,
     composition_bgf,
     composition_gf,
-    distinguished_set_scales,
     global_dims,
     scale_class,
     symbol_dims,
@@ -292,7 +291,7 @@ def check_two_step_sft() -> list[OracleReport]:
         )
     rules = {double[0]: 1, double[1]: 2}
     for start, first in rules.items():
-        study = distinguished_set_scales(shift, distinguished, 12, start=start)
+        study = scale_class(shift, start, 12, distinguished=distinguished)
         reports.append(_equals("sft.scales_n1", {"start": start}, frozenset({(1,)}), study.at(1)))
         checked = 0
         passing = 0

@@ -97,8 +97,29 @@ def test_vertex_language(capsys):
     assert data["count"] == 5
     assert data["words"] == ["∘∘∘", "∘∘•", "∘•∘", "•∘∘", "•∘•"]
     assert data["witnesses"] == ["∘∘∘", "∘∘•", "•∘•"]
-    code, _, err = run(["vertex", "language", "--matrix", GOLDEN_MAT, "--order", "15"], capsys)
+    # golden has 1,597 words of length 15, charged against --cap before any is built
+    code, out, err = run(
+        ["--cap", "1596", "vertex", "language", "--matrix", GOLDEN_MAT, "--order", "15"], capsys
+    )
     assert code == 3
+    assert out == ""
+    assert "enumerating 1597 words of length 15 exceeds the cap" in err
+    assert "lower --order or raise --cap" in err
+    code, out, _ = run(
+        ["--cap", "1597", "vertex", "language", "--matrix", GOLDEN_MAT, "--order", "15"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["count"] == 1597
+
+
+def test_vertex_language_default_cap(tmp_path, capsys):
+    # a full 4-symbol shift has 4^14 (about 2.7e8) words of length 14, over the default cap
+    target = tmp_path / "full4.mat"
+    target.write_text("a b c d\n" + "1 1 1 1\n" * 4, encoding="utf-8")
+    code, out, err = run(["vertex", "language", "--matrix", str(target), "--order", "14"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "enumerating 268435456 words of length 14" in err
 
 
 def test_vertex_reducible_exit(tmp_path, capsys):
@@ -150,6 +171,14 @@ def test_sft_scales_explicit_set(capsys):
         ["sft", "scales", "--forbidden", TWOSTEP_FORB, "--set", "xx", "--order", "6"], capsys
     )
     assert code == 2
+    # an empty or repeated list is a usage error too
+    for blocks in (",", "∘∘,∘∘"):
+        code, out, err = run(
+            ["sft", "scales", "--forbidden", TWOSTEP_FORB, "--set", blocks, "--order", "6"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "distinct blocks" in err
 
 
 def test_sft_degenerate(tmp_path, capsys):
@@ -227,18 +256,18 @@ def test_verify_small_grid(capsys):
 
 def test_oeis_check(capsys):
     code, out, _ = run(
-        ["oeis", "check", "--id", "A000358", "--coeffs", "1,2,2,3,3,5,5,8,10", "--offline"],
+        ["oeis", "check", "--id", "A000358", "--coeffs", "1,2,2,3,3,5,5,8,10"],
         capsys,
     )
     assert code == 0
     assert out.strip() == "match"
     code, out, _ = run(
-        ["oeis", "check", "--id", "A006367", "--coeffs", "1,0,2,2,5,8,15,26,46,80", "--offline"],
+        ["oeis", "check", "--id", "A006367", "--coeffs", "1,0,2,2,5,8,15,26,46,80"],
         capsys,
     )
     assert code == 0
     code, out, _ = run(
-        ["--format", "json", "oeis", "check", "--id", "A000071", "--coeffs", "0,0,1,2,4", "--offline"],
+        ["--format", "json", "oeis", "check", "--id", "A000071", "--coeffs", "0,0,1,2,4"],
         capsys,
     )
     assert code == 0
@@ -247,47 +276,33 @@ def test_oeis_check(capsys):
 
 def test_oeis_mismatch_and_errors(capsys):
     code, out, _ = run(
-        ["oeis", "check", "--id", "A000358", "--coeffs", "1,2,9", "--offline"], capsys
+        ["oeis", "check", "--id", "A000358", "--coeffs", "1,2,9"], capsys
     )
     assert code == 1
     assert "position 2" in out
     code, _, err = run(
-        ["oeis", "check", "--id", "A999999", "--coeffs", "1", "--offline"], capsys
+        ["oeis", "check", "--id", "A999999", "--coeffs", "1"], capsys
     )
     assert code == 1
     assert "snapshot" in err
-    code, _, err = run(["oeis", "check", "--id", "bogus", "--coeffs", "1", "--offline"], capsys)
+    code, _, err = run(["oeis", "check", "--id", "bogus", "--coeffs", "1"], capsys)
     assert code == 2
     long_prefix = ",".join(["1"] * 40)
     code, out, _ = run(
-        ["oeis", "check", "--id", "A000358", "--coeffs", long_prefix, "--offline"], capsys
+        ["oeis", "check", "--id", "A000358", "--coeffs", long_prefix], capsys
     )
     assert code == 1
     assert "longer than the snapshot" in out
 
 
-def test_oeis_fixture_dir_override(tmp_path, capsys, monkeypatch):
+def test_oeis_fixture_dir_override(tmp_path, capsys):
     (tmp_path / "b111111.txt").write_text("1 7\n2 9\n", encoding="utf-8")
     code, out, _ = run(
-        [
-            "--fixtures",
-            str(tmp_path),
-            "oeis",
-            "check",
-            "--id",
-            "A111111",
-            "--coeffs",
-            "7,9",
-            "--offline",
-        ],
+        ["oeis", "check", "--id", "A111111", "--coeffs", "7,9", "--fixtures", str(tmp_path)],
         capsys,
     )
     assert code == 0
-    monkeypatch.setenv("SCALESHIFT_FIXTURES", str(tmp_path))
-    code, out, _ = run(
-        ["oeis", "check", "--id", "A111111", "--coeffs", "7,9", "--offline"], capsys
-    )
-    assert code == 0
+    assert out.strip() == "match"
 
 
 def test_usage_errors(capsys):
@@ -304,11 +319,18 @@ def test_usage_errors(capsys):
     assert main(["verify", "--suite", "paper", "--max-n", "50"]) == 2
     assert main(["verify", "--suite", "paper", "--max-n", "11"]) == 2
     assert main(["verify", "--suite", "paper", "--max-n", "0"]) == 2
+    # oeis check reads snapshots only: no --offline, and --fixtures belongs to it
+    assert main(["oeis", "check", "--id", "A000358", "--coeffs", "1", "--offline"]) == 2
+    assert main(["--fixtures", FIXTURES, "oeis", "check", "--id", "A000358", "--coeffs", "1"]) == 2
 
 
 def test_cli_import_loads_no_network_or_fractions():
     src = str(Path(scaleshift.__file__).resolve().parents[1])
-    probe = "import sys, scaleshift.cli; print(sorted({'urllib.request', 'fractions'} & set(sys.modules)))"
+    probe = (
+        "import sys, scaleshift.cli; "
+        "code = scaleshift.cli.main(['oeis', 'check', '--id', 'A000358', '--coeffs', '1,2,2']); "
+        "print(code, sorted({'urllib.request', 'fractions'} & set(sys.modules)))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -317,7 +339,7 @@ def test_cli_import_loads_no_network_or_fractions():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_snapshot_checks_cover_all_bundled_sequences(capsys):
@@ -347,6 +369,6 @@ def test_snapshot_checks_cover_all_bundled_sequences(capsys):
     for sequence_id, values in checks.items():
         coeffs = ",".join(str(v) for v in values)
         code, out, _ = run(
-            ["oeis", "check", "--id", sequence_id, "--coeffs", coeffs, "--offline"], capsys
+            ["oeis", "check", "--id", sequence_id, "--coeffs", coeffs], capsys
         )
         assert code == 0, f"{sequence_id}: {out}"

@@ -14,7 +14,6 @@ from scaleshift.scales import (
     b_series,
     composition_bgf,
     composition_gf,
-    distinguished_set_scales,
     global_dims,
     induced_scale,
     scale_class,
@@ -287,13 +286,13 @@ def test_distinguished_set_scales_sft():
             not (comp[i] == 1 and comp[i + 1] == 1) for i in range(len(comp) - 2)
         )
 
-    circ_start = distinguished_set_scales(SFT2, double[:2], 12, start=double[0])
+    circ_start = scale_class(SFT2, double[0], 12, distinguished=double[:2])
     for n in range(2, 13):
         for comp in circ_start.at(n):
             assert set(comp) <= {1, 2}
             assert comp[0] == 1
             assert body_has_no_adjacent_ones(comp)
-    bull_start = distinguished_set_scales(SFT2, double[:2], 12, start=double[1])
+    bull_start = scale_class(SFT2, double[1], 12, distinguished=double[:2])
     assert bull_start.at(1) == {(1,)}
     for n in range(2, 13):
         for comp in bull_start.at(n):
@@ -303,7 +302,8 @@ def test_distinguished_set_scales_sft():
 
 
 def test_distinguished_singleton_matches_scale_class():
-    via_set = distinguished_set_scales(GOLDEN, {CIRC}, 6, start=CIRC)
+    # the distinguished set defaults to the start symbol alone
+    via_set = scale_class(GOLDEN, CIRC, 6, distinguished={CIRC})
     direct = scale_class(GOLDEN, CIRC, 6)
     for n in range(1, 7):
         assert via_set.at(n) == direct.at(n)
@@ -311,11 +311,11 @@ def test_distinguished_singleton_matches_scale_class():
 
 def test_distinguished_set_scales_errors():
     with pytest.raises(ValueError):
-        distinguished_set_scales(GOLDEN, (), 4)
+        scale_class(GOLDEN, CIRC, 4, distinguished=())
     with pytest.raises(ValueError):
-        distinguished_set_scales(GOLDEN, {CIRC}, 4, start=BULL)
+        scale_class(GOLDEN, BULL, 4, distinguished={CIRC})
     with pytest.raises(ValueError):
-        distinguished_set_scales(GOLDEN, {"x"}, 4)
+        scale_class(GOLDEN, CIRC, 4, distinguished={CIRC, "x"})
 
 
 def test_scale_class_json():

@@ -88,10 +88,10 @@ def minimal_orbit_counts(shift, order):
 
 def test_periodic_count_family():
     n = len(GOLDEN_P)
-    assert periodic_counts(GOLDEN, n).values() == GOLDEN_P
-    assert mobius_invert(periodic_counts(GOLDEN, n)).values() == GOLDEN_Q
+    assert tuple(periodic_counts(GOLDEN, n)) == GOLDEN_P
+    assert tuple(mobius_invert(periodic_counts(GOLDEN, n))) == GOLDEN_Q
     assert minimal_orbit_counts(GOLDEN, n) == GOLDEN_Q_ORBITS
-    assert periodic_orbit_counts(GOLDEN, n).values() == GOLDEN_QBAR
+    assert tuple(periodic_orbit_counts(GOLDEN, n)) == GOLDEN_QBAR
 
 
 def test_necklaces_match_mobius_route():
