@@ -2,17 +2,20 @@
 
 Everything here works by exhaustive generation: no series arithmetic, no
 matrix identities, no divisor sums.  The point is independence from the
-closed-form modules, so cross-checks catch bugs on either side.
+closed-form modules, so cross-checks catch bugs on either side.  Of a vertex
+shift the oracle reads only its alphabet and ``VertexShift.entry``; from
+those it derives on its own the admissible words, their rotation classes, the
+scales the words induce (the gap rule below), first return path counts, and
+compositions and wheels by part set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .combinatorics import Composition, PartSpec
-from .shiftspace import VertexShift, Word
+from .shiftspace import VertexShift
 
 MAX_SYMBOLS = 4
 MAX_WORD_LENGTH = 14
@@ -21,54 +24,95 @@ MAX_RETURN_STEPS = 12
 
 KINDS = ("compositions", "wheels")
 
-
-def _rotations(word: tuple) -> set[tuple]:
-    if not word:
-        return {word}
-    return {word[i:] + word[:i] for i in range(len(word))}
+# byte tables mapping symbol index s to 1 and every other index to 0
+_VISITS = [bytes(int(i == s) for i in range(256)) for s in range(MAX_SYMBOLS)]
 
 
-def _admissible_words(shift: VertexShift, n: int) -> tuple[Word, ...]:
-    # layered extension: every admissible word of length j, one edge at a time
-    words: list[Word] = [(s,) for s in shift.alphabet]
-    for _ in range(n - 1):
-        words = [
-            word + (t,)
-            for word in words
-            for t in shift.alphabet
-            if shift.entry(word[-1], t) == 1
-        ]
-    return tuple(words)
+def _orbit_dims(items: Iterable) -> tuple[int, int]:
+    """Rotation classes of the distinct items, and the size of their union.
+
+    An item already in the union is a rotation of one counted before, so one
+    rotation set is built per class: the length-n windows of the item written
+    twice.  The empty item is its own rotation.
+    """
+    classes = 0
+    union: set = set()
+    for item in items:
+        if item in union:
+            continue
+        classes += 1
+        n = len(item)
+        twice = item + item
+        union.update([twice[i:i + n] for i in range(n or 1)])
+    return classes, len(union)
+
+
+def _successors(shift: VertexShift) -> list[list[int]]:
+    """The successor indices of each symbol, from one ``entry`` read per pair."""
+    symbols = shift.alphabet.symbols
+    return [[j for j, t in enumerate(symbols) if shift.entry(s, t) == 1] for s in symbols]
+
+
+def _word_levels(shift: VertexShift, max_n: int) -> Iterator[list[bytes]]:
+    """The admissible words of length n = 1..max_n, coded by symbol index.
+
+    Each level extends the one before by one edge, so a level is dropped as
+    soon as the next one is built.
+    """
+    if shift.size > MAX_SYMBOLS:
+        raise ValueError(f"cost guard: at most {MAX_SYMBOLS} symbols, got {shift.size}")
+    if not 1 <= max_n <= MAX_WORD_LENGTH:
+        raise ValueError(f"cost guard: need 1 <= n <= {MAX_WORD_LENGTH}, got {max_n}")
+    letters = [bytes((i,)) for i in range(shift.size)]
+    follow = [[letters[j] for j in succ] for succ in _successors(shift)]
+    words = letters
+    yield words
+    for _ in range(max_n - 1):
+        words = [word + letter for word in words for letter in follow[word[-1]]]
+        yield words
+
+
+def _scale_sets(words: list[bytes], size: int) -> tuple[set[Composition], ...]:
+    """The scales of the words, one set per first symbol.
+
+    A word induces the gaps between consecutive visits to its first symbol,
+    the last gap wrapping past the end.  Only the visits matter, so each word
+    is first reduced to its visit pattern, 1 at a visit and 0 elsewhere.
+    Each 1 is followed by a run of 0s, and its gap is that run's length plus
+    one; the run split off before the leading 1 is empty.
+    """
+    patterns: list[set[bytes]] = [set() for _ in range(size)]
+    for word in words:
+        patterns[word[0]].add(word.translate(_VISITS[word[0]]))
+    return tuple(
+        {tuple(len(run) + 1 for run in pattern.split(b"\x01")[1:]) for pattern in found}
+        for found in patterns
+    )
+
+
+def oracle_levels(
+    shift: VertexShift, max_n: int
+) -> list[tuple[tuple[int, int], tuple[set[Composition], ...]]]:
+    """[(language dimensions, scale sets) of L_n for n = 1..max_n], in one pass.
+
+    Each length-n level of words gives its (transversal, orbital) pair and
+    the scales its words induce, one set per start symbol in alphabet order;
+    only the scales outlive the level.
+    """
+    return [
+        (_orbit_dims(words), _scale_sets(words, shift.size))
+        for words in _word_levels(shift, max_n)
+    ]
 
 
 def oracle_language_dims(shift: VertexShift, n: int) -> tuple[int, int]:
-    if shift.size > MAX_SYMBOLS:
-        raise ValueError(f"cost guard: at most {MAX_SYMBOLS} symbols, got {shift.size}")
-    if not 1 <= n <= MAX_WORD_LENGTH:
-        raise ValueError(f"cost guard: need 1 <= n <= {MAX_WORD_LENGTH}, got {n}")
-    words = _admissible_words(shift, n)
-    classes: set[Word] = set()
-    union: set[Word] = set()
-    for word in words:
-        rotations = _rotations(word)
-        classes.add(min(rotations))
-        union |= rotations
-    return len(classes), len(union)
+    for words in _word_levels(shift, n):
+        pass
+    return _orbit_dims(words)
 
 
 def oracle_scale_dims(scales: Collection[Composition]) -> tuple[int, int]:
-    return _scale_dims(frozenset(scales))
-
-
-@lru_cache(maxsize=None)
-def _scale_dims(scales: frozenset[Composition]) -> tuple[int, int]:
-    classes: set[Composition] = set()
-    union: set[Composition] = set()
-    for comp in scales:
-        rotations = _rotations(comp)
-        classes.add(min(rotations))
-        union |= rotations
-    return len(classes), len(union)
+    return _orbit_dims(scales)
 
 
 def _allowed_parts(parts: PartSpec | Iterable[int] | None, n: int) -> tuple[int, ...]:
@@ -112,26 +156,20 @@ def oracle_series_coeff(
     if kind == "compositions":
         return len(comps)
     # a wheel has at least one part: the empty composition is no wheel
-    return len({min(_rotations(comp)) for comp in comps if comp})
+    return _orbit_dims(comp for comp in comps if comp)[0]
 
 
 def oracle_first_return(shift: VertexShift, symbol: str, k: int) -> int:
-    shift.alphabet.index(symbol)
+    start = shift.alphabet.index(symbol)
     if not 1 <= k <= MAX_RETURN_STEPS:
         raise ValueError(f"cost guard: need 1 <= k <= {MAX_RETURN_STEPS}, got {k}")
-    # paths of k edges from symbol back to symbol, avoiding symbol in between
-    paths: list[Word] = [(symbol,)]
+    # the end of every path of k edges from symbol back to symbol that
+    # avoids symbol in between, one entry per path
+    succ = _successors(shift)
+    ends = [start]
     for step in range(1, k + 1):
-        extended: list[Word] = []
-        for path in paths:
-            for t in shift.alphabet:
-                if shift.entry(path[-1], t) != 1:
-                    continue
-                if (t == symbol) != (step == k):
-                    continue
-                extended.append(path + (t,))
-        paths = extended
-    return len(paths)
+        ends = [t for v in ends for t in succ[v] if (t == start) == (step == k)]
+    return len(ends)
 
 
 def _jsonable(value):

@@ -303,9 +303,18 @@ def _power_table(matrix, top):
 
 
 def word_counts(shift: VertexShift, order: int) -> list[int]:
-    """Number of length-n words for n = 1..order: the entry sum of A^(n-1)."""
-    powers = _power_table(shift.matrix, max(order - 1, 0))
-    return [sum(map(sum, powers[n])) for n in range(order)]
+    """Number of length-n words for n = 1..order: the entry sum of A^(n-1).
+
+    By the row-sum recurrence: v starts as the all-ones vector and steps to
+    A v, so v_i counts the words of length n that start at symbol i.
+    """
+    rows = [[j for j, e in enumerate(row) if e] for row in shift.matrix]
+    vector = [1] * len(rows)
+    counts = []
+    for _ in range(order):
+        counts.append(sum(vector))
+        vector = [sum(vector[j] for j in row) for row in rows]
+    return counts
 
 
 def zeta_rational(shift: VertexShift) -> RationalFunction:

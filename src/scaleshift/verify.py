@@ -15,11 +15,7 @@ from math import gcd
 
 from .combinatorics import PartSpec, mutually_independent
 from .numtheory import ArithSequence, divisors, mobius, mobius_invert, totient
-from .oracle import (
-    OracleReport,
-    oracle_language_dims,
-    oracle_scale_dims,
-)
+from .oracle import OracleReport, oracle_levels, oracle_scale_dims
 from .scales import (
     a_series,
     b_series,
@@ -330,19 +326,13 @@ def check_oracle_grid(max_n: int = MAX_GRID_N) -> list[OracleReport]:
     for shift in shifts:
         expected = max_n * (1 + shift.size)
         matched = 0
-        closed = language_dims(shift, max_n)
-        for n in range(1, max_n + 1):
-            matched += int(
-                oracle_language_dims(shift, n)
-                == (closed.transversal_at(n), closed.orbital_at(n))
-            )
-        for symbol in shift.alphabet:
-            dims = symbol_dims(shift, symbol, max_n, bivariate=True)
-            sets = scale_class(shift, symbol, max_n)
-            for n in range(1, max_n + 1):
+        language = language_dims(shift, max_n)
+        closed = [symbol_dims(shift, symbol, max_n, bivariate=True) for symbol in shift.alphabet]
+        for n, (found, scales) in enumerate(oracle_levels(shift, max_n), start=1):
+            matched += int(found == (language.transversal_at(n), language.orbital_at(n)))
+            for dims, sets in zip(closed, scales):
                 matched += int(
-                    oracle_scale_dims(sets.at(n))
-                    == (dims.transversal_at(n), dims.orbital_at(n))
+                    oracle_scale_dims(sets) == (dims.transversal_at(n), dims.orbital_at(n))
                 )
         reports.append(
             _report(

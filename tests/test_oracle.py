@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -7,11 +8,21 @@ from scaleshift.oracle import (
     OracleReport,
     oracle_first_return,
     oracle_language_dims,
+    oracle_levels,
     oracle_scale_dims,
     oracle_series_coeff,
 )
 from scaleshift.scales import global_dims, scale_class, symbol_dims
-from scaleshift.shiftspace import VertexShift, first_return, language_dims
+from scaleshift.shiftspace import (
+    DegenerateShiftError,
+    SftPresentation,
+    VertexShift,
+    first_return,
+    higher_block,
+    language_dims,
+    word_counts,
+)
+from scaleshift.verify import _irreducible_shifts
 
 from refsets import BULL, CIRC, GOLDEN_ROWS, WHEELS_PREFIX, w
 
@@ -65,6 +76,73 @@ def test_scale_dims_match_symbol_closed_form():
                     report.transversal[n - 1],
                     report.orbital[n - 1],
                 )
+
+
+def test_levels_scale_sets_match_scale_class():
+    # the oracle grid compares dimensions only; this pins the enumerated sets
+    for shift in _irreducible_shifts():
+        classes = [scale_class(shift, symbol, 7) for symbol in shift.alphabet]
+        for n, (_, scales) in enumerate(oracle_levels(shift, 7), start=1):
+            for study, found in zip(classes, scales):
+                assert found == study.at(n)
+
+
+def _sft_words(symbols, forbidden, top):
+    """{n: length-n words over ``symbols`` with no forbidden block}, for n <= top.
+
+    Each word extends an admissible one, so only a block ending at the new
+    letter can occur.
+    """
+    levels = {0: [()]}
+    for n in range(1, top + 1):
+        levels[n] = [
+            word
+            for prefix in levels[n - 1]
+            for word in (prefix + (s,) for s in symbols)
+            if not any(word[-len(block):] == block for block in forbidden)
+        ]
+    return levels
+
+
+def test_sft_words_match_higher_block():
+    # an SFT's words read straight off its forbidden blocks, with no recoding:
+    # a word of length n >= step is a path of n - step + 1 blocks
+    rng = random.Random(2020)
+    top = 7
+    checked = 0
+    while checked < 40:
+        symbols = "abc"[:rng.randint(2, 3)]
+        forbidden = {
+            tuple(rng.choice(symbols) for _ in range(rng.randint(2, 4)))
+            for _ in range(rng.randint(1, 4))
+        }
+        try:
+            recoded = higher_block(SftPresentation.of(symbols, forbidden))
+        except DegenerateShiftError:
+            continue
+        checked += 1
+        step = len(recoded.blocks[0])
+        levels = _sft_words(symbols, forbidden, top)
+        counts = word_counts(recoded.shift, top)
+        tokens = dict(zip(recoded.blocks, recoded.shift.alphabet.symbols))
+        # scales from each block, marking the blocks that share its first letter
+        studies = {
+            block: scale_class(
+                recoded.shift, token, top - step + 1,
+                distinguished=[t for b, t in tokens.items() if b[0] == block[0]],
+            )
+            for block, token in tokens.items()
+        }
+        for n in range(step, top + 1):
+            assert len(levels[n]) == counts[n - step]
+            length = n - step + 1
+            scales = {block: set() for block in tokens}
+            for word in levels[n]:
+                visits = [i for i in range(length) if word[i] == word[0]]
+                gaps = [b - a for a, b in zip(visits, visits[1:])] + [length - visits[-1]]
+                scales[word[:step]].add(tuple(gaps))
+            for block, study in studies.items():
+                assert study.at(length) == scales[block]
 
 
 def test_series_coeff():

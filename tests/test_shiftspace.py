@@ -3,6 +3,7 @@ import pytest
 from scaleshift.numtheory import divisors, mobius_invert
 from scaleshift.series import RationalFunction, TruncatedSeries
 from scaleshift.shiftspace import (
+    _power_table,
     Alphabet,
     DegenerateShiftError,
     HigherBlock,
@@ -19,6 +20,7 @@ from scaleshift.shiftspace import (
     parse_matrix,
     periodic_counts,
     periodic_orbit_counts,
+    word_counts,
     zeta,
     zeta_rational,
 )
@@ -148,6 +150,14 @@ def test_language_counts_match_matrix_powers():
                 )
                 for i in range(shift.size)
             )
+
+
+def test_word_counts_match_power_table():
+    split = VertexShift.from_rows(("a", "b"), ((1, 0), (0, 1)))
+    for shift in (*_irreducible_shifts(), split, SFT2.shift):
+        sums = [sum(map(sum, power)) for power in _power_table(shift.matrix, 9)]
+        assert word_counts(shift, 10) == sums
+    assert word_counts(GOLDEN, 0) == []
 
 
 def test_is_irreducible():
