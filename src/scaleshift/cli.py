@@ -30,11 +30,9 @@ from .shiftspace import (
     first_return,
     first_return_matrix,
     higher_block,
-    language,
-    language_witnesses,
     parse_forbidden,
     parse_matrix,
-    periodic_counts,
+    paths,
     word_counts,
     zeta,
     zeta_rational,
@@ -76,10 +74,6 @@ def _load_shift(path: str) -> VertexShift:
         return parse_matrix(_read_file(path))
     except ValueError as err:
         raise CommandError(EXIT_DATA, f"bad matrix file {path}: {err}") from err
-
-
-def _word_text(word: tuple[str, ...], separator_needed: bool) -> str:
-    return (" " if separator_needed else "").join(word)
 
 
 # -- wheels ---------------------------------------------------------------
@@ -164,15 +158,15 @@ def cmd_vertex_language(args) -> int:
     count = word_counts(shift, order)[-1]
     if count > args.cap:
         raise EnumerationCapError(f"enumerating {count} words of length {order} exceeds the cap")
-    spaced = any(len(symbol) > 1 for symbol in shift.alphabet)
-    key = lambda word: tuple(shift.alphabet.index(s) for s in word)
-    words = sorted(language(shift, order), key=key)
-    witnesses = sorted(language_witnesses(shift, order), key=key)
+    symbols = shift.alphabet.symbols
+    separator = " " if any(len(symbol) > 1 for symbol in symbols) else ""
+    spell = lambda word: separator.join(symbols[i] for i in word)
+    words = sorted(paths(shift, range(shift.size), order))
     data = {
         "n": order,
         "count": len(words),
-        "words": [_word_text(word, spaced) for word in words],
-        "witnesses": [_word_text(word, spaced) for word in witnesses],
+        "words": [spell(word) for word in words],
+        "witnesses": [spell(word) for word in sorted(transversal_of(words))],
     }
     _emit(data, args.format or "json", [data["words"] and ",".join(data["words"]) or ""])
     return EXIT_OK
@@ -191,8 +185,8 @@ def cmd_sft(args) -> int:
     except DegenerateShiftError as err:
         raise CommandError(EXIT_DATA, f"degenerate shift: {err}") from err
     shift = recoded.shift
-    cycle_counts = periodic_counts(shift, shift.size)
-    if all(cycle_counts[n] == 0 for n in range(1, shift.size + 1)):
+    # det(I - zA) = 1 exactly when A is nilpotent, i.e. the graph has no cycle
+    if zeta_rational(shift).denominator == (1,):
         raise CommandError(
             EXIT_DATA,
             "degenerate shift: the block graph has no cycles, so no bi-infinite sequences remain",

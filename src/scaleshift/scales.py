@@ -26,7 +26,7 @@ from .shiftspace import (
     Word,
     first_return,
     is_irreducible,
-    language_from,
+    paths,
     word_counts,
 )
 
@@ -215,9 +215,10 @@ def symbol_dims(
 def _scale_levels(shift: VertexShift, walks, order: int, cap: int, keep) -> list:
     """[keep(scales of the length-n words) for n = 1..order], one level at a time.
 
-    ``walks`` pairs each start symbol with the symbols whose visits mark the
-    gaps of its words.  Each level first charges every word of its length
-    against ``cap``, and only what ``keep`` returns outlives the level.
+    ``walks`` pairs each start symbol index with the symbol indices whose
+    visits mark the gaps of its words.  Each level first charges every word
+    of its length against ``cap``, and only what ``keep`` returns outlives
+    the level.
     """
     counts = word_counts(shift, order)
     budget = cap
@@ -230,8 +231,8 @@ def _scale_levels(shift: VertexShift, walks, order: int, cap: int, keep) -> list
             )
         scales = set()
         for start, marked in walks:
-            for word in language_from(shift, start, n):
-                positions = [i for i, letter in enumerate(word) if letter in marked]
+            for word in paths(shift, (start,), n):
+                positions = [i for i, s in enumerate(word) if s in marked]
                 scales.add(_gap_composition(positions, n))
         kept.append(keep(scales))
     return kept
@@ -245,7 +246,7 @@ def global_dims(
     Enumerates every word, distinguishes its first symbol, and reduces
     the resulting scale sets exactly; no closed form is attempted.
     """
-    walks = [(symbol, {symbol}) for symbol in shift.alphabet]
+    walks = [(i, {i}) for i in range(shift.size)]
     dims = _scale_levels(
         shift, walks, order, cap,
         lambda scales: (*rotation_dims(scales), len(scales)),
@@ -298,9 +299,9 @@ def scale_class(
     members = frozenset((symbol,) if distinguished is None else distinguished)
     if not members:
         raise ValueError("distinguished set is empty")
-    for member in members:
-        shift.alphabet.index(member)
+    marked = {shift.alphabet.index(member) for member in members}
     if symbol not in members:
         raise ValueError(f"start symbol {symbol!r} is not distinguished")
-    levels = _scale_levels(shift, [(symbol, members)], order, cap, frozenset)
+    walks = [(shift.alphabet.index(symbol), marked)]
+    levels = _scale_levels(shift, walks, order, cap, frozenset)
     return ScaleClass(symbol, dict(enumerate(levels, start=1)))

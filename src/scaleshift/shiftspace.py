@@ -11,7 +11,8 @@ first return loop systems, and the language dimension formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product, zip_longest
+from operator import mul
 
 from .combinatorics import PartSpec, transversal_of
 from .numtheory import ArithSequence, burnside
@@ -213,34 +214,32 @@ def _block_token(block: Word) -> str:
 
 def language(shift: VertexShift, n: int) -> frozenset[Word]:
     """All labelings of (n-1)-edge paths; n = 0 gives the empty word."""
-    return frozenset(_paths(shift, range(shift.size), n))
-
-
-def language_from(shift: VertexShift, symbol: str, n: int) -> frozenset[Word]:
-    return frozenset(_paths(shift, [shift.alphabet.index(symbol)], n))
+    return frozenset(_spelled(shift, paths(shift, range(shift.size), n)))
 
 
 def language_witnesses(shift: VertexShift, n: int) -> set[Word]:
     """One word of L_n per rotation class: the least in symbol-index order."""
+    return set(_spelled(shift, transversal_of(set(paths(shift, range(shift.size), n)))))
+
+
+def _spelled(shift: VertexShift, words):
     symbols = shift.alphabet.symbols
-    code = {symbol: i for i, symbol in enumerate(symbols)}
-    coded = {tuple(code[s] for s in word) for word in language(shift, n)}
-    return {tuple(symbols[i] for i in word) for word in transversal_of(coded)}
+    return (tuple(symbols[i] for i in word) for word in words)
 
 
-def _paths(shift: VertexShift, starts, n: int):
+def paths(shift: VertexShift, starts, n: int):
+    """The words of length n from the symbol indices ``starts``, as index tuples."""
     if n < 0:
         raise ValueError("word length must be >= 0")
     if n == 0:
         yield ()
         return
-    symbols = shift.alphabet.symbols
     succ = [[j for j, e in enumerate(row) if e] for row in shift.matrix]
     stack = [(i,) for i in starts]
     while stack:
         prefix = stack.pop()
         if len(prefix) == n:
-            yield tuple(symbols[i] for i in prefix)
+            yield prefix
             continue
         for j in succ[prefix[-1]]:
             stack.append(prefix + (j,))
@@ -270,11 +269,26 @@ def _spans(matrix, start) -> bool:
     return len(seen) == len(matrix)
 
 
+def _walks(matrix, start):
+    """start·A^n for n = 0, 1, 2, ...: the vector recurrence v -> vA.
+
+    Entry j of start·A^n sums start_i over the walks of n edges from i to j.
+    """
+    cols = [[i for i, row in enumerate(matrix) if row[j]] for j in range(len(matrix))]
+    vector = list(start)
+    while True:
+        yield vector
+        vector = [sum([vector[i] for i in col]) for col in cols]
+
+
 def _char_det(matrix) -> list[int]:
     """Coefficients of det(I - zA), by Newton's identities on trace powers."""
     k = len(matrix)
-    powers = _power_table(matrix, k)
-    traces = [sum(powers[i][j][j] for j in range(k)) for i in range(k + 1)]
+    traces = [0] * (k + 1)
+    for i in range(k):
+        unit = [int(j == i) for j in range(k)]
+        for n, vector in enumerate(islice(_walks(matrix, unit), k + 1)):
+            traces[n] += vector[i]
     elem = [1]
     for i in range(1, k + 1):
         acc = sum((-1) ** (j - 1) * elem[i - j] * traces[j] for j in range(1, i + 1))
@@ -285,36 +299,13 @@ def _char_det(matrix) -> list[int]:
     return [(-1) ** i * e for i, e in enumerate(elem)]
 
 
-def _mat_mul(a, b):
-    k = len(a)
-    return tuple(
-        tuple(sum(a[i][l] * b[l][j] for l in range(k)) for j in range(k))
-        for i in range(k)
-    )
-
-
-def _power_table(matrix, top):
-    k = len(matrix)
-    identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-    powers = [identity]
-    for _ in range(top):
-        powers.append(_mat_mul(powers[-1], matrix))
-    return powers
-
-
 def word_counts(shift: VertexShift, order: int) -> list[int]:
     """Number of length-n words for n = 1..order: the entry sum of A^(n-1).
 
-    By the row-sum recurrence: v starts as the all-ones vector and steps to
-    A v, so v_i counts the words of length n that start at symbol i.
+    The walk starts from the all-ones vector, so entry j of its n-th step
+    counts the words of length n + 1 that end at symbol j.
     """
-    rows = [[j for j, e in enumerate(row) if e] for row in shift.matrix]
-    vector = [1] * len(rows)
-    counts = []
-    for _ in range(order):
-        counts.append(sum(vector))
-        vector = [sum(vector[j] for j in row) for row in rows]
-    return counts
+    return [sum(v) for v in islice(_walks(shift.matrix, [1] * shift.size), order)]
 
 
 def zeta_rational(shift: VertexShift) -> RationalFunction:
@@ -326,18 +317,24 @@ def zeta(shift: VertexShift, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 
 def periodic_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> ArithSequence:
-    """p_n = trace(A^n) for n = 1..order."""
-    powers = _power_table(shift.matrix, order)
-    k = shift.size
-    return ArithSequence(
-        sum(powers[n][j][j] for j in range(k)) for n in range(1, order + 1)
-    )
+    """p_n = trace(A^n) for n = 1..order, read off the zeta function.
+
+    With D = det(I - zA) = 1/zeta, log zeta = sum_n p_n z^n / n, so
+    sum_n p_n z^n = -z D'/D.
+    """
+    det = _char_det(shift.matrix)
+    series = RationalFunction([-n * c for n, c in enumerate(det)], det).expand(order)
+    return ArithSequence(series.coeffs[1:])
 
 
 def periodic_orbit_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> ArithSequence:
-    """Necklace counts: closed orbits of length dividing n, Burnside on p."""
-    p = periodic_counts(shift, order)
-    return ArithSequence(burnside(n, n, lambda k: p[n // k]) for n in range(1, order + 1))
+    """Necklace counts: closed orbits of length dividing n."""
+    return _necklaces(periodic_counts(shift, order))
+
+
+def _necklaces(p: ArithSequence) -> ArithSequence:
+    """Burnside on the periodic counts p."""
+    return ArithSequence(burnside(n, n, lambda k: p[n // k]) for n in range(1, len(p) + 1))
 
 
 def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> LoopSystem:
@@ -356,8 +353,8 @@ def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) ->
         for i, row in enumerate(shift.matrix)
         if i != s
     )
-    det_b = _char_det(minor) if minor else [1]
-    form = RationalFunction([b - a for a, b in _pad_pair(det_a, det_b)], det_b)
+    det_b = _char_det(minor)
+    form = RationalFunction([b - a for a, b in zip_longest(det_a, det_b, fillvalue=0)], det_b)
     top = len(form.numerator) - 1
     window = len(form.denominator) - 1
     coeffs = form.expand(max(order, top + window)).coeffs
@@ -367,37 +364,27 @@ def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) ->
     return LoopSystem(symbol, TruncatedSeries(coeffs, order), support, unbounded, bound)
 
 
-def _pad_pair(a, b):
-    top = max(len(a), len(b))
-    a = list(a) + [0] * (top - len(a))
-    b = list(b) + [0] * (top - len(b))
-    return zip(a, b)
-
-
 def first_return_matrix(shift: VertexShift, distinguished, order: int = DEFAULT_ORDER):
-    """Return series table {(s, t): f}: first passages from s to t outside D."""
+    """Return series table {(s, t): f}: first passages from s to t outside D.
+
+    The z^n coefficient, n >= 2, is A[s, R]·B^(n-2)·A[R, t] with R the
+    non-distinguished symbols and B = A[R, R]: one walk inside B from each
+    start s, dotted with the closing column of each t.
+    """
     dset = tuple(distinguished)
     if not dset:
         raise ValueError("distinguished set is empty")
     idx = [shift.alphabet.index(s) for s in dset]
-    rest = [v for v in range(shift.size) if v not in set(idx)]
-    sub = tuple(tuple(shift.matrix[u][v] for v in rest) for u in rest)
-    powers = _power_table(sub, max(order - 2, 0)) if rest else []
+    a = shift.matrix
+    rest = [v for v in range(shift.size) if v not in idx]
+    sub = [[a[u][v] for v in rest] for u in rest]
     table = {}
-    for s in dset:
-        si = shift.alphabet.index(s)
-        for t in dset:
-            ti = shift.alphabet.index(t)
-            coeffs = [0, shift.matrix[si][ti]] + [0] * (order - 1)
-            for n in range(2, order + 1):
-                coeffs[n] = sum(
-                    shift.matrix[si][rest[a]]
-                    * powers[n - 2][a][b]
-                    * shift.matrix[rest[b]][ti]
-                    for a in range(len(rest))
-                    for b in range(len(rest))
-                )
-            table[(s, t)] = TruncatedSeries(coeffs[:order + 1], order)
+    for s, si in zip(dset, idx):
+        walks = list(islice(_walks(sub, [a[si][v] for v in rest]), max(order - 1, 0)))
+        for t, ti in zip(dset, idx):
+            close = [a[v][ti] for v in rest]
+            coeffs = [0, a[si][ti]] + [sum(map(mul, v, close)) for v in walks]
+            table[(s, t)] = TruncatedSeries(coeffs, order)
     return table
 
 
@@ -411,7 +398,7 @@ def language_dims(shift: VertexShift, order: int = DEFAULT_ORDER) -> DimReport:
     """
     words = word_counts(shift, order)
     p = periodic_counts(shift, order)
-    necklaces = periodic_orbit_counts(shift, order)
+    necklaces = _necklaces(p)
     transversal = []
     orbital = []
     for n in range(1, order + 1):

@@ -62,15 +62,29 @@ class Morphism:
 def morphism_from_json(text: str) -> Morphism:
     """Parse {"alphabet": [...], "rules": {sym: word}, "seed": sym}."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("the rules file must hold a JSON object")
+    for key in ("rules", "seed"):
+        if key not in data:
+            raise ValueError(f"missing {key!r}")
     rules = data["rules"]
     if not isinstance(rules, dict):
         raise ValueError("rules must be a mapping")
+    for symbol, image in rules.items():
+        if not _is_word(image):
+            raise ValueError(f"image of {symbol!r} must be a string or a list of strings")
     if "alphabet" in data:
+        if not _is_word(data["alphabet"]):
+            raise ValueError("alphabet must be a string or a list of strings")
         declared = list(data["alphabet"])
         if sorted(declared) != sorted(rules):
             raise ValueError("alphabet and rule heads disagree")
         rules = {symbol: rules[symbol] for symbol in declared}
     return Morphism.of(rules, data["seed"])
+
+
+def _is_word(value) -> bool:
+    return isinstance(value, (str, list)) and all(isinstance(c, str) for c in value)
 
 
 PRESETS = {

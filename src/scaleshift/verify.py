@@ -327,7 +327,7 @@ def check_oracle_grid(max_n: int = MAX_GRID_N) -> list[OracleReport]:
         expected = max_n * (1 + shift.size)
         matched = 0
         language = language_dims(shift, max_n)
-        closed = [symbol_dims(shift, symbol, max_n, bivariate=True) for symbol in shift.alphabet]
+        closed = [symbol_dims(shift, symbol, max_n) for symbol in shift.alphabet]
         for n, (found, scales) in enumerate(oracle_levels(shift, max_n), start=1):
             matched += int(found == (language.transversal_at(n), language.orbital_at(n)))
             for dims, sets in zip(closed, scales):

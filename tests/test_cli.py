@@ -222,6 +222,28 @@ def test_subst_rules_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        '[1]',
+        '{"seed": "a"}',
+        '{"rules": {"a": "ab", "b": "a"}}',
+        '{"rules": {"a": "ab", "b": 3}, "seed": "a"}',
+        '{"rules": {"a": ["a", 2], "b": "a"}, "seed": "a"}',
+        '{"alphabet": [1, "a"], "rules": {"a": "ab", "b": "a"}, "seed": "a"}',
+    ],
+    ids=["not_object", "no_rules", "no_seed", "image_number", "image_list_number", "alphabet_number"],
+)
+def test_subst_malformed_rules_file(tmp_path, capsys, body):
+    rules = tmp_path / "bad.json"
+    rules.write_text(body, encoding="utf-8")
+    code, out, err = run(["subst", "scales", "--rules", str(rules), "--n", "5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: bad rules file {rules}: ")
+    assert "Traceback" not in err
+
+
 def test_subst_stabilization_failure(tmp_path, capsys):
     # each iterate of the crawler adds one block, so no iterate count bounds its language
     rules = tmp_path / "crawl.json"

@@ -87,6 +87,24 @@ def test_levels_scale_sets_match_scale_class():
                 assert found == study.at(n)
 
 
+def test_by_notes_tables_match_oracle():
+    # cell (n, m) of the by-notes tables counts the scales with m parts
+    top = 8
+    cells = 0
+    for shift in _irreducible_shifts():
+        reports = [symbol_dims(shift, symbol, top, bivariate=True) for symbol in shift.alphabet]
+        for n, (_, scales) in enumerate(oracle_levels(shift, top), start=1):
+            for report, found in zip(reports, scales):
+                for m in range(1, n + 1):
+                    parts = {scale for scale in found if len(scale) == m}
+                    assert oracle_scale_dims(parts) == (
+                        report.bivariate_transversal.coefficient(n, m),
+                        report.bivariate_orbital.coefficient(n, m),
+                    )
+                    cells += 1
+    assert cells == 15876
+
+
 def _sft_words(symbols, forbidden, top):
     """{n: length-n words over ``symbols`` with no forbidden block}, for n <= top.
 

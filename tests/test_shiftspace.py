@@ -1,9 +1,11 @@
+import random
+from collections import Counter
+
 import pytest
 
 from scaleshift.numtheory import divisors, mobius_invert
 from scaleshift.series import RationalFunction, TruncatedSeries
 from scaleshift.shiftspace import (
-    _power_table,
     Alphabet,
     DegenerateShiftError,
     HigherBlock,
@@ -15,9 +17,9 @@ from scaleshift.shiftspace import (
     is_irreducible,
     language,
     language_dims,
-    language_from,
     parse_forbidden,
     parse_matrix,
+    paths,
     periodic_counts,
     periodic_orbit_counts,
     word_counts,
@@ -45,6 +47,37 @@ from refsets import (
 GOLDEN = VertexShift.from_rows((CIRC, BULL), GOLDEN_ROWS)
 FULL2 = VertexShift.from_rows((CIRC, BULL), ((1, 1), (1, 1)))
 SFT2 = higher_block(SftPresentation.of((CIRC, BULL), SFT2_FORBIDDEN))
+
+
+def power_table(matrix, top):
+    """[A^0, ..., A^top] by schoolbook products: the walk layer's reference."""
+    k = len(matrix)
+    powers = [[[int(i == j) for j in range(k)] for i in range(k)]]
+    for _ in range(top):
+        last = powers[-1]
+        powers.append(
+            [[sum(last[i][l] * matrix[l][j] for l in range(k)) for j in range(k)] for i in range(k)]
+        )
+    return powers
+
+
+def random_shifts(count, sizes, seed, density=0.5):
+    rng = random.Random(seed)
+    shifts = []
+    for _ in range(count):
+        k = rng.choice(sizes)
+        rows = [[int(rng.random() < density) for _ in range(k)] for _ in range(k)]
+        shifts.append(VertexShift.from_rows([f"s{i}" for i in range(k)], rows))
+    return shifts
+
+
+WALK_SHIFTS = (
+    *_irreducible_shifts(),
+    *random_shifts(60, range(4, 9), seed=2020),
+    VertexShift.from_rows(("a", "b"), ((1, 0), (0, 1))),
+    VertexShift.from_rows(("a", "b", "c"), ((0, 1, 1), (0, 0, 1), (0, 0, 0))),
+    SFT2.shift,
+)
 
 
 def test_alphabet():
@@ -117,14 +150,16 @@ def test_periodic_counts_match_language_closures():
 
 
 def test_zeta_log_consistency():
-    # log zeta = sum_n p_n z^n / n; with D = det(I - zA) = 1/zeta, -z D' = D sum_n p_n z^n
-    order = 12
-    for shift in (GOLDEN, FULL2, SFT2.shift):
+    # p_n = trace(A^n) by schoolbook powers, and log zeta = sum_n p_n z^n / n:
+    # with D = det(I - zA) = 1/zeta, -z D' = D sum_n p_n z^n
+    order = 30
+    for shift in WALK_SHIFTS:
+        powers = power_table(shift.matrix, order)
+        traces = [sum(power[j][j] for j in range(shift.size)) for power in powers[1:]]
+        assert list(periodic_counts(shift, order)) == traces
         det = TruncatedSeries(list(zeta_rational(shift).denominator), order)
         z_det_prime = TruncatedSeries([n * c for n, c in enumerate(det.coeffs)], order)
-        p = periodic_counts(shift, order)
-        traces = TruncatedSeries([0] + [p[n] for n in range(1, order + 1)], order)
-        assert z_det_prime * -1 == det * traces
+        assert z_det_prime * -1 == det * TruncatedSeries([0, *traces], order)
 
 
 def test_language_small():
@@ -132,31 +167,22 @@ def test_language_small():
     assert language(GOLDEN, 1) == {w("∘"), w("•")}
     assert language(GOLDEN, 2) == {w("∘∘"), w("∘•"), w("•∘")}
     assert len(language(GOLDEN, 5)) == 13
-    start = language_from(GOLDEN, BULL, 5)
+    start = set(paths(GOLDEN, (1,), 5))
     assert len(start) == 5
-    assert all(word[0] == BULL for word in start)
+    assert all(word[0] == 1 for word in start)
+    assert {tuple((CIRC, BULL)[i] for i in word) for word in start} <= language(GOLDEN, 5)
 
 
 def test_language_counts_match_matrix_powers():
     for shift in (GOLDEN, FULL2, SFT2.shift):
-        power = tuple(tuple(int(i == j) for j in range(shift.size)) for i in range(shift.size))
-        for n in range(1, 8):
-            total = sum(sum(row) for row in power)
-            assert len(language(shift, n)) == total
-            power = tuple(
-                tuple(
-                    sum(power[i][l] * shift.matrix[l][j] for l in range(shift.size))
-                    for j in range(shift.size)
-                )
-                for i in range(shift.size)
-            )
+        for n, power in enumerate(power_table(shift.matrix, 6), start=1):
+            assert len(language(shift, n)) == sum(map(sum, power))
 
 
 def test_word_counts_match_power_table():
-    split = VertexShift.from_rows(("a", "b"), ((1, 0), (0, 1)))
-    for shift in (*_irreducible_shifts(), split, SFT2.shift):
-        sums = [sum(map(sum, power)) for power in _power_table(shift.matrix, 9)]
-        assert word_counts(shift, 10) == sums
+    for shift in WALK_SHIFTS:
+        sums = [sum(map(sum, power)) for power in power_table(shift.matrix, 29)]
+        assert word_counts(shift, 30) == sums
     assert word_counts(GOLDEN, 0) == []
 
 
@@ -200,8 +226,10 @@ def test_first_return_matches_loop_enumeration():
             for n in range(1, 9):
                 loops = [
                     word
-                    for word in language_from(shift, symbol, n)
-                    if symbol not in word[1:] and shift.entry(word[-1], symbol)
+                    for word in language(shift, n)
+                    if word[0] == symbol
+                    and symbol not in word[1:]
+                    and shift.entry(word[-1], symbol)
                 ]
                 assert f.series.coefficient(n) == len(loops)
 
@@ -245,6 +273,27 @@ def test_first_return_matrix_consistency():
             assert table[(s, t)] == expected
     with pytest.raises(ValueError):
         first_return_matrix(GOLDEN, (), 6)
+
+
+def test_first_return_matrix_matches_first_passages():
+    # brute force: a first passage s -> t of n edges is a word s w1 .. w_{n-1} t
+    # of L_{n+1} whose interior avoids the distinguished set
+    rng = random.Random(11)
+    shifts = (*_irreducible_shifts()[::4], *random_shifts(25, (4, 5), seed=7), SFT2.shift)
+    for shift in shifts:
+        symbols = shift.alphabet.symbols
+        distinguished = rng.sample(symbols, rng.randint(1, len(symbols)))
+        table = first_return_matrix(shift, distinguished, 7)
+        marked = set(distinguished)
+        for n in range(1, 8):
+            passages = Counter(
+                (word[0], word[-1])
+                for word in language(shift, n + 1)
+                if word[0] in marked and word[-1] in marked and not marked & set(word[1:-1])
+            )
+            for s in distinguished:
+                for t in distinguished:
+                    assert table[s, t].coefficient(n) == passages[s, t]
 
 
 def test_higher_block_two_step():
