@@ -30,10 +30,11 @@ from .shiftspace import (
     first_return,
     first_return_matrix,
     higher_block,
+    language_from,
     parse_forbidden,
     parse_matrix,
-    paths,
     word_counts,
+    word_texts,
     zeta,
     zeta_rational,
 )
@@ -158,15 +159,12 @@ def cmd_vertex_language(args) -> int:
     count = word_counts(shift, order)[-1]
     if count > args.cap:
         raise EnumerationCapError(f"enumerating {count} words of length {order} exceeds the cap")
-    symbols = shift.alphabet.symbols
-    separator = " " if any(len(symbol) > 1 for symbol in symbols) else ""
-    spell = lambda word: separator.join(symbols[i] for i in word)
-    words = sorted(paths(shift, range(shift.size), order))
+    words = sorted(language_from(shift, range(shift.size), order))
     data = {
         "n": order,
         "count": len(words),
-        "words": [spell(word) for word in words],
-        "witnesses": [spell(word) for word in sorted(transversal_of(words))],
+        "words": word_texts(shift, words),
+        "witnesses": word_texts(shift, sorted(transversal_of(words))),
     }
     _emit(data, args.format or "json", [data["words"] and ",".join(data["words"]) or ""])
     return EXIT_OK

@@ -26,7 +26,7 @@ from .shiftspace import (
     Word,
     first_return,
     is_irreducible,
-    paths,
+    language_from,
     word_counts,
 )
 
@@ -231,7 +231,7 @@ def _scale_levels(shift: VertexShift, walks, order: int, cap: int, keep) -> list
             )
         scales = set()
         for start, marked in walks:
-            for word in paths(shift, (start,), n):
+            for word in language_from(shift, (start,), n):
                 positions = [i for i, s in enumerate(word) if s in marked]
                 scales.add(_gap_composition(positions, n))
         kept.append(keep(scales))
@@ -302,6 +302,5 @@ def scale_class(
     marked = {shift.alphabet.index(member) for member in members}
     if symbol not in members:
         raise ValueError(f"start symbol {symbol!r} is not distinguished")
-    walks = [(shift.alphabet.index(symbol), marked)]
-    levels = _scale_levels(shift, walks, order, cap, frozenset)
+    levels = _scale_levels(shift, [(shift.alphabet.index(symbol), marked)], order, cap, frozenset)
     return ScaleClass(symbol, dict(enumerate(levels, start=1)))

@@ -214,12 +214,18 @@ def _block_token(block: Word) -> str:
 
 def language(shift: VertexShift, n: int) -> frozenset[Word]:
     """All labelings of (n-1)-edge paths; n = 0 gives the empty word."""
-    return frozenset(_spelled(shift, paths(shift, range(shift.size), n)))
+    return frozenset(_spelled(shift, language_from(shift, range(shift.size), n)))
 
 
 def language_witnesses(shift: VertexShift, n: int) -> set[Word]:
     """One word of L_n per rotation class: the least in symbol-index order."""
-    return set(_spelled(shift, transversal_of(set(paths(shift, range(shift.size), n)))))
+    return set(_spelled(shift, transversal_of(set(language_from(shift, range(shift.size), n)))))
+
+
+def word_texts(shift: VertexShift, words) -> list[str]:
+    """Index-tuple words as text, spaced when a symbol has several characters."""
+    separator = " " if any(len(symbol) > 1 for symbol in shift.alphabet) else ""
+    return [separator.join(word) for word in _spelled(shift, words)]
 
 
 def _spelled(shift: VertexShift, words):
@@ -227,22 +233,22 @@ def _spelled(shift: VertexShift, words):
     return (tuple(symbols[i] for i in word) for word in words)
 
 
-def paths(shift: VertexShift, starts, n: int):
+def language_from(shift: VertexShift, starts, n: int) -> list[tuple[int, ...]]:
     """The words of length n from the symbol indices ``starts``, as index tuples."""
     if n < 0:
         raise ValueError("word length must be >= 0")
     if n == 0:
-        yield ()
-        return
+        return [()]
     succ = [[j for j, e in enumerate(row) if e] for row in shift.matrix]
     stack = [(i,) for i in starts]
+    words = []
     while stack:
         prefix = stack.pop()
         if len(prefix) == n:
-            yield prefix
-            continue
-        for j in succ[prefix[-1]]:
-            stack.append(prefix + (j,))
+            words.append(prefix)
+        else:
+            stack.extend(prefix + (j,) for j in succ[prefix[-1]])
+    return words
 
 
 def is_irreducible(shift: VertexShift) -> bool:

@@ -17,12 +17,13 @@ from scaleshift.shiftspace import (
     is_irreducible,
     language,
     language_dims,
+    language_from,
     parse_forbidden,
     parse_matrix,
-    paths,
     periodic_counts,
     periodic_orbit_counts,
     word_counts,
+    word_texts,
     zeta,
     zeta_rational,
 )
@@ -167,10 +168,13 @@ def test_language_small():
     assert language(GOLDEN, 1) == {w("∘"), w("•")}
     assert language(GOLDEN, 2) == {w("∘∘"), w("∘•"), w("•∘")}
     assert len(language(GOLDEN, 5)) == 13
-    start = set(paths(GOLDEN, (1,), 5))
+    start = set(language_from(GOLDEN, (1,), 5))
     assert len(start) == 5
     assert all(word[0] == 1 for word in start)
     assert {tuple((CIRC, BULL)[i] for i in word) for word in start} <= language(GOLDEN, 5)
+    assert word_texts(GOLDEN, [(0, 1), (1, 0)]) == ["∘•", "•∘"]
+    spaced = VertexShift.from_rows(["a", "bc"], [[1, 1], [1, 1]])
+    assert word_texts(spaced, [(1, 0, 1)]) == ["bc a bc"]
 
 
 def test_language_counts_match_matrix_powers():
