@@ -183,8 +183,8 @@ def cmd_sft(args) -> int:
     except DegenerateShiftError as err:
         raise CommandError(EXIT_DATA, f"degenerate shift: {err}") from err
     shift = recoded.shift
-    # det(I - zA) = 1 exactly when A is nilpotent, i.e. the graph has no cycle
-    if zeta_rational(shift).denominator == (1,):
+    # a graph with no cycle has no path of k edges through its k vertices
+    if word_counts(shift, shift.size + 1)[-1] == 0:
         raise CommandError(
             EXIT_DATA,
             "degenerate shift: the block graph has no cycles, so no bi-infinite sequences remain",
@@ -440,9 +440,6 @@ def main(argv=None) -> int:
         size = "--n" if args.command == "subst" else "--order"
         print(f"error: {err}; lower {size} or raise --cap", file=sys.stderr)
         return EXIT_PRECONDITION
-    except DegenerateShiftError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA

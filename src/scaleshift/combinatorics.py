@@ -8,7 +8,7 @@ keyed by its canonical (lexicographically least) rotation.
 ``PartSpec`` describes a set K of allowed part sizes. Besides explicit finite
 sets it covers the two shapes that first-return supports produce: cofinite
 sets ("every k >= k0") and partially known sets (membership known up to a
-horizon, plus boundedness data read off the rational loop series).
+horizon, plus boundedness data read off the loop series).
 """
 
 from __future__ import annotations

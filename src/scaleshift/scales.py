@@ -20,7 +20,6 @@ from .numtheory import burnside
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
 from .series import DEFAULT_ORDER, BivariateSeries, TruncatedSeries
 from .shiftspace import (
-    LoopSystem,
     ReducibleShiftError,
     VertexShift,
     Word,
@@ -35,14 +34,6 @@ DEFAULT_CAP = 10_000_000
 
 class EnumerationCapError(RuntimeError):
     """Word enumeration would exceed the configured budget."""
-
-
-def _coerce_spec(parts) -> PartSpec:
-    if isinstance(parts, LoopSystem):
-        return parts.part_spec()
-    if isinstance(parts, PartSpec):
-        return parts
-    return PartSpec.finite(parts)
 
 
 def induced_scale(word: Word) -> Composition:
@@ -67,15 +58,13 @@ def _indicator(sizes, order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order)
 
 
-def composition_gf(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def composition_gf(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """1/(1 - sum_{k in K} z^k): compositions with all parts in K."""
-    spec = _coerce_spec(parts)
     return _indicator(spec.members_up_to(order), order).quasi_inverse()
 
 
-def composition_bgf(parts, order: int = DEFAULT_ORDER) -> BivariateSeries:
+def composition_bgf(spec: PartSpec, order: int = DEFAULT_ORDER) -> BivariateSeries:
     """Same with u marking the number of parts: c[n][m] = sum_{j in K} c[n-j][m-1]."""
-    spec = _coerce_spec(parts)
     rows = [[1]]
     _append_shifted(rows, rows, spec.members_up_to(order), order)
     return BivariateSeries(rows, order)
@@ -97,7 +86,7 @@ def _append_shifted(rows: list, source, sizes, order: int) -> None:
         rows.append(row)
 
 
-def wheels_gf(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def wheels_gf(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Rotation classes of compositions with parts in K, by total.
 
     sum_k phi(k)/k log 1/(1 - sum_{j in K} z^{jk}), computed without
@@ -105,7 +94,6 @@ def wheels_gf(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     has m-th coefficient P_m / m where P_m = sum_j j s_j h_{m-j}, so the
     z^n coefficient is the Burnside count (1/n) sum_{k|n} phi(k) P_{n/k}.
     """
-    spec = _coerce_spec(parts)
     members = spec.members_up_to(order)
     h = composition_gf(spec, order).coeffs
     p = [0] * (order + 1)
@@ -115,14 +103,14 @@ def wheels_gf(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return TruncatedSeries(coeffs, order)
 
 
-def wheels_bgf(parts, order: int = DEFAULT_ORDER) -> BivariateSeries:
+def wheels_bgf(spec: PartSpec, order: int = DEFAULT_ORDER) -> BivariateSeries:
     """Wheels refined by the number of parts.
 
     With S_{a,b} the number of compositions of a into exactly b parts
     from K, the (n,m) entry is the Burnside count
     (1/m) sum_{k | gcd(n,m)} phi(k) S_{n/k,m/k}.
     """
-    return _wheel_table(composition_bgf(parts, order))
+    return _wheel_table(composition_bgf(spec, order))
 
 
 def _wheel_table(comp: BivariateSeries) -> BivariateSeries:
@@ -136,9 +124,8 @@ def _wheel_table(comp: BivariateSeries) -> BivariateSeries:
     return BivariateSeries(rows, order)
 
 
-def tail_sizes(parts, order: int = DEFAULT_ORDER) -> tuple[int, ...]:
+def tail_sizes(spec: PartSpec, order: int = DEFAULT_ORDER) -> tuple[int, ...]:
     """Final gaps outside K: the k not in K below some member of K."""
-    spec = _coerce_spec(parts)
     absent = spec.absent_up_to(order)
     if spec.unbounded:
         return absent
@@ -147,9 +134,8 @@ def tail_sizes(parts, order: int = DEFAULT_ORDER) -> tuple[int, ...]:
     return tuple(k for k in absent if k < spec.max_part)
 
 
-def a_series(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def a_series(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Scales whose final gap falls outside K: (sum_{k in E} z^k) C^K(z)."""
-    spec = _coerce_spec(parts)
     extras = _indicator(tail_sizes(spec, order), order)
     return composition_gf(spec, order) * extras
 
@@ -160,13 +146,12 @@ def _tailed(comp: BivariateSeries, tails) -> BivariateSeries:
     return BivariateSeries(rows, comp.order)
 
 
-def b_series(parts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def b_series(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Modes swept by the out-of-K scales: u d/du of a at u = 1.
 
     With a = u e C and C = 1/(1 - u s), d/du at u = 1 is
     e C + e s C^2 = e C^2, since 1 + s C = C; so b = a C.
     """
-    spec = _coerce_spec(parts)
     return a_series(spec, order) * composition_gf(spec, order)
 
 
@@ -186,8 +171,7 @@ def symbol_dims(
         raise ReducibleShiftError(
             "scale closed forms need an irreducible transition matrix"
         )
-    loop = first_return(shift, symbol, order)
-    spec = loop.part_spec()
+    spec = first_return(shift, symbol, order).parts
     comp = composition_gf(spec, order)
     tails = tail_sizes(spec, order)
     a = comp * _indicator(tails, order)

@@ -11,7 +11,7 @@ first return loop systems, and the language dimension formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, product, zip_longest
+from itertools import islice, product
 from operator import mul
 
 from .combinatorics import PartSpec, transversal_of
@@ -143,42 +143,28 @@ class HigherBlock:
 
 @dataclass(frozen=True)
 class LoopSystem:
-    """First return loops at ``symbol``: series plus support analysis.
+    """First return loops at ``symbol``: series plus the part set K of its sizes.
 
-    ``support`` lists the sizes k <= order with a nonzero coefficient.
-    When the untruncated support is bounded, ``support_max`` is its true
-    maximum (read off the rational form of the series, valid beyond the
-    truncation order).
+    ``parts.known`` lists the sizes k <= order with a nonzero coefficient;
+    ``parts.unbounded`` and ``parts.max_part`` describe the untruncated
+    support, valid beyond the truncation order.
     """
 
     symbol: str
     series: TruncatedSeries
-    support: frozenset[int]
-    support_unbounded: bool
-    support_max: int | None
+    parts: PartSpec
 
     def __post_init__(self):
         if self.series.coefficient(0) != 0:
             raise ValueError("loop series must have zero constant term")
-        if self.support_unbounded and self.support_max is not None:
-            raise ValueError("unbounded support has no maximum")
-
-    def part_spec(self) -> PartSpec:
-        return PartSpec(
-            known=self.support,
-            tail_from=None,
-            horizon=self.series.order,
-            unbounded=self.support_unbounded,
-            max_part=self.support_max,
-        )
 
     def to_json(self) -> dict:
         return {
             "symbol": self.symbol,
             "series": self.series.to_json(),
-            "support": sorted(self.support),
-            "support_unbounded": self.support_unbounded,
-            "support_max": self.support_max,
+            "support": sorted(self.parts.known),
+            "support_unbounded": self.parts.unbounded,
+            "support_max": self.parts.max_part,
         }
 
 
@@ -210,11 +196,6 @@ def _block_token(block: Word) -> str:
     if all(len(letter) == 1 for letter in block):
         return "".join(block)
     return "|".join(block)
-
-
-def language(shift: VertexShift, n: int) -> frozenset[Word]:
-    """All labelings of (n-1)-edge paths; n = 0 gives the empty word."""
-    return frozenset(_spelled(shift, language_from(shift, range(shift.size), n)))
 
 
 def language_witnesses(shift: VertexShift, n: int) -> set[Word]:
@@ -344,30 +325,24 @@ def _necklaces(p: ArithSequence) -> ArithSequence:
 
 
 def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> LoopSystem:
-    """The loop system at ``symbol``: 1 - det(I-zA)/det(I-zB), B = A minus 𝔰.
+    """The loop system at ``symbol``: the first-return walk with D = {symbol}.
 
-    The series is num/den with den(0) = 1, so past deg num its coefficients
-    follow the recurrence of den, and a polynomial quotient has degree at
-    most deg num.  The support is therefore bounded exactly when the deg den
-    coefficients after deg num vanish; its maximum is then the last nonzero
-    coefficient.
+    With r = k - 1 other symbols, the support is bounded exactly when no
+    loop size lies in r + 2 .. 2r + 1.  A loop of size n visits n - 1 other
+    symbols; once n - 1 > r one of them repeats, and the cycle between the
+    two visits, of length c <= r, can be pumped.  So a bounded support ends
+    by r + 1.  Were the shortest loop longer than r + 1 of size n > 2r + 1,
+    cutting such a cycle out of it would leave a loop of size n - c > r + 1,
+    so an unbounded support has a member in r + 2 .. 2r + 1.
     """
-    s = shift.alphabet.index(symbol)
-    det_a = _char_det(shift.matrix)
-    minor = tuple(
-        tuple(e for j, e in enumerate(row) if j != s)
-        for i, row in enumerate(shift.matrix)
-        if i != s
-    )
-    det_b = _char_det(minor)
-    form = RationalFunction([b - a for a, b in zip_longest(det_a, det_b, fillvalue=0)], det_b)
-    top = len(form.numerator) - 1
-    window = len(form.denominator) - 1
-    coeffs = form.expand(max(order, top + window)).coeffs
-    unbounded = any(coeffs[top + 1 : top + window + 1])
+    r = shift.size - 1
+    window = 2 * r + 1
+    coeffs = first_return_matrix(shift, (symbol,), max(order, window))[symbol, symbol].coeffs
+    unbounded = any(coeffs[r + 2 : window + 1])
     bound = None if unbounded else max((k for k, c in enumerate(coeffs) if c), default=None)
-    support = frozenset(k for k in range(1, order + 1) if coeffs[k])
-    return LoopSystem(symbol, TruncatedSeries(coeffs, order), support, unbounded, bound)
+    known = frozenset(k for k in range(1, order + 1) if coeffs[k])
+    parts = PartSpec(known, horizon=order, unbounded=unbounded, max_part=bound)
+    return LoopSystem(symbol, TruncatedSeries(coeffs, order), parts)
 
 
 def first_return_matrix(shift: VertexShift, distinguished, order: int = DEFAULT_ORDER):

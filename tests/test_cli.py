@@ -188,6 +188,16 @@ def test_sft_degenerate(tmp_path, capsys):
     assert code == 1
 
 
+def test_sft_no_cycles(tmp_path, capsys):
+    # only the edge ∘ -> • is left: a nonzero nilpotent matrix
+    target = tmp_path / "acyclic.forb"
+    target.write_text("∘∘\n••\n•∘\n", encoding="utf-8")
+    code, out, err = run(["sft", "scales", "--forbidden", str(target), "--order", "4"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "no cycles" in err
+
+
 def test_sft_block_count_guard(tmp_path, capsys):
     # a 22-letter forbidden block needs 2^21 blocks of 21 letters: a cost guard
     target = tmp_path / "long.forb"

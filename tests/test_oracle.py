@@ -198,21 +198,30 @@ def test_first_return_matches_closed_form():
 
 
 def test_loop_support_matches_oracle():
-    # every 0/1 matrix on up to 3 symbols; a loop longer than the alphabet
-    # repeats an interior symbol, so it can be pumped.  Order 1 makes the
-    # support data come from past the truncation.
+    # every 0/1 matrix on up to 3 symbols, and seeded random ones on 4.  With
+    # r other symbols, an unbounded support is pumped by a cycle of at most r
+    # edges from a loop of at most 2r + 1, so it meets the last r sizes the
+    # oracle reaches.  Order 1 makes the support data come from past the
+    # truncation.
+    shifts = []
     for size in range(1, 4):
-        symbols = "abc"[:size]
         for bits in itertools.product((0, 1), repeat=size * size):
             rows = [bits[i * size:(i + 1) * size] for i in range(size)]
-            shift = VertexShift.from_rows(symbols, rows)
-            for symbol in symbols:
-                loops = first_return(shift, symbol, 1)
-                sizes = [k for k in range(1, 9) if oracle_first_return(shift, symbol, k) > 0]
-                if loops.support_unbounded:
-                    assert max(sizes) > size
-                else:
-                    assert max(sizes, default=None) == loops.support_max
+            shifts.append(VertexShift.from_rows("abc"[:size], rows))
+    rng = random.Random(4)
+    for _ in range(60):
+        shifts.append(VertexShift.from_rows("abcd", [[rng.randint(0, 1) for _ in range(4)] for _ in range(4)]))
+    # loops at a have 4, 7, 10, ... edges: the first past r + 1 = 4 is 2r + 1
+    shifts.append(VertexShift.from_rows("abcd", ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0))))
+    for shift in shifts:
+        r = shift.size - 1
+        for symbol in shift.alphabet:
+            parts = first_return(shift, symbol, 1).parts
+            sizes = [k for k in range(1, 13) if oracle_first_return(shift, symbol, k) > 0]
+            if parts.unbounded:
+                assert max(sizes) > 12 - r
+            else:
+                assert max(sizes, default=None) == parts.max_part
 
 
 def test_oracle_report():

@@ -121,7 +121,7 @@ def test_bivariate_triangular_shape_enforced():
 
 def test_bivariate_compositions_by_length():
     # 1/(1 - u(z + z^2)): compositions of n with parts in {1,2}, u marks length
-    comp = composition_bgf({1, 2}, 6)
+    comp = composition_bgf(PartSpec.finite({1, 2}), 6)
     assert comp.coefficient(0, 0) == 1
     # n = 4: (1,1,1,1); (1,1,2) x3 orderings; (2,2)
     assert [comp.coefficient(4, m) for m in range(5)] == [0, 0, 1, 3, 1]
@@ -144,7 +144,7 @@ def test_bivariate_partial_u_tail_class():
 
 def test_bivariate_length_weighted_matches_partial():
     # u d/du of C = 1/(1 - u s) at u = 1 is s C^2
-    comp = composition_bgf({1, 3}, 8)
+    comp = composition_bgf(PartSpec.finite({1, 3}), 8)
     weighted = comp.length_weighted()
     c = comp.at_u1()
     assert weighted.at_u1() == S(0, 1, 0, 1, order=8) * c * c

@@ -15,7 +15,6 @@ from scaleshift.shiftspace import (
     first_return_matrix,
     higher_block,
     is_irreducible,
-    language,
     language_dims,
     language_from,
     parse_forbidden,
@@ -60,6 +59,11 @@ def power_table(matrix, top):
             [[sum(last[i][l] * matrix[l][j] for l in range(k)) for j in range(k)] for i in range(k)]
         )
     return powers
+
+
+def all_words(shift, n):
+    """L_n as symbol-index tuples."""
+    return set(language_from(shift, range(shift.size), n))
 
 
 def random_shifts(count, sizes, seed, density=0.5):
@@ -144,9 +148,7 @@ def test_periodic_counts_match_language_closures():
     for shift in (GOLDEN, FULL2, SFT2.shift):
         p = periodic_counts(shift, 7)
         for n in range(1, 8):
-            closed = sum(
-                1 for word in language(shift, n) if shift.entry(word[-1], word[0])
-            )
+            closed = sum(1 for word in all_words(shift, n) if shift.matrix[word[-1]][word[0]])
             assert p[n] == closed
 
 
@@ -164,14 +166,14 @@ def test_zeta_log_consistency():
 
 
 def test_language_small():
-    assert language(GOLDEN, 0) == {()}
-    assert language(GOLDEN, 1) == {w("∘"), w("•")}
-    assert language(GOLDEN, 2) == {w("∘∘"), w("∘•"), w("•∘")}
-    assert len(language(GOLDEN, 5)) == 13
-    start = set(language_from(GOLDEN, (1,), 5))
-    assert len(start) == 5
+    assert all_words(GOLDEN, 0) == {()}
+    assert all_words(GOLDEN, 1) == {(0,), (1,)}
+    assert word_texts(GOLDEN, sorted(all_words(GOLDEN, 2))) == ["∘∘", "∘•", "•∘"]
+    assert len(all_words(GOLDEN, 5)) == 13
+    start = language_from(GOLDEN, (1,), 5)
+    assert len(start) == len(set(start)) == 5
     assert all(word[0] == 1 for word in start)
-    assert {tuple((CIRC, BULL)[i] for i in word) for word in start} <= language(GOLDEN, 5)
+    assert set(start) <= all_words(GOLDEN, 5)
     assert word_texts(GOLDEN, [(0, 1), (1, 0)]) == ["∘•", "•∘"]
     spaced = VertexShift.from_rows(["a", "bc"], [[1, 1], [1, 1]])
     assert word_texts(spaced, [(1, 0, 1)]) == ["bc a bc"]
@@ -180,7 +182,8 @@ def test_language_small():
 def test_language_counts_match_matrix_powers():
     for shift in (GOLDEN, FULL2, SFT2.shift):
         for n, power in enumerate(power_table(shift.matrix, 6), start=1):
-            assert len(language(shift, n)) == sum(map(sum, power))
+            words = language_from(shift, range(shift.size), n)
+            assert len(words) == len(set(words)) == sum(map(sum, power))
 
 
 def test_word_counts_match_power_table():
@@ -205,17 +208,18 @@ def test_first_return_golden():
     f_circ = first_return(GOLDEN, CIRC, 16)
     assert f_circ.series.coeffs[:4] == (0, 1, 1, 0)
     assert f_circ.series == TruncatedSeries([0, 1, 1] + [0] * 14, 16)
-    assert f_circ.support == {1, 2}
-    assert not f_circ.support_unbounded
-    assert f_circ.support_max == 2
+    assert f_circ.parts.known == {1, 2}
+    assert not f_circ.parts.unbounded
+    assert f_circ.parts.max_part == 2
 
     f_bull = first_return(GOLDEN, BULL, 16)
     assert f_bull.series.coeffs == (0, 0) + (1,) * 15
-    assert f_bull.support == frozenset(range(2, 17))
-    assert f_bull.support_unbounded
-    assert f_bull.support_max is None
+    assert f_bull.parts.known == frozenset(range(2, 17))
+    assert f_bull.parts.unbounded
+    assert f_bull.parts.max_part is None
 
-    spec = f_bull.part_spec()
+    spec = f_bull.parts
+    assert spec.horizon == 16
     assert spec.members_up_to(10) == tuple(range(2, 11))
     with pytest.raises(ValueError):
         spec.members_up_to(30)
@@ -225,15 +229,13 @@ def test_first_return_matches_loop_enumeration():
     # brute force: first return loops at s are words s w1 .. w_{n-1} with
     # no interior s that close back into s
     for shift in (GOLDEN, FULL2, SFT2.shift):
-        for symbol in shift.alphabet:
+        for s, symbol in enumerate(shift.alphabet):
             f = first_return(shift, symbol, 8)
             for n in range(1, 9):
                 loops = [
                     word
-                    for word in language(shift, n)
-                    if word[0] == symbol
-                    and symbol not in word[1:]
-                    and shift.entry(word[-1], symbol)
+                    for word in all_words(shift, n)
+                    if word[0] == s and s not in word[1:] and shift.matrix[word[-1]][s]
                 ]
                 assert f.series.coefficient(n) == len(loops)
 
@@ -241,15 +243,15 @@ def test_first_return_matches_loop_enumeration():
 def test_first_return_support_analysis():
     loop = VertexShift.from_rows(("a",), ((1,),))
     f = first_return(loop, "a", 8)
-    assert f.support == {1} and f.support_max == 1 and not f.support_unbounded
+    assert f.parts.known == {1} and f.parts.max_part == 1 and not f.parts.unbounded
 
     swap = VertexShift.from_rows(("a", "b"), ((0, 1), (1, 0)))
     f = first_return(swap, "a", 8)
-    assert f.support == {2} and f.support_max == 2
+    assert f.parts.known == {2} and f.parts.max_part == 2
 
     f = first_return(SFT2.shift, SFT2.shift.alphabet.symbols[0], 12)
-    assert f.support == {3, 5, 7, 9, 11}
-    assert f.support_unbounded and f.support_max is None
+    assert f.parts.known == {3, 5, 7, 9, 11}
+    assert f.parts.unbounded and f.parts.max_part is None
 
 
 def test_first_return_matrix_two_symbol_hole():
@@ -263,12 +265,26 @@ def test_first_return_matrix_two_symbol_hole():
     assert table[(double[1], double[1])] == z2
 
 
+def test_first_return_matches_zeta_quotient():
+    # the paper's route: 1 - f = det(I - zA) / det(I - zB), with B the matrix
+    # A with the distinguished symbol's row and column removed
+    order = 16
+    for shift in _irreducible_shifts():
+        det_a = TruncatedSeries(list(zeta_rational(shift).denominator), order)
+        for s, symbol in enumerate(shift.alphabet):
+            rest = [i for i in range(shift.size) if i != s]
+            det_b = TruncatedSeries([1], order)
+            if rest:
+                minor = VertexShift.from_rows(
+                    [shift.alphabet.symbols[i] for i in rest],
+                    [[shift.matrix[i][j] for j in rest] for i in rest],
+                )
+                det_b = TruncatedSeries(list(zeta_rational(minor).denominator), order)
+            f = first_return(shift, symbol, order).series
+            assert det_a + det_b * f == det_b
+
+
 def test_first_return_matrix_consistency():
-    # singleton distinguished set reproduces the loop system series
-    for shift in (GOLDEN, SFT2.shift):
-        for symbol in shift.alphabet:
-            table = first_return_matrix(shift, (symbol,), 10)
-            assert table[(symbol, symbol)] == first_return(shift, symbol, 10).series
     # distinguishing everything leaves single edges only
     table = first_return_matrix(GOLDEN, (CIRC, BULL), 6)
     for s in (CIRC, BULL):
@@ -286,18 +302,17 @@ def test_first_return_matrix_matches_first_passages():
     shifts = (*_irreducible_shifts()[::4], *random_shifts(25, (4, 5), seed=7), SFT2.shift)
     for shift in shifts:
         symbols = shift.alphabet.symbols
-        distinguished = rng.sample(symbols, rng.randint(1, len(symbols)))
-        table = first_return_matrix(shift, distinguished, 7)
-        marked = set(distinguished)
+        marked = set(rng.sample(range(len(symbols)), rng.randint(1, len(symbols))))
+        table = first_return_matrix(shift, [symbols[i] for i in marked], 7)
         for n in range(1, 8):
             passages = Counter(
                 (word[0], word[-1])
-                for word in language(shift, n + 1)
+                for word in all_words(shift, n + 1)
                 if word[0] in marked and word[-1] in marked and not marked & set(word[1:-1])
             )
-            for s in distinguished:
-                for t in distinguished:
-                    assert table[s, t].coefficient(n) == passages[s, t]
+            for s in marked:
+                for t in marked:
+                    assert table[symbols[s], symbols[t]].coefficient(n) == passages[s, t]
 
 
 def test_higher_block_two_step():
@@ -328,8 +343,8 @@ def test_forbidden_normalization():
 def test_higher_block_dead_end():
     hb = higher_block(SftPresentation.of((CIRC,), {w("∘∘")}))
     assert hb.shift.matrix == ((0,),)
-    assert language(hb.shift, 1) == {(CIRC,)}
-    assert language(hb.shift, 2) == frozenset()
+    assert all_words(hb.shift, 1) == {(0,)}
+    assert all_words(hb.shift, 2) == set()
 
 
 def test_language_dims_golden():
@@ -347,7 +362,7 @@ def test_language_dims_match_enumeration():
     for shift in (GOLDEN, FULL2, SFT2.shift):
         report = language_dims(shift, 7)
         for n in range(1, 8):
-            words = language(shift, n)
+            words = all_words(shift, n)
             union = set()
             for word in words:
                 union.update(orbit(word))
