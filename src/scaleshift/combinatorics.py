@@ -45,11 +45,23 @@ def rotation_dims(B: Collection[Composition]) -> tuple[int, int]:
     """(transversal, orbital): the rotation classes B meets, and the size of
     the union of their full orbits.
 
-    Distinct classes have disjoint orbits, so summing one orbit size per
-    represented class equals the size of the union.
+    One pass over a copy of B: take any w, strike its rotations (the windows
+    of w + w) from the copy, and count one class of orbit size p, the least
+    period of w, which is the position of the first window equal to w.  The
+    empty composition is its own orbit of size 1.  Distinct classes have
+    disjoint orbits, so the sum of the orbit sizes is the size of the union.
     """
-    keys = {least_rotation(w) for w in B}
-    return len(keys), sum(len(orbit(key)) for key in keys)
+    rest = set(B)
+    classes = orbital = 0
+    while rest:
+        w = rest.pop()
+        m = len(w)
+        doubled = w + w
+        windows = [doubled[i : i + m] for i in range(1, max(m, 1) + 1)]
+        rest.difference_update(windows)
+        classes += 1
+        orbital += windows.index(w) + 1
+    return classes, orbital
 
 
 def transversal_of(B: Collection[Composition]) -> set[Composition]:

@@ -13,7 +13,9 @@ optionally refined by the number of notes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from math import gcd
+from operator import sub
 
 from .combinatorics import Composition, PartSpec, rotation_dims
 from .numtheory import burnside
@@ -40,14 +42,15 @@ def induced_scale(word: Word) -> Composition:
     """Gaps between occurrences of the first symbol, last gap wrapping."""
     if not word:
         raise ValueError("the empty word induces no scale")
-    positions = [i for i, letter in enumerate(word) if letter == word[0]]
-    return _gap_composition(positions, len(word))
+    return _gaps(word, {word[0]})
 
 
-def _gap_composition(positions, length: int) -> Composition:
-    gaps = [b - a for a, b in zip(positions, positions[1:])]
-    gaps.append(length - positions[-1])
-    return tuple(gaps)
+def _gaps(word, marked) -> Composition:
+    """Gaps between the positions of ``word`` whose symbol is in ``marked``,
+    the last running to the end of the word; the word starts at a marked symbol.
+    """
+    stops = [*compress(range(len(word)), map(marked.__contains__, word)), len(word)]
+    return tuple(map(sub, stops[1:], stops))
 
 
 def _indicator(sizes, order: int) -> TruncatedSeries:
@@ -215,9 +218,7 @@ def _scale_levels(shift: VertexShift, walks, order: int, cap: int, keep) -> list
             )
         scales = set()
         for start, marked in walks:
-            for word in language_from(shift, (start,), n):
-                positions = [i for i, s in enumerate(word) if s in marked]
-                scales.add(_gap_composition(positions, n))
+            scales.update(map(_gaps, language_from(shift, (start,), n), repeat(marked)))
         kept.append(keep(scales))
     return kept
 

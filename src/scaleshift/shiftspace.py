@@ -11,6 +11,7 @@ first return loop systems, and the language dimension formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice, product
 from operator import mul
 
@@ -93,6 +94,16 @@ class VertexShift:
 
     def entry(self, s: str, t: str) -> int:
         return self.matrix[self.alphabet.index(s)][self.alphabet.index(t)]
+
+    @cached_property
+    def successors(self) -> tuple[tuple[tuple[int], ...], ...]:
+        """Row i: the one-step extensions ``(j,)`` of a word ending at symbol i."""
+        return tuple(tuple((j,) for j, e in enumerate(row) if e) for row in self.matrix)
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column j: the symbols i with A[i, j] = 1, the input of ``_walks``."""
+        return _columns(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -215,20 +226,20 @@ def _spelled(shift: VertexShift, words):
 
 
 def language_from(shift: VertexShift, starts, n: int) -> list[tuple[int, ...]]:
-    """The words of length n from the symbol indices ``starts``, as index tuples."""
+    """The words of length n from the symbol indices ``starts``, as index tuples.
+
+    The walk goes level by level: every word of one length is extended by
+    each successor of its last symbol, so two levels are alive at once.
+    Each word appears once, in no promised order; callers sort or build sets.
+    """
     if n < 0:
         raise ValueError("word length must be >= 0")
     if n == 0:
         return [()]
-    succ = [[j for j, e in enumerate(row) if e] for row in shift.matrix]
-    stack = [(i,) for i in starts]
-    words = []
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == n:
-            words.append(prefix)
-        else:
-            stack.extend(prefix + (j,) for j in succ[prefix[-1]])
+    succ = shift.successors
+    words = [(i,) for i in starts]
+    for _ in range(n - 1):
+        words = [word + step for word in words for step in succ[word[-1]]]
     return words
 
 
@@ -256,12 +267,16 @@ def _spans(matrix, start) -> bool:
     return len(seen) == len(matrix)
 
 
-def _walks(matrix, start):
+def _columns(matrix) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(i for i, row in enumerate(matrix) if row[j]) for j in range(len(matrix)))
+
+
+def _walks(cols, start):
     """start·A^n for n = 0, 1, 2, ...: the vector recurrence v -> vA.
 
+    ``cols`` lists, for each symbol j, the symbols i with A[i, j] = 1.
     Entry j of start·A^n sums start_i over the walks of n edges from i to j.
     """
-    cols = [[i for i, row in enumerate(matrix) if row[j]] for j in range(len(matrix))]
     vector = list(start)
     while True:
         yield vector
@@ -271,10 +286,11 @@ def _walks(matrix, start):
 def _char_det(matrix) -> list[int]:
     """Coefficients of det(I - zA), by Newton's identities on trace powers."""
     k = len(matrix)
+    cols = _columns(matrix)
     traces = [0] * (k + 1)
     for i in range(k):
         unit = [int(j == i) for j in range(k)]
-        for n, vector in enumerate(islice(_walks(matrix, unit), k + 1)):
+        for n, vector in enumerate(islice(_walks(cols, unit), k + 1)):
             traces[n] += vector[i]
     elem = [1]
     for i in range(1, k + 1):
@@ -292,7 +308,7 @@ def word_counts(shift: VertexShift, order: int) -> list[int]:
     The walk starts from the all-ones vector, so entry j of its n-th step
     counts the words of length n + 1 that end at symbol j.
     """
-    return [sum(v) for v in islice(_walks(shift.matrix, [1] * shift.size), order)]
+    return [sum(v) for v in islice(_walks(shift.columns, [1] * shift.size), order)]
 
 
 def zeta_rational(shift: VertexShift) -> RationalFunction:
@@ -358,10 +374,10 @@ def first_return_matrix(shift: VertexShift, distinguished, order: int = DEFAULT_
     idx = [shift.alphabet.index(s) for s in dset]
     a = shift.matrix
     rest = [v for v in range(shift.size) if v not in idx]
-    sub = [[a[u][v] for v in rest] for u in rest]
+    cols = _columns([[a[u][v] for v in rest] for u in rest])
     table = {}
     for s, si in zip(dset, idx):
-        walks = list(islice(_walks(sub, [a[si][v] for v in rest]), max(order - 1, 0)))
+        walks = list(islice(_walks(cols, [a[si][v] for v in rest]), max(order - 1, 0)))
         for t, ti in zip(dset, idx):
             close = [a[v][ti] for v in rest]
             coeffs = [0, a[si][ti]] + [sum(map(mul, v, close)) for v in walks]

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -65,6 +66,36 @@ def test_orbital_dim_is_union_of_orbits():
             union |= cb.orbit(m)
         classes = {cb.least_rotation(m) for m in members}
         assert cb.rotation_dims(members) == (len(classes), len(union))
+
+
+def test_rotation_dims_matches_brute_force():
+    # reference: one least rotation per class, and the union of the full orbits
+    rng = random.Random(2020)
+
+    def rotations(c, count):
+        return {cb.rotate(c, rng.randrange(max(len(c), 1))) for _ in range(count)}
+
+    for _ in range(30):
+        members = set()
+        for _ in range(rng.randrange(1, 12)):
+            length = rng.choice((1, 2, 3, 5, 8, 150, 151))
+            members.add(tuple(rng.choice((1, 1, 2, 3)) for _ in range(length)))
+        k = rng.randrange(1, 80)
+        members |= rotations((1, 2) * k, 3)
+        members |= rotations((1, 1, 2) * rng.randrange(50, 60), 4)
+        members |= rotations((3,) * k, 1)
+        if rng.random() < 0.5:
+            members.add(())
+        for c in list(members)[:3]:
+            members |= rotations(c, 5)
+        union = set().union(*map(cb.orbit, members))
+        classes = {cb.least_rotation(c) for c in members}
+        for argument in (frozenset(members), set(members), sorted(members)):
+            snapshot = list(argument)
+            assert cb.rotation_dims(argument) == (len(classes), len(union))
+            assert list(argument) == snapshot
+    assert cb.rotation_dims({()}) == (1, 1)
+    assert cb.rotation_dims({(1, 2) * 90, (2, 1) * 90, (1, 2, 1, 2)}) == (2, 4)
 
 
 def test_transversal_of():

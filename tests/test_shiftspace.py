@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -184,6 +185,45 @@ def test_language_counts_match_matrix_powers():
         for n, power in enumerate(power_table(shift.matrix, 6), start=1):
             words = language_from(shift, range(shift.size), n)
             assert len(words) == len(set(words)) == sum(map(sum, power))
+
+
+def test_language_from_matches_product_filter():
+    # the reference: every tuple over the alphabet whose steps are all edges
+    shifts = (*_irreducible_shifts(), *WALK_SHIFTS[-3:-1])
+    for shift in shifts:
+        k, a = shift.size, shift.matrix
+        start_sets = [(), *((i,) for i in range(k)), tuple(range(k)), tuple(range(k))[::-2]]
+        for starts in start_sets:
+            assert language_from(shift, starts, 0) == [()]
+        for n in range(1, 7):
+            admissible = [
+                word for word in itertools.product(range(k), repeat=n)
+                if all(a[i][j] for i, j in zip(word, word[1:]))
+            ]
+            for starts in start_sets:
+                words = language_from(shift, starts, n)
+                assert len(words) == len(set(words))
+                assert sorted(words) == [word for word in admissible if word[0] in starts]
+
+
+def test_cached_walk_tables_keep_equality_and_hash():
+    for shift in (GOLDEN, SFT2.shift, *WALK_SHIFTS[-3:-1]):
+        cached = VertexShift.from_rows(shift.alphabet.symbols, shift.matrix)
+        word_counts(cached, 3)
+        language_from(cached, range(cached.size), 3)
+        assert {"successors", "columns"} <= vars(cached).keys()
+        plain = VertexShift.from_rows(shift.alphabet.symbols, shift.matrix)
+        assert not {"successors", "columns"} & vars(plain).keys()
+        assert cached == plain
+        assert hash(cached) == hash(plain)
+        assert len({cached, plain}) == 1
+        k = cached.size
+        assert cached.successors == tuple(
+            tuple((j,) for j in range(k) if cached.matrix[i][j]) for i in range(k)
+        )
+        assert cached.columns == tuple(
+            tuple(i for i in range(k) if cached.matrix[i][j]) for j in range(k)
+        )
 
 
 def test_word_counts_match_power_table():
