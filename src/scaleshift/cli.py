@@ -25,6 +25,7 @@ from .series import DEFAULT_ORDER
 from .shiftspace import (
     BlockCountError,
     DegenerateShiftError,
+    LoopSupportError,
     ReducibleShiftError,
     VertexShift,
     first_return,
@@ -433,7 +434,7 @@ def main(argv=None) -> int:
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (ReducibleShiftError, BlockCountError) as err:
+    except (ReducibleShiftError, BlockCountError, LoopSupportError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except EnumerationCapError as err:

@@ -5,10 +5,11 @@ empty composition (size 0, length 0). The cyclic shift alpha rotates parts
 left; its orbits are the modes of a scale, and a wheel is an orbit class,
 keyed by its canonical (lexicographically least) rotation.
 
-``PartSpec`` describes a set K of allowed part sizes. Besides explicit finite
-sets it covers the two shapes that first-return supports produce: cofinite
-sets ("every k >= k0") and partially known sets (membership known up to a
-horizon, plus boundedness data read off the loop series).
+``PartSpec`` describes a set K of allowed part sizes exactly, as an
+eventually periodic set: a finite prefix, then a residue pattern repeating
+with some period. Finite sets, cofinite sets ("every k >= k0") and the
+loop supports of first-return series all have this shape, so every set K
+has a rational indicator series N/Q with Q = 1 - z^P or Q = 1.
 """
 
 from __future__ import annotations
@@ -81,45 +82,33 @@ def mutually_independent(A: Collection[Composition], B: Collection[Composition])
 
 @dataclass(frozen=True)
 class PartSpec:
-    """A set K of allowed part sizes, possibly known only up to a horizon.
+    """An eventually periodic set K of part sizes, held exactly.
 
-    ``known`` holds the members at or below ``horizon`` (all members when
-    ``horizon`` is None and there is no tail); ``tail_from`` marks cofinite
-    sets where every k >= tail_from belongs; ``unbounded`` and ``max_part``
-    record boundedness of the full, untruncated set.
+    Below ``start`` the members are ``prefix``; from ``start`` on, k is a
+    member exactly when (k - start) mod ``period`` lies in ``residues``.
     """
 
-    known: frozenset[int]
-    tail_from: int | None = None
-    horizon: int | None = None
-    unbounded: bool = False
-    max_part: int | None = None
+    prefix: frozenset[int] = frozenset()
+    start: int = 1
+    period: int = 1
+    residues: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        for k in self.known:
+        for k in (*self.prefix, self.start):
             if k < 1:
                 raise ValueError(f"part sizes must be >= 1, got {k}")
-        if self.tail_from is not None:
-            if self.tail_from < 1:
-                raise ValueError("tail_from must be >= 1")
-            if not self.unbounded:
-                raise ValueError("a tail makes the set unbounded")
-        if self.unbounded and self.max_part is not None:
-            raise ValueError("unbounded sets have no max part")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def finite(cls, parts: Iterable[int]) -> "PartSpec":
         members = frozenset(int(p) for p in parts)
-        return cls(known=members, max_part=max(members) if members else None)
+        return cls(members, max(members, default=0) + 1)
 
     @classmethod
     def from_min(cls, k0: int) -> "PartSpec":
         """The cofinite set {k : k >= k0}."""
-        return cls(known=frozenset(), tail_from=int(k0), unbounded=True)
+        return cls(start=int(k0), residues=frozenset({0}))
 
     @classmethod
     def naturals(cls) -> "PartSpec":
@@ -140,21 +129,41 @@ class PartSpec:
 
     # -- queries --------------------------------------------------------------
 
-    def _require_known(self, k: int) -> None:
-        if self.tail_from is not None and k >= self.tail_from:
-            return
-        if self.horizon is not None and k > self.horizon:
-            raise ValueError(f"membership of {k} unknown beyond horizon {self.horizon}")
+    @property
+    def unbounded(self) -> bool:
+        return bool(self.residues)
+
+    @property
+    def max_part(self) -> int | None:
+        """The largest member of a finite K; None when K is unbounded or empty."""
+        return None if self.unbounded else max(self.prefix, default=None)
 
     def members_up_to(self, limit: int) -> tuple[int, ...]:
-        """All members k <= limit, ascending; errors beyond the horizon."""
-        self._require_known(limit)
-        members = {k for k in self.known if k <= limit}
-        if self.tail_from is not None:
-            members.update(range(self.tail_from, limit + 1))
-        return tuple(sorted(members))
+        """All members k <= limit, ascending."""
+        head = sorted(k for k in self.prefix if k <= limit)
+        tail = range(self.start, limit + 1)
+        return (*head, *(k for k in tail if (k - self.start) % self.period in self.residues))
 
-    def absent_up_to(self, limit: int) -> tuple[int, ...]:
-        """All non-members 1 <= k <= limit, ascending; errors beyond the horizon."""
-        present = set(self.members_up_to(limit))
-        return tuple(k for k in range(1, limit + 1) if k not in present)
+    def indicator_gf(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(N, Q) with sum_{k in K} z^k = N/Q: Q = 1 - z^P when K is unbounded, else 1.
+
+        Each residue r adds z^(start + r)/(1 - z^P), so N is the prefix
+        times Q plus those monomials, of degree below start + P.
+        """
+        if not self.unbounded:
+            return tuple(int(k in self.prefix) for k in range(self.start)), (1,)
+        q = (1,) + (0,) * (self.period - 1) + (-1,)
+        n = [0] * (self.start + self.period)
+        for k in self.prefix:
+            n[k] += 1
+            n[k + self.period] -= 1
+        for r in self.residues:
+            n[self.start + r] += 1
+        return tuple(n), q
+
+    def tail_sizes(self) -> "PartSpec":
+        """E: the sizes outside K below some member of K, the final gaps of scales."""
+        top = self.start if self.unbounded else max(self.prefix, default=1)
+        rest = frozenset(range(self.period)) - self.residues if self.unbounded else frozenset()
+        return PartSpec(frozenset(range(1, top)) - self.prefix, top, self.period, rest)
+

@@ -13,14 +13,14 @@ optionally refined by the number of notes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import compress, repeat, zip_longest
 from math import gcd
 from operator import sub
 
 from .combinatorics import Composition, PartSpec, rotation_dims
 from .numtheory import burnside
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
-from .series import DEFAULT_ORDER, BivariateSeries, TruncatedSeries
+from .series import DEFAULT_ORDER, BivariateSeries, RationalFunction, TruncatedSeries, log_derivative
 from .shiftspace import (
     ReducibleShiftError,
     VertexShift,
@@ -53,55 +53,59 @@ def _gaps(word, marked) -> Composition:
     return tuple(map(sub, stops[1:], stops))
 
 
-def _indicator(sizes, order: int) -> TruncatedSeries:
-    coeffs = [0] * (order + 1)
-    for k in sizes:
-        if 1 <= k <= order:
-            coeffs[k] = 1
-    return TruncatedSeries(coeffs, order)
+def _composition_form(spec: PartSpec) -> tuple[tuple[int, ...], list[int]]:
+    """(Q, Q - N): with s = N/Q the indicator of K, 1/(1 - s) = Q/(Q - N)."""
+    num, den = spec.indicator_gf()
+    return den, [q - n for q, n in zip_longest(den, num, fillvalue=0)]
 
 
 def composition_gf(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """1/(1 - sum_{k in K} z^k): compositions with all parts in K."""
-    return _indicator(spec.members_up_to(order), order).quasi_inverse()
+    return RationalFunction(*_composition_form(spec)).expand(order)
 
 
 def composition_bgf(spec: PartSpec, order: int = DEFAULT_ORDER) -> BivariateSeries:
-    """Same with u marking the number of parts: c[n][m] = sum_{j in K} c[n-j][m-1]."""
-    rows = [[1]]
-    _append_shifted(rows, rows, spec.members_up_to(order), order)
-    return BivariateSeries(rows, order)
+    """Same with u marking the number of parts: C = 1 + u s C."""
+    return _shifted(1, None, spec, order)
 
 
-def _append_shifted(rows: list, source, sizes, order: int) -> None:
-    """Append rows 1..order of sum_{k in sizes} u z^k S(z, u) to ``rows``.
+def _shifted(first: int, source, spec: PartSpec, order: int) -> BivariateSeries:
+    """T = first + u s(z) S(z, u), with s = N/Q the indicator of K and S = ``source``.
 
-    ``sizes`` ascend.  ``source`` holds the rows of S; passing ``rows``
-    itself turns the sum into the recurrence of 1/(1 - u sum_k z^k).
+    Times Q = 1 - z^P (or Q = 1), the entry (n, m) with m >= 1 is
+    t[n-P][m] + sum_j N_j S[n-j][m-1], and column 0 vanishes for n >= 1:
+    a recurrence as wide as N, whatever the size of K.  With ``source``
+    None, S is T itself, so T = 1/(1 - u s).
     """
+    num, den = spec.indicator_gf()
+    period = len(den) - 1
+    terms = [(j, c) for j, c in enumerate(num) if c]
+    rows = [[first]]
+    src = rows if source is None else source.rows
     for n in range(1, order + 1):
         row = [0] * (n + 1)
-        for k in sizes:
-            if k > n:
+        if period and n >= period:
+            row[1 : n - period + 1] = rows[n - period][1:]
+        for j, c in terms:
+            if j > n:
                 break
-            for m, c in enumerate(source[n - k], start=1):
-                row[m] += c
+            for m, v in enumerate(src[n - j], start=1):
+                row[m] += c * v
         rows.append(row)
+    return BivariateSeries(rows, order)
 
 
 def wheels_gf(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Rotation classes of compositions with parts in K, by total.
 
-    sum_k phi(k)/k log 1/(1 - sum_{j in K} z^{jk}), computed without
-    fractions: with s the indicator of K and h = 1/(1-s), the inner log
-    has m-th coefficient P_m / m where P_m = sum_j j s_j h_{m-j}, so the
-    z^n coefficient is the Burnside count (1/n) sum_{k|n} phi(k) P_{n/k}.
+    sum_k phi(k)/k log 1/(1 - s(z^k)), computed without fractions: with
+    s = N/Q the indicator of K, log 1/(1 - s) = log Q - log(Q - N) has m-th
+    coefficient P_m / m, where P_m is the z^m coefficient of
+    L(Q - N) - L(Q), L(f) = -z f'/f; so the z^n coefficient is the
+    Burnside count (1/n) sum_{k|n} phi(k) P_{n/k}.
     """
-    members = spec.members_up_to(order)
-    h = composition_gf(spec, order).coeffs
-    p = [0] * (order + 1)
-    for m in range(1, order + 1):
-        p[m] = sum(j * h[m - j] for j in members if j <= m)
+    den, den_minus_num = _composition_form(spec)
+    p = (log_derivative(den_minus_num, order) + log_derivative(den, order) * -1).coeffs
     coeffs = [0] + [burnside(n, n, lambda k: p[n // k]) for n in range(1, order + 1)]
     return TruncatedSeries(coeffs, order)
 
@@ -127,26 +131,10 @@ def _wheel_table(comp: BivariateSeries) -> BivariateSeries:
     return BivariateSeries(rows, order)
 
 
-def tail_sizes(spec: PartSpec, order: int = DEFAULT_ORDER) -> tuple[int, ...]:
-    """Final gaps outside K: the k not in K below some member of K."""
-    absent = spec.absent_up_to(order)
-    if spec.unbounded:
-        return absent
-    if spec.max_part is None:
-        return ()
-    return tuple(k for k in absent if k < spec.max_part)
-
-
 def a_series(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Scales whose final gap falls outside K: (sum_{k in E} z^k) C^K(z)."""
-    extras = _indicator(tail_sizes(spec, order), order)
-    return composition_gf(spec, order) * extras
-
-
-def _tailed(comp: BivariateSeries, tails) -> BivariateSeries:
-    rows = [[0]]
-    _append_shifted(rows, comp.rows, tails, comp.order)
-    return BivariateSeries(rows, comp.order)
+    tails = RationalFunction(*spec.tail_sizes().indicator_gf()).expand(order)
+    return composition_gf(spec, order) * tails
 
 
 def b_series(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -176,8 +164,7 @@ def symbol_dims(
         )
     spec = first_return(shift, symbol, order).parts
     comp = composition_gf(spec, order)
-    tails = tail_sizes(spec, order)
-    a = comp * _indicator(tails, order)
+    a = comp * RationalFunction(*spec.tail_sizes().indicator_gf()).expand(order)
     b = a * comp
     transversal = (wheels_gf(spec, order) + a).coeffs[1:]
     orbital = (comp + b).coeffs[1:]
@@ -185,7 +172,7 @@ def symbol_dims(
     table_t = table_o = None
     if bivariate:
         comp2 = composition_bgf(spec, order)
-        a2 = _tailed(comp2, tails)
+        a2 = _shifted(0, comp2, spec.tail_sizes(), order)
         table_t = _wheel_table(comp2) + a2
         table_o = comp2 + a2.length_weighted()
     return DimReport(

@@ -104,24 +104,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    # -- series-specific operations ----------------------------------------
-
-    def quasi_inverse(self) -> "TruncatedSeries":
-        """1/(1 - g): the unique h with h*(1 - g) = 1 up to the order.
-
-        Requires zero constant term (Polya's quasi-inverse of a combinatorial
-        class with no empty object).
-        """
-        if self.coeffs[0] != 0:
-            raise ValueError("quasi-inverse needs zero constant term")
-        n = self.order
-        terms = [(k, g) for k, g in enumerate(self.coeffs) if g != 0]
-        h = [0] * (n + 1)
-        h[0] = 1
-        for i in range(1, n + 1):
-            h[i] = sum(g * h[i - k] for k, g in terms if k <= i)
-        return TruncatedSeries(h, n)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -247,6 +229,11 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({list(self.numerator)}, {list(self.denominator)})"
+
+
+def log_derivative(poly: Sequence[int], order: int) -> TruncatedSeries:
+    """-z f'/f to ``order``, f(0) = ±1: for f = prod_i (1 - a_i z), the power sums of the a_i."""
+    return RationalFunction([-n * c for n, c in enumerate(poly)], poly).expand(order)
 
 
 def _trim(poly: Sequence[int]) -> tuple[int, ...]:

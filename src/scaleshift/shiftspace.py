@@ -18,7 +18,7 @@ from operator import mul
 from .combinatorics import PartSpec, transversal_of
 from .numtheory import ArithSequence, burnside
 from .reports import CLOSED_FORM, DimReport
-from .series import DEFAULT_ORDER, RationalFunction, TruncatedSeries
+from .series import DEFAULT_ORDER, RationalFunction, TruncatedSeries, log_derivative
 
 Word = tuple[str, ...]
 
@@ -33,6 +33,14 @@ class DegenerateShiftError(ValueError):
 
 class BlockCountError(ValueError):
     """The higher block presentation would need too many blocks (a cost guard)."""
+
+
+class LoopSupportError(ValueError):
+    """Loop sizes with no period found in ``SUPPORT_WALK_LIMIT`` walk steps (a cost guard)."""
+
+
+#: Cycles of coprime lengths outside a symbol make its loop sizes' period their product.
+SUPPORT_WALK_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -156,9 +164,8 @@ class HigherBlock:
 class LoopSystem:
     """First return loops at ``symbol``: series plus the part set K of its sizes.
 
-    ``parts.known`` lists the sizes k <= order with a nonzero coefficient;
-    ``parts.unbounded`` and ``parts.max_part`` describe the untruncated
-    support, valid beyond the truncation order.
+    ``series`` is truncated at its order; ``parts`` is the exact, eventually
+    periodic set of sizes with a nonzero coefficient, valid at every size.
     """
 
     symbol: str
@@ -173,7 +180,7 @@ class LoopSystem:
         return {
             "symbol": self.symbol,
             "series": self.series.to_json(),
-            "support": sorted(self.parts.known),
+            "support": list(self.parts.members_up_to(self.series.order)),
             "support_unbounded": self.parts.unbounded,
             "support_max": self.parts.max_part,
         }
@@ -325,9 +332,7 @@ def periodic_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> ArithSequ
     With D = det(I - zA) = 1/zeta, log zeta = sum_n p_n z^n / n, so
     sum_n p_n z^n = -z D'/D.
     """
-    det = _char_det(shift.matrix)
-    series = RationalFunction([-n * c for n, c in enumerate(det)], det).expand(order)
-    return ArithSequence(series.coeffs[1:])
+    return ArithSequence(log_derivative(_char_det(shift.matrix), order).coeffs[1:])
 
 
 def periodic_orbit_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> ArithSequence:
@@ -343,22 +348,30 @@ def _necklaces(p: ArithSequence) -> ArithSequence:
 def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> LoopSystem:
     """The loop system at ``symbol``: the first-return walk with D = {symbol}.
 
-    With r = k - 1 other symbols, the support is bounded exactly when no
-    loop size lies in r + 2 .. 2r + 1.  A loop of size n visits n - 1 other
-    symbols; once n - 1 > r one of them repeats, and the cycle between the
-    two visits, of length c <= r, can be pumped.  So a bounded support ends
-    by r + 1.  Were the shortest loop longer than r + 1 of size n > 2r + 1,
-    cutting such a cycle out of it would leave a loop of size n - c > r + 1,
-    so an unbounded support has a member in r + 2 .. 2r + 1.
+    The loop sizes K come off the same walk, exactly: n >= 2 is in K when
+    the support X_(n-2) of the walk vector A[s, R]·B^(n-2) meets the
+    predecessors of s.  X_(j+1) is the successors of X_j in R, so the first
+    X_j1 equal to an earlier X_j0 makes K periodic from j0 + 2, period j1 - j0.
     """
-    r = shift.size - 1
-    window = 2 * r + 1
-    coeffs = first_return_matrix(shift, (symbol,), max(order, window))[symbol, symbol].coeffs
-    unbounded = any(coeffs[r + 2 : window + 1])
-    bound = None if unbounded else max((k for k, c in enumerate(coeffs) if c), default=None)
-    known = frozenset(k for k in range(1, order + 1) if coeffs[k])
-    parts = PartSpec(known, horizon=order, unbounded=unbounded, max_part=bound)
-    return LoopSystem(symbol, TruncatedSeries(coeffs, order), parts)
+    si = shift.alphabet.index(symbol)
+    a = shift.matrix
+    rest = [v for v in range(shift.size) if v != si]
+    cols = _columns([[a[u][v] for v in rest] for u in rest])
+    seen: dict[frozenset[int], int] = {}
+    for j, vector in enumerate(_walks(cols, [a[si][v] for v in rest])):
+        support = frozenset(k for k, c in enumerate(vector) if c)
+        if support in seen:
+            break
+        if j == SUPPORT_WALK_LIMIT:
+            raise LoopSupportError(f"loop sizes at {symbol!r}: no period found in {j} walk steps")
+        seen[support] = j
+    closing = {k for k, v in enumerate(rest) if a[v][si]}
+    sizes = [i + 2 for i, x in enumerate(seen) if not closing.isdisjoint(x)] + [1] * a[si][si]
+    start = seen[support] + 2
+    prefix = frozenset(n for n in sizes if n < start)
+    residues = frozenset(n - start for n in sizes if n >= start)
+    series = first_return_matrix(shift, (symbol,), order)[symbol, symbol]
+    return LoopSystem(symbol, series, PartSpec(prefix, start, j + 2 - start, residues))
 
 
 def first_return_matrix(shift: VertexShift, distinguished, order: int = DEFAULT_ORDER):

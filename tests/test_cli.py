@@ -122,6 +122,28 @@ def test_vertex_language_default_cap(tmp_path, capsys):
     assert "enumerating 268435456 words of length 14" in err
 
 
+def test_vertex_loops_support_guard(tmp_path, capsys):
+    # cycles of 2, 3, 5, 7, 11 and 13 symbols hang off s, so the loop sizes
+    # 2 + 2t, 2 + 3t, ... repeat with period 30030, past the walk limit
+    lengths = (2, 3, 5, 7, 11, 13)
+    size = 1 + sum(lengths)
+    rows = [[0] * size for _ in range(size)]
+    first = 1
+    for length in lengths:
+        rows[0][first] = rows[first][0] = 1
+        for t in range(length):
+            rows[first + t][first + (t + 1) % length] = 1
+        first += length
+    target = tmp_path / "cycles.mat"
+    symbols = " ".join(f"v{i}" for i in range(size))
+    lines = [symbols] + [" ".join(map(str, row)) for row in rows]
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(["vertex", "loops", "--matrix", str(target), "--symbol", "v0"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "no period found in 4096 walk steps" in err
+
+
 def test_vertex_reducible_exit(tmp_path, capsys):
     target = tmp_path / "split.mat"
     target.write_text("a b\n1 0\n0 1\n", encoding="utf-8")
@@ -341,6 +363,10 @@ def test_usage_errors(capsys):
     assert main(["wheels"]) == 2
     assert main(["subst", "scales", "--preset", "unknown", "--n", "4"]) == 2
     assert main(["verify", "--suite", "other"]) == 2
+    # part sizes start at 1, in a list and in a lower bound alike
+    for parts in ("0,2", "0+"):
+        assert main(["wheels", "--n", "5", "--parts", parts]) == 2
+        assert "bad --parts: part sizes must be >= 1, got 0" in capsys.readouterr().err
     assert main([]) == 2
     # --order belongs to the vertex and sft subcommands, never before them
     assert main(["--format", "text", "--order", "5", "vertex", "zeta", "--matrix", GOLDEN_MAT]) == 2

@@ -7,6 +7,7 @@ import refsets
 from scaleshift import combinatorics as cb
 from scaleshift import series
 from scaleshift.oracle import oracle_series_coeff
+from scaleshift.scales import composition_gf
 
 
 def test_rotate():
@@ -128,7 +129,7 @@ def test_enumerate_compositions():
 def test_enumeration_counts_match_series():
     for bits in range(1, 64):
         parts = {k + 1 for k in range(6) if bits >> k & 1}
-        gf = series.TruncatedSeries([int(k in parts) for k in range(15)], 14).quasi_inverse()
+        gf = composition_gf(cb.PartSpec.finite(parts), 14)
         for n in (0, 1, 4, 9, 14):
             assert oracle_series_coeff("compositions", parts, n) == gf.coefficient(n)
 
@@ -161,25 +162,31 @@ def test_part_spec_parse():
 def test_part_spec_membership():
     spec = cb.PartSpec.finite({1, 3})
     assert spec.members_up_to(99) == (1, 3)
-    assert spec.absent_up_to(4) == (2, 4)
+    assert (spec.unbounded, spec.max_part) == (False, 3)
     tail = cb.PartSpec.from_min(2)
     assert tail.members_up_to(1000)[:2] == (2, 3)
     assert tail.members_up_to(1000)[-1] == 1000
     assert tail.members_up_to(5) == (2, 3, 4, 5)
-    assert tail.absent_up_to(5) == (1,)
+    assert (tail.unbounded, tail.max_part) == (True, None)
+    # {1} then 4, 7, 10, ...: one residue of period 3 from 4
+    periodic = cb.PartSpec(frozenset({1}), 4, 3, frozenset({0}))
+    assert periodic.members_up_to(12) == (1, 4, 7, 10)
+    assert cb.PartSpec.finite(()).members_up_to(5) == ()
+    with pytest.raises(ValueError, match="part sizes must be >= 1"):
+        cb.PartSpec.from_min(0)
 
 
-def test_part_spec_horizon_guard():
-    # Support known only up to the horizon; beyond it membership is undecided.
-    spec = cb.PartSpec(
-        known=frozenset({2, 3}), tail_from=None, horizon=8,
-        unbounded=True, max_part=None,
-    )
-    assert spec.members_up_to(7) == (2, 3)
-    assert spec.absent_up_to(8) == (1, 4, 5, 6, 7, 8)
-    with pytest.raises(ValueError):
-        spec.absent_up_to(9)
-    assert spec.members_up_to(8) == (2, 3)
-    with pytest.raises(ValueError):
-        spec.members_up_to(9)
-
+def test_part_spec_indicator_gf():
+    # N/Q expands to the indicator of K
+    specs = [
+        cb.PartSpec.finite({1, 3}),
+        cb.PartSpec.finite(()),
+        cb.PartSpec.naturals(),
+        cb.PartSpec.from_min(3),
+        cb.PartSpec(frozenset({1, 2}), 4, 3, frozenset({0, 2})),
+    ]
+    for spec in specs:
+        num, den = spec.indicator_gf()
+        assert den == ((1,) + (0,) * (spec.period - 1) + (-1,) if spec.unbounded else (1,))
+        expanded = series.RationalFunction(num, den).expand(30).coeffs
+        assert expanded == tuple(int(k in spec.members_up_to(30)) for k in range(31))

@@ -198,11 +198,15 @@ def test_first_return_matches_closed_form():
 
 
 def test_loop_support_matches_oracle():
-    # every 0/1 matrix on up to 3 symbols, and seeded random ones on 4.  With
-    # r other symbols, an unbounded support is pumped by a cycle of at most r
-    # edges from a loop of at most 2r + 1, so it meets the last r sizes the
-    # oracle reaches.  Order 1 makes the support data come from past the
-    # truncation.
+    # every 0/1 matrix on up to 3 symbols, and seeded random ones on 4.
+    # With r other symbols, the support is unbounded exactly when a loop size
+    # lies in r + 2 .. 2r + 1.  A loop of size n visits n - 1 other symbols;
+    # once n - 1 > r one of them repeats, and the cycle between the two
+    # visits, of length c <= r, can be pumped, so a bounded support ends by
+    # r + 1.  Were the shortest loop longer than r + 1 of size n > 2r + 1,
+    # cutting such a cycle out of it would leave a loop of size n - c > r + 1,
+    # so an unbounded support has a member in r + 2 .. 2r + 1.  Order 1 makes
+    # every support fact come from past the truncation.
     shifts = []
     for size in range(1, 4):
         for bits in itertools.product((0, 1), repeat=size * size):
@@ -212,16 +216,20 @@ def test_loop_support_matches_oracle():
     for _ in range(60):
         shifts.append(VertexShift.from_rows("abcd", [[rng.randint(0, 1) for _ in range(4)] for _ in range(4)]))
     # loops at a have 4, 7, 10, ... edges: the first past r + 1 = 4 is 2r + 1
-    shifts.append(VertexShift.from_rows("abcd", ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0))))
+    period3 = VertexShift.from_rows("abcd", ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)))
+    shifts.append(period3)
     for shift in shifts:
         r = shift.size - 1
         for symbol in shift.alphabet:
             parts = first_return(shift, symbol, 1).parts
             sizes = [k for k in range(1, 13) if oracle_first_return(shift, symbol, k) > 0]
-            if parts.unbounded:
-                assert max(sizes) > 12 - r
-            else:
+            assert parts.members_up_to(12) == tuple(sizes)
+            assert parts.unbounded == any(r + 2 <= k <= 2 * r + 1 for k in sizes)
+            if not parts.unbounded:
                 assert max(sizes, default=None) == parts.max_part
+            series = first_return(shift, symbol, 40).series
+            assert parts.members_up_to(40) == tuple(k for k in range(1, 41) if series.coefficient(k))
+    assert first_return(period3, "a", 1).parts.period == 3
 
 
 def test_oracle_report():

@@ -7,6 +7,7 @@ from scaleshift.combinatorics import (
     rotation_dims,
     transversal_of,
 )
+from scaleshift.numtheory import burnside
 from scaleshift.oracle import oracle_series_coeff
 from scaleshift.scales import (
     EnumerationCapError,
@@ -18,10 +19,10 @@ from scaleshift.scales import (
     induced_scale,
     scale_class,
     symbol_dims,
-    tail_sizes,
     wheels_bgf,
     wheels_gf,
 )
+from scaleshift.series import BivariateSeries
 from scaleshift.shiftspace import (
     ReducibleShiftError,
     SftPresentation,
@@ -60,6 +61,15 @@ from refsets import (
 GOLDEN = VertexShift.from_rows((CIRC, BULL), GOLDEN_ROWS)
 FULL2 = VertexShift.from_rows((CIRC, BULL), ((1, 1), (1, 1)))
 SFT2 = higher_block(SftPresentation.of((CIRC, BULL), SFT2_FORBIDDEN)).shift
+# loops at a: a b a and a c d e f a
+TWO_FIVE = VertexShift.from_rows(
+    "abcdef",
+    ((0, 1, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+     (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0)),
+)
+# loops at a: a b c d a, then one more turn of b c d for each extra 3 edges
+PERIOD3 = VertexShift.from_rows("abcd", ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)))
+PERIOD3_PARTS = PartSpec(start=4, period=3, residues=frozenset({0}))
 GOLDEN_C_CIRC = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)
 ORACLE_SPECS = (
     PartSpec.naturals(),
@@ -135,22 +145,46 @@ def test_wheels_match_enumeration():
 
 
 def test_tail_sizes():
-    assert tail_sizes(PartSpec.finite({1, 2}), 12) == ()
-    assert tail_sizes(PartSpec.from_min(2), 12) == (1,)
-    assert tail_sizes(PartSpec.naturals(), 12) == ()
-    assert tail_sizes(PartSpec.finite({2, 5}), 12) == (1, 3, 4)
-    assert tail_sizes(PartSpec.finite({3}), 12) == (1, 2)
-    assert tail_sizes(PartSpec.finite(()), 12) == ()
+    def tails(spec):
+        e = spec.tail_sizes()
+        return e.members_up_to(12), e.unbounded
+
+    assert tails(PartSpec.finite({1, 2})) == ((), False)
+    assert tails(PartSpec.from_min(2)) == ((1,), False)
+    assert tails(PartSpec.naturals()) == ((), False)
+    assert tails(PartSpec.finite({2, 5})) == ((1, 3, 4), False)
+    assert tails(PartSpec.finite({3})) == ((1, 2), False)
+    assert tails(PartSpec.finite(())) == ((), False)
+    # loops at a of 4, 7, 10, ... edges leave every other size as a tail
+    assert tails(PERIOD3_PARTS) == ((1, 2, 3, 5, 6, 8, 9, 11, 12), True)
+
+
+def reference_tails(spec, order):
+    """The k <= order outside K that lie below some member of K."""
+    members = spec.members_up_to(order)
+    top = order + 1 if spec.unbounded else max(members, default=0)
+    return [k for k in range(1, top) if k not in members]
+
+
+def reference_table(sizes, source, order, first):
+    """Rows of first + u sum_{k in sizes} z^k S(z, u), one sum over the sizes per entry.
+
+    With ``source`` None the rows are their own S: the composition table.
+    """
+    rows = [[first]]
+    for n in range(1, order + 1):
+        src = rows if source is None else source
+        row = [0] * (n + 1)
+        for m in range(1, n + 1):
+            row[m] = sum(src[n - k][m - 1] for k in sizes if k <= n and m - 1 <= n - k)
+        rows.append(row)
+    return rows
 
 
 def tailed_by_length(spec, order):
     """a[n][m] = sum_{k in E} c[n-k][m-1]: the out-of-K scales by size and part count."""
-    comp = composition_bgf(spec, order)
-    tails = tail_sizes(spec, order)
-    return [
-        [sum(comp.coefficient(n - k, m - 1) for k in tails if k <= n) if m else 0 for m in range(n + 1)]
-        for n in range(order + 1)
-    ]
+    comp = composition_bgf(spec, order).rows
+    return reference_table(reference_tails(spec, order), comp, order, 0)
 
 
 def test_a_and_b_series():
@@ -170,6 +204,34 @@ def test_a_and_b_series():
         assert b_series(spec, 24).coeffs == weighted
     # the loop sizes at • are {2, 3, ...}
     assert a_series(first_return(GOLDEN, BULL, 12).parts, 12) == a_series(bull, 12)
+
+
+def test_closed_forms_match_sums_over_parts():
+    # the width-w recurrences against the sums over every member of K they replace
+    order = 40
+    cases = [
+        (PartSpec.naturals(), FULL2, CIRC),
+        (PartSpec.from_min(2), GOLDEN, BULL),
+        (PartSpec.finite({2, 5}), TWO_FIVE, "a"),
+        (first_return(GOLDEN, BULL, 1).parts, None, None),
+        (PERIOD3_PARTS, PERIOD3, "a"),
+    ]
+    for spec, shift, symbol in cases:
+        members = spec.members_up_to(order)
+        comp = reference_table(members, None, order, 1)
+        assert composition_bgf(spec, order).rows == tuple(map(tuple, comp))
+        h = [sum(row) for row in comp]
+        p = [0] + [sum(j * h[m - j] for j in members if j <= m) for m in range(1, order + 1)]
+        wheels = [0] + [burnside(n, n, lambda k: p[n // k]) for n in range(1, order + 1)]
+        assert wheels_gf(spec, order).coeffs == tuple(wheels)
+        if shift is None:
+            continue
+        assert first_return(shift, symbol, 1).parts.members_up_to(order) == members
+        tails = reference_tails(spec, order)
+        tailed = BivariateSeries(reference_table(tails, comp, order, 0), order)
+        report = symbol_dims(shift, symbol, order, bivariate=True)
+        assert report.bivariate_transversal == wheels_bgf(spec, order) + tailed
+        assert report.bivariate_orbital == composition_bgf(spec, order) + tailed.length_weighted()
 
 
 def test_symbol_dims_golden_circ():

@@ -45,32 +45,6 @@ def test_mismatched_orders_rejected():
         S(1, order=3) * S(1, order=4)
 
 
-def test_quasi_inverse_fibonacci():
-    g = S(0, 1, 1, order=8)
-    assert g.quasi_inverse().coeffs == (1, 1, 2, 3, 5, 8, 13, 21, 34)
-
-
-def test_quasi_inverse_of_zero():
-    assert TruncatedSeries([], 5).quasi_inverse() == TruncatedSeries([1], 5)
-
-
-def test_quasi_inverse_geometric_tail():
-    # g = z^2/(1-z); 1/(1-g) = (1-z)/(1-z-z^2)
-    g = RationalFunction([0, 0, 1], [1, -1]).expand(6)
-    assert g.quasi_inverse().coeffs == (1, 0, 1, 1, 2, 3, 5)
-
-
-def test_quasi_inverse_rejects_constant_term():
-    with pytest.raises(ValueError):
-        S(1, 1, order=3).quasi_inverse()
-
-
-def test_quasi_inverse_defining_identity():
-    for coeffs in [(0, 1, 1), (0, 2, 0, 3), (0, 0, 1, 0, 1, 1)]:
-        g = TruncatedSeries(list(coeffs), 12)
-        assert g.quasi_inverse() * (1 + g * -1) == TruncatedSeries([1], 12)
-
-
 def test_expand_examples():
     assert RationalFunction([1, -1], [1, -2]).expand(5).coeffs == (1, 1, 2, 4, 8, 16)
     assert RationalFunction([1], [1, -1, -1]).expand(5).coeffs == (1, 1, 2, 3, 5, 8)

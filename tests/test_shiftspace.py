@@ -248,21 +248,17 @@ def test_first_return_golden():
     f_circ = first_return(GOLDEN, CIRC, 16)
     assert f_circ.series.coeffs[:4] == (0, 1, 1, 0)
     assert f_circ.series == TruncatedSeries([0, 1, 1] + [0] * 14, 16)
-    assert f_circ.parts.known == {1, 2}
+    assert f_circ.parts.members_up_to(16) == (1, 2)
     assert not f_circ.parts.unbounded
     assert f_circ.parts.max_part == 2
 
     f_bull = first_return(GOLDEN, BULL, 16)
     assert f_bull.series.coeffs == (0, 0) + (1,) * 15
-    assert f_bull.parts.known == frozenset(range(2, 17))
+    assert f_bull.parts.members_up_to(16) == tuple(range(2, 17))
     assert f_bull.parts.unbounded
     assert f_bull.parts.max_part is None
-
-    spec = f_bull.parts
-    assert spec.horizon == 16
-    assert spec.members_up_to(10) == tuple(range(2, 11))
-    with pytest.raises(ValueError):
-        spec.members_up_to(30)
+    # the support is exact past the truncation order
+    assert f_bull.parts.members_up_to(30) == tuple(range(2, 31))
 
 
 def test_first_return_matches_loop_enumeration():
@@ -283,14 +279,14 @@ def test_first_return_matches_loop_enumeration():
 def test_first_return_support_analysis():
     loop = VertexShift.from_rows(("a",), ((1,),))
     f = first_return(loop, "a", 8)
-    assert f.parts.known == {1} and f.parts.max_part == 1 and not f.parts.unbounded
+    assert f.parts.members_up_to(8) == (1,) and f.parts.max_part == 1 and not f.parts.unbounded
 
     swap = VertexShift.from_rows(("a", "b"), ((0, 1), (1, 0)))
     f = first_return(swap, "a", 8)
-    assert f.parts.known == {2} and f.parts.max_part == 2
+    assert f.parts.members_up_to(8) == (2,) and f.parts.max_part == 2
 
     f = first_return(SFT2.shift, SFT2.shift.alphabet.symbols[0], 12)
-    assert f.parts.known == {3, 5, 7, 9, 11}
+    assert f.parts.members_up_to(12) == (3, 5, 7, 9, 11)
     assert f.parts.unbounded and f.parts.max_part is None
 
 
