@@ -25,7 +25,6 @@ from .series import DEFAULT_ORDER
 from .shiftspace import (
     BlockCountError,
     DegenerateShiftError,
-    LoopSupportError,
     ReducibleShiftError,
     VertexShift,
     first_return,
@@ -434,7 +433,7 @@ def main(argv=None) -> int:
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (ReducibleShiftError, BlockCountError, LoopSupportError) as err:
+    except (ReducibleShiftError, BlockCountError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except EnumerationCapError as err:

@@ -5,11 +5,9 @@ empty composition (size 0, length 0). The cyclic shift alpha rotates parts
 left; its orbits are the modes of a scale, and a wheel is an orbit class,
 keyed by its canonical (lexicographically least) rotation.
 
-``PartSpec`` describes a set K of allowed part sizes exactly, as an
-eventually periodic set: a finite prefix, then a residue pattern repeating
-with some period. Finite sets, cofinite sets ("every k >= k0") and the
-loop supports of first-return series all have this shape, so every set K
-has a rational indicator series N/Q with Q = 1 - z^P or Q = 1.
+``PartSpec`` holds a set K of allowed part sizes as an eventually periodic
+set: finite and cofinite sets and first-return loop supports all have this
+shape, so K has a rational indicator series N/Q with Q = 1 - z^P or Q = 1.
 """
 
 from __future__ import annotations
@@ -94,9 +92,12 @@ class PartSpec:
     residues: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        for k in (*self.prefix, self.start):
-            if k < 1:
-                raise ValueError(f"part sizes must be >= 1, got {k}")
+        if min(self.prefix | {self.start}) < 1:
+            raise ValueError(f"part sizes must be >= 1, got {min(self.prefix | {self.start})}")
+        if self.period < 1 or not all(0 <= r < self.period for r in self.residues):
+            raise ValueError(f"need period >= 1 and residues in 0..period - 1, got period {self.period}")
+        if any(k >= self.start for k in self.prefix):
+            raise ValueError(f"prefix members must lie below start {self.start}")
 
     # -- constructors -------------------------------------------------------
 
@@ -144,22 +145,23 @@ class PartSpec:
         tail = range(self.start, limit + 1)
         return (*head, *(k for k in tail if (k - self.start) % self.period in self.residues))
 
-    def indicator_gf(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def indicator_gf(self, order: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(N, Q) with sum_{k in K} z^k = N/Q: Q = 1 - z^P when K is unbounded, else 1.
 
-        Each residue r adds z^(start + r)/(1 - z^P), so N is the prefix
-        times Q plus those monomials, of degree below start + P.
+        N is that sum times Q, cut below start + P.  Given ``order``, N/Q
+        agrees up to z^order, and N is the sum cut at order over Q = 1 when K
+        is finite or start + P passes order + 1: neither outgrows the order.
         """
-        if not self.unbounded:
-            return tuple(int(k in self.prefix) for k in range(self.start)), (1,)
-        q = (1,) + (0,) * (self.period - 1) + (-1,)
-        n = [0] * (self.start + self.period)
-        for k in self.prefix:
-            n[k] += 1
-            n[k + self.period] -= 1
-        for r in self.residues:
-            n[self.start + r] += 1
-        return tuple(n), q
+        periodic = self.unbounded and (order is None or self.start + self.period <= order + 1)
+        p = self.period if periodic else 0
+        last = order if self.unbounded else self.max_part or 0
+        top = self.start + p if periodic else 1 + (last if order is None else min(last, order))
+        num = [0] * top
+        for k in self.members_up_to(top - 1):
+            num[k] += 1
+            if periodic and k + p < top:
+                num[k + p] -= 1
+        return tuple(num), (1,) + (0,) * (p - 1) + (-1,) if periodic else (1,)
 
     def tail_sizes(self) -> "PartSpec":
         """E: the sizes outside K below some member of K, the final gaps of scales."""

@@ -53,15 +53,15 @@ def _gaps(word, marked) -> Composition:
     return tuple(map(sub, stops[1:], stops))
 
 
-def _composition_form(spec: PartSpec) -> tuple[tuple[int, ...], list[int]]:
+def _composition_form(spec: PartSpec, order: int) -> tuple[tuple[int, ...], list[int]]:
     """(Q, Q - N): with s = N/Q the indicator of K, 1/(1 - s) = Q/(Q - N)."""
-    num, den = spec.indicator_gf()
+    num, den = spec.indicator_gf(order)
     return den, [q - n for q, n in zip_longest(den, num, fillvalue=0)]
 
 
 def composition_gf(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """1/(1 - sum_{k in K} z^k): compositions with all parts in K."""
-    return RationalFunction(*_composition_form(spec)).expand(order)
+    return RationalFunction(*_composition_form(spec, order)).expand(order)
 
 
 def composition_bgf(spec: PartSpec, order: int = DEFAULT_ORDER) -> BivariateSeries:
@@ -77,7 +77,7 @@ def _shifted(first: int, source, spec: PartSpec, order: int) -> BivariateSeries:
     a recurrence as wide as N, whatever the size of K.  With ``source``
     None, S is T itself, so T = 1/(1 - u s).
     """
-    num, den = spec.indicator_gf()
+    num, den = spec.indicator_gf(order)
     period = len(den) - 1
     terms = [(j, c) for j, c in enumerate(num) if c]
     rows = [[first]]
@@ -98,14 +98,13 @@ def _shifted(first: int, source, spec: PartSpec, order: int) -> BivariateSeries:
 def wheels_gf(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Rotation classes of compositions with parts in K, by total.
 
-    sum_k phi(k)/k log 1/(1 - s(z^k)), computed without fractions: with
-    s = N/Q the indicator of K, log 1/(1 - s) = log Q - log(Q - N) has m-th
-    coefficient P_m / m, where P_m is the z^m coefficient of
-    L(Q - N) - L(Q), L(f) = -z f'/f; so the z^n coefficient is the
-    Burnside count (1/n) sum_{k|n} phi(k) P_{n/k}.
+    sum_k phi(k)/k log 1/(1 - s(z^k)) without fractions: with s = N/Q the
+    indicator of K, log 1/(1 - s) = log Q - log(Q - N) has m-th coefficient
+    P_m / m, P_m the z^m coefficient of L(Q - N) - L(Q), L(f) = -z f'/f; so
+    the z^n coefficient is the Burnside count (1/n) sum_{k|n} phi(k) P_{n/k}.
     """
-    den, den_minus_num = _composition_form(spec)
-    p = (log_derivative(den_minus_num, order) + log_derivative(den, order) * -1).coeffs
+    den, den_minus_num = _composition_form(spec, order)
+    p = list(map(sub, log_derivative(den_minus_num, order).coeffs, log_derivative(den, order).coeffs))
     coeffs = [0] + [burnside(n, n, lambda k: p[n // k]) for n in range(1, order + 1)]
     return TruncatedSeries(coeffs, order)
 
@@ -133,8 +132,12 @@ def _wheel_table(comp: BivariateSeries) -> BivariateSeries:
 
 def a_series(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Scales whose final gap falls outside K: (sum_{k in E} z^k) C^K(z)."""
-    tails = RationalFunction(*spec.tail_sizes().indicator_gf()).expand(order)
-    return composition_gf(spec, order) * tails
+    return _tailed(composition_gf(spec, order), spec.tail_sizes(), order)
+
+
+def _tailed(comp: TruncatedSeries, tails: PartSpec, order: int) -> TruncatedSeries:
+    """The tail indicator sum_{k in E} z^k times ``comp``."""
+    return comp * RationalFunction(*tails.indicator_gf(order)).expand(order)
 
 
 def b_series(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -163,8 +166,9 @@ def symbol_dims(
             "scale closed forms need an irreducible transition matrix"
         )
     spec = first_return(shift, symbol, order).parts
+    tails = spec.tail_sizes()
     comp = composition_gf(spec, order)
-    a = comp * RationalFunction(*spec.tail_sizes().indicator_gf()).expand(order)
+    a = _tailed(comp, tails, order)
     b = a * comp
     transversal = (wheels_gf(spec, order) + a).coeffs[1:]
     orbital = (comp + b).coeffs[1:]
@@ -172,7 +176,7 @@ def symbol_dims(
     table_t = table_o = None
     if bivariate:
         comp2 = composition_bgf(spec, order)
-        a2 = _shifted(0, comp2, spec.tail_sizes(), order)
+        a2 = _shifted(0, comp2, tails, order)
         table_t = _wheel_table(comp2) + a2
         table_o = comp2 + a2.length_weighted()
     return DimReport(

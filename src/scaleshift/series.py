@@ -211,11 +211,14 @@ class RationalFunction:
         """Series expansion at 0: the unique s with numerator = denominator * s."""
         num, den = self.numerator, self.denominator
         d0 = den[0]  # its own inverse
+        terms = [(k, c) for k, c in enumerate(den) if k and c]
         s = [0] * (order + 1)
         for n in range(order + 1):
             acc = num[n] if n < len(num) else 0
-            for k in range(1, min(n, len(den) - 1) + 1):
-                acc -= den[k] * s[n - k]
+            for k, c in terms:
+                if k > n:
+                    break
+                acc -= c * s[n - k]
             s[n] = acc * d0
         return TruncatedSeries(s, order)
 

@@ -11,9 +11,9 @@ first return loop systems, and the language dimension formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import islice, product
-from operator import mul
+from operator import mul, or_
 
 from .combinatorics import PartSpec, transversal_of
 from .numtheory import ArithSequence, burnside
@@ -35,12 +35,7 @@ class BlockCountError(ValueError):
     """The higher block presentation would need too many blocks (a cost guard)."""
 
 
-class LoopSupportError(ValueError):
-    """Loop sizes with no period found in ``SUPPORT_WALK_LIMIT`` walk steps (a cost guard)."""
-
-
-#: Cycles of coprime lengths outside a symbol make its loop sizes' period their product.
-SUPPORT_WALK_LIMIT = 4096
+SUPPORT_WALK_LIMIT = 4096  # see first_return
 
 
 @dataclass(frozen=True)
@@ -164,8 +159,7 @@ class HigherBlock:
 class LoopSystem:
     """First return loops at ``symbol``: series plus the part set K of its sizes.
 
-    ``series`` is truncated at its order; ``parts`` is the exact, eventually
-    periodic set of sizes with a nonzero coefficient, valid at every size.
+    ``series`` is truncated at its order; ``parts`` holds the sizes with a nonzero coefficient.
     """
 
     symbol: str
@@ -255,23 +249,19 @@ def is_irreducible(shift: VertexShift) -> bool:
     k = shift.size
     if k == 1:
         return shift.matrix[0][0] == 1
-    return _spans(shift.matrix, 0) and _spans(_transpose(shift.matrix), 0)
+    forward = [[j for j, e in enumerate(row) if e] for row in shift.matrix]
+    return len(_reach(forward, [0])) == k and len(_reach(shift.columns, [0])) == k
 
 
-def _transpose(matrix):
-    return tuple(tuple(row[i] for row in matrix) for i in range(len(matrix)))
-
-
-def _spans(matrix, start) -> bool:
-    seen = {start}
-    frontier = [start]
+def _reach(lists, starts) -> set[int]:
+    """The ``starts`` and every index reachable from them, ``lists[i]`` leading on from i."""
+    seen = set(starts)
+    frontier = list(seen)
     while frontier:
-        i = frontier.pop()
-        for j, e in enumerate(matrix[i]):
-            if e and j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == len(matrix)
+        step = set(lists[frontier.pop()]) - seen
+        seen |= step
+        frontier += step
+    return seen
 
 
 def _columns(matrix) -> tuple[tuple[int, ...], ...]:
@@ -348,30 +338,33 @@ def _necklaces(p: ArithSequence) -> ArithSequence:
 def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> LoopSystem:
     """The loop system at ``symbol``: the first-return walk with D = {symbol}.
 
-    The loop sizes K come off the same walk, exactly: n >= 2 is in K when
-    the support X_(n-2) of the walk vector A[s, R]·B^(n-2) meets the
-    predecessors of s.  X_(j+1) is the successors of X_j in R, so the first
-    X_j1 equal to an earlier X_j0 makes K periodic from j0 + 2, period j1 - j0.
+    The series is ``first_return_matrix``'s.  K is read off the supports X_j
+    of its walk vector A[s, R]·B^j, as bit sets over the r symbols of R that
+    reach a predecessor of s: n >= 2 is in K when X_(n-2) meets those, and
+    the first X_j1 equal to an earlier X_j0 makes K periodic from j0 + 2,
+    period j1 - j0.  The preperiod is below r^2 (the index bound of 0/1
+    matrices), so with no repeat within max(order, r^2, SUPPORT_WALK_LIMIT)
+    steps the period is long: K is exact up to there, then holds every size.
     """
     si = shift.alphabet.index(symbol)
     a = shift.matrix
-    rest = [v for v in range(shift.size) if v != si]
-    cols = _columns([[a[u][v] for v in rest] for u in rest])
-    seen: dict[frozenset[int], int] = {}
-    for j, vector in enumerate(_walks(cols, [a[si][v] for v in rest])):
-        support = frozenset(k for k, c in enumerate(vector) if c)
-        if support in seen:
-            break
-        if j == SUPPORT_WALK_LIMIT:
-            raise LoopSupportError(f"loop sizes at {symbol!r}: no period found in {j} walk steps")
-        seen[support] = j
-    closing = {k for k, v in enumerate(rest) if a[v][si]}
-    sizes = [i + 2 for i, x in enumerate(seen) if not closing.isdisjoint(x)] + [1] * a[si][si]
-    start = seen[support] + 2
+    # a path to s's predecessors through s itself passes one of them first
+    keep = _reach(shift.columns, shift.columns[si]) - {si}
+    succ = {u: sum(1 << v for v in keep if a[u][v]) for u in keep}
+    closing = sum(1 << v for v in keep if a[v][si])
+    x = sum(1 << v for v in keep if a[si][v])
+    seen: dict[int, int] = {}
+    while x not in seen and len(seen) <= max(order, len(keep) ** 2, SUPPORT_WALK_LIMIT):
+        seen[x] = len(seen)
+        x = reduce(or_, (m for u, m in succ.items() if x >> u & 1), 0)
+    sizes = [j + 2 for j, y in enumerate(seen) if y & closing] + [1] * a[si][si]
+    j0 = seen.get(x, len(seen))  # no repeat: every size past the walk
+    start, period = j0 + 2, len(seen) - j0 or 1
+    sizes += [start] * (x not in seen)
     prefix = frozenset(n for n in sizes if n < start)
     residues = frozenset(n - start for n in sizes if n >= start)
     series = first_return_matrix(shift, (symbol,), order)[symbol, symbol]
-    return LoopSystem(symbol, series, PartSpec(prefix, start, j + 2 - start, residues))
+    return LoopSystem(symbol, series, PartSpec(prefix, start, period, residues))
 
 
 def first_return_matrix(shift: VertexShift, distinguished, order: int = DEFAULT_ORDER):

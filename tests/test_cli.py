@@ -43,6 +43,15 @@ def test_wheels_json(capsys):
     assert code == 2
 
 
+def test_wheels_parts_past_n(capsys):
+    # parts larger than n never enter the tables, however large they are
+    for parts, total in (("1,1000000", "1"), ("1000000+", "0"), ("2,3,400", "1")):
+        code, out, _ = run(["wheels", "--n", "5", "--parts", parts], capsys)
+        assert (code, out.strip()) == (0, total)
+        code, out, _ = run(["wheels", "--n", "5", "--by-length", "--parts", parts], capsys)
+        assert code == 0 and sum(map(int, out.split(","))) == int(total)
+
+
 def test_vertex_zeta(capsys):
     code, out, _ = run(["vertex", "zeta", "--matrix", GOLDEN_MAT, "--order", "8"], capsys)
     assert code == 0
@@ -122,9 +131,10 @@ def test_vertex_language_default_cap(tmp_path, capsys):
     assert "enumerating 268435456 words of length 14" in err
 
 
-def test_vertex_loops_support_guard(tmp_path, capsys):
+def test_vertex_loops_long_period(tmp_path, capsys):
     # cycles of 2, 3, 5, 7, 11 and 13 symbols hang off s, so the loop sizes
-    # 2 + 2t, 2 + 3t, ... repeat with period 30030, past the walk limit
+    # 2 + 2t, 2 + 3t, ... repeat with period 30030, past the walk limit;
+    # the loops are still reported, exactly up to the order
     lengths = (2, 3, 5, 7, 11, 13)
     size = 1 + sum(lengths)
     rows = [[0] * size for _ in range(size)]
@@ -138,10 +148,12 @@ def test_vertex_loops_support_guard(tmp_path, capsys):
     symbols = " ".join(f"v{i}" for i in range(size))
     lines = [symbols] + [" ".join(map(str, row)) for row in rows]
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    code, out, err = run(["vertex", "loops", "--matrix", str(target), "--symbol", "v0"], capsys)
-    assert code == 3
-    assert out == ""
-    assert "no period found in 4096 walk steps" in err
+    code, out, err = run(["vertex", "loops", "--matrix", str(target), "--symbol", "v0", "--order", "40"], capsys)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["support"] == sorted({2 + t * n for n in lengths for t in range(20) if 2 + t * n <= 40})
+    assert data["support"] == [k for k, c in enumerate(data["series"]["coeffs"]) if c != "0"]
+    assert (data["support_unbounded"], data["support_max"]) == (True, None)
 
 
 def test_vertex_reducible_exit(tmp_path, capsys):

@@ -174,6 +174,12 @@ def test_part_spec_membership():
     assert cb.PartSpec.finite(()).members_up_to(5) == ()
     with pytest.raises(ValueError, match="part sizes must be >= 1"):
         cb.PartSpec.from_min(0)
+    # the four fields must agree: a period, residues inside it, a prefix below start
+    with pytest.raises(ValueError, match="prefix members must lie below start 1"):
+        cb.PartSpec(frozenset({5}))
+    for period, residues in ((0, {0}), (0, ()), (3, {3}), (2, {-1})):
+        with pytest.raises(ValueError, match="need period >= 1"):
+            cb.PartSpec(start=2, period=period, residues=frozenset(residues))
 
 
 def test_part_spec_indicator_gf():
@@ -190,3 +196,11 @@ def test_part_spec_indicator_gf():
         assert den == ((1,) + (0,) * (spec.period - 1) + (-1,) if spec.unbounded else (1,))
         expanded = series.RationalFunction(num, den).expand(30).coeffs
         assert expanded == tuple(int(k in spec.members_up_to(30)) for k in range(31))
+        # cut at an order, neither polynomial outgrows it
+        for order in (0, 2, 5, 30):
+            num, den = spec.indicator_gf(order)
+            assert len(num) <= order + 1 and len(den) <= order + 1
+            expanded = series.RationalFunction(num, den).expand(order).coeffs
+            assert expanded == tuple(int(k in spec.members_up_to(order)) for k in range(order + 1))
+    huge = cb.PartSpec.finite({1, 10**6}), cb.PartSpec.from_min(10**6)
+    assert [spec.indicator_gf(4) for spec in huge] == [((0, 1, 0, 0, 0), (1,)), ((0,) * 5, (1,))]

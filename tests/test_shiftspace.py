@@ -7,6 +7,7 @@ import pytest
 from scaleshift.numtheory import divisors, mobius_invert
 from scaleshift.series import RationalFunction, TruncatedSeries
 from scaleshift.shiftspace import (
+    SUPPORT_WALK_LIMIT,
     Alphabet,
     DegenerateShiftError,
     HigherBlock,
@@ -288,6 +289,50 @@ def test_first_return_support_analysis():
     f = first_return(SFT2.shift, SFT2.shift.alphabet.symbols[0], 12)
     assert f.parts.members_up_to(12) == (3, 5, 7, 9, 11)
     assert f.parts.unbounded and f.parts.max_part is None
+
+
+def test_first_return_long_walks():
+    # Wielandt's graph on v1..vm, an m-cycle plus the chord vm -> v2 that
+    # closes an (m - 1)-cycle, with s = v0 -> v1 -> v0: the loop sizes are 2
+    # and 2 + am + b(m - 1) for a >= 1, b >= 0, and the walk supports take
+    # about m^2 steps to repeat, past SUPPORT_WALK_LIMIT for m = 66, where
+    # the walk still runs to r^2 and K is exact.  Order 1 makes every size
+    # past 1 come from the support walk alone.
+    for m in (5, 66):
+        rows = [[0] * (m + 1) for _ in range(m + 1)]
+        rows[0][1] = rows[1][0] = rows[m][2] = 1
+        for i in range(1, m + 1):
+            rows[i][i % m + 1] = 1
+        shift = VertexShift.from_rows([f"v{i}" for i in range(m + 1)], rows)
+        loops = {2} | {2 + a * m + b * (m - 1) for a in range(1, 6000 // m + 1) for b in range(6000 // m + 1)}
+        parts = first_return(shift, "v0", 1).parts
+        assert parts.members_up_to(6000) == tuple(sorted(k for k in loops if k <= 6000))
+    assert (m - 1) ** 2 > SUPPORT_WALK_LIMIT
+    # a cycle of n symbols entered from s and left back to s at one symbol
+    # adds the loop sizes 2 + tn, so the period is the product of the cycle
+    # lengths.  Period 210 is found and K is exact; period 30030 is past the
+    # walk limit, so K is exact up to it and then holds every size.  With no
+    # way back to s the cycles add no size and are cut from the walk: K = {2}.
+    for lengths, back in (((2, 3, 5, 7), 1), ((2, 3, 5, 7, 11, 13), 1), ((2, 3, 5, 7, 11, 13), 0)):
+        size = 2 + sum(lengths)
+        rows = [[0] * size for _ in range(size)]
+        rows[0][1] = rows[1][0] = 1
+        first = 2
+        for length in lengths:
+            rows[0][first], rows[first][0] = 1, back
+            for t in range(length):
+                rows[first + t][first + (t + 1) % length] = 1
+            first += length
+        shift = VertexShift.from_rows([f"v{i}" for i in range(size)], rows)
+        parts = first_return(shift, "v0", 1).parts
+        if not back:
+            assert (parts.members_up_to(6000), parts.unbounded, parts.max_part) == ((2,), False, 2)
+            continue
+        loops = {2 + t * n for n in lengths for t in range(3000)}
+        top = 6000 if len(lengths) == 4 else SUPPORT_WALK_LIMIT + 2
+        assert parts.period == (210 if len(lengths) == 4 else 1)
+        assert parts.members_up_to(6000) == (*sorted(k for k in loops if k <= top), *range(top + 1, 6001))
+        assert (parts.unbounded, parts.max_part) == (True, None)
 
 
 def test_first_return_matrix_two_symbol_hole():
