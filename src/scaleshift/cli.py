@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from . import verify  # executes on first use, see scaleshift/__init__.py
 from .combinatorics import PartSpec, transversal_of
 from .scales import (
     DEFAULT_CAP,
@@ -39,7 +40,6 @@ from .shiftspace import (
     zeta_rational,
 )
 from .substitutions import PRESETS, morphism_from_json, substitution_scales
-from .verify import MAX_GRID_N, run_reference_suite
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -56,10 +56,14 @@ class CommandError(Exception):
 
 
 def _emit(data: dict, fmt: str, text_lines) -> None:
+    """Print ``data`` as JSON, or the lines the callable ``text_lines`` returns.
+
+    The text lines are built only when text is printed.
+    """
     if fmt == "json":
         print(json.dumps(data, ensure_ascii=False, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -87,13 +91,10 @@ def cmd_wheels(args) -> int:
         raise CommandError(EXIT_USAGE, f"bad --parts: {err}") from err
     total = wheels_gf(spec, args.n).coefficient(args.n)
     data = {"n": args.n, "parts": args.parts, "total": total}
-    lines = [str(total)]
+    values = [total]
     if args.by_length:
-        table = wheels_bgf(spec, args.n)
-        row = list(table.rows[args.n][1:])
-        data["by_length"] = row
-        lines = [",".join(str(v) for v in row)]
-    _emit(data, args.format or "text", lines)
+        values = data["by_length"] = list(wheels_bgf(spec, args.n).rows[args.n][1:])
+    _emit(data, args.format or "text", lambda: [",".join(str(v) for v in values)])
     return EXIT_OK
 
 
@@ -125,7 +126,7 @@ def cmd_vertex_zeta(args) -> int:
         "denominator": list(form.denominator),
         "coefficients": coeffs,
     }
-    _emit(data, args.format or "json", [",".join(str(c) for c in coeffs)])
+    _emit(data, args.format or "json", lambda: [",".join(str(c) for c in coeffs)])
     return EXIT_OK
 
 
@@ -133,7 +134,7 @@ def cmd_vertex_loops(args) -> int:
     shift = _load_shift(args.matrix)
     loops = first_return(shift, _require_symbol(args, shift), args.order)
     coeffs = loops.series.coeffs
-    _emit(loops.to_json(), args.format or "json", [",".join(str(c) for c in coeffs)])
+    _emit(loops.to_json(), args.format or "json", lambda: [",".join(str(c) for c in coeffs)])
     return EXIT_OK
 
 
@@ -142,14 +143,14 @@ def cmd_vertex_dims(args) -> int:
     symbol = _require_symbol(args, shift)
     report = symbol_dims(shift, symbol, args.order, bivariate=args.bivariate)
     data = {"symbol": symbol, **report.to_json()}
-    _emit(data, args.format or "json", _dims_lines(report, args.order))
+    _emit(data, args.format or "json", lambda: _dims_lines(report, args.order))
     return EXIT_OK
 
 
 def cmd_vertex_global(args) -> int:
     shift = _load_shift(args.matrix)
     report = global_dims(shift, args.order, cap=args.cap)
-    _emit(report.to_json(), args.format or "json", _dims_lines(report, args.order))
+    _emit(report.to_json(), args.format or "json", lambda: _dims_lines(report, args.order))
     return EXIT_OK
 
 
@@ -166,7 +167,7 @@ def cmd_vertex_language(args) -> int:
         "words": word_texts(shift, words),
         "witnesses": word_texts(shift, sorted(transversal_of(words))),
     }
-    _emit(data, args.format or "json", [data["words"] and ",".join(data["words"]) or ""])
+    _emit(data, args.format or "json", lambda: [",".join(data["words"])])
     return EXIT_OK
 
 
@@ -221,13 +222,17 @@ def cmd_sft(args) -> int:
         "first_return": table,
         "scales": scales,
     }
+    _emit(data, args.format or "json", lambda: _sft_lines(blocks, distinguished, table, scales))
+    return EXIT_OK
+
+
+def _sft_lines(blocks, distinguished, table: dict, scales: dict) -> list[str]:
     lines = [f"blocks: {' '.join(blocks)}", f"distinguished: {' '.join(distinguished)}"]
     lines += [f"{pair}: {','.join(str(c) for c in coeffs)}" for pair, coeffs in sorted(table.items())]
     for start in distinguished:
         sizes = {entry["n"]: len(entry["scales"]) for entry in scales[start]["sets"]}
         lines.append(f"scales from {start}: " + ",".join(str(sizes[n]) for n in sorted(sizes)))
-    _emit(data, args.format or "json", lines)
-    return EXIT_OK
+    return lines
 
 
 # -- subst ----------------------------------------------------------------
@@ -244,21 +249,24 @@ def cmd_subst(args) -> int:
     study = substitution_scales(morphism, args.n, cap=args.cap)
     data = study.to_json()
     data["transversal"] = [list(comp) for comp in sorted(transversal_of(study.combined))]
+    _emit(data, args.format or "json", lambda: _subst_lines(study))
+    return EXIT_OK
+
+
+def _subst_lines(study) -> list[str]:
     lines = [
         f"scales: {len(study.combined)}",
         f"transversal_dim: {study.transversal_dim}",
         f"orbital_dim: {study.orbital_dim}",
     ]
-    lines += [",".join(str(k) for k in comp) for comp in sorted(study.combined)]
-    _emit(data, args.format or "json", lines)
-    return EXIT_OK
+    return lines + [",".join(str(k) for k in comp) for comp in sorted(study.combined)]
 
 
 # -- verify ---------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    results = run_reference_suite(args.max_n)
+    results = verify.run_reference_suite(args.max_n or verify.MAX_GRID_N)
     fmt = args.format or "text"
     failed = False
     for result in results:
@@ -319,7 +327,7 @@ def cmd_oeis(args) -> int:
     if len(coeffs) > len(values):
         data["match"] = False
         data["reason"] = "prefix longer than the snapshot"
-        _emit(data, args.format or "text", [f"mismatch: {data['reason']}"])
+        _emit(data, args.format or "text", lambda: [f"mismatch: {data['reason']}"])
         return EXIT_DATA
     for i, (given, known) in enumerate(zip(coeffs, values)):
         if given != known:
@@ -328,11 +336,11 @@ def cmd_oeis(args) -> int:
             _emit(
                 data,
                 args.format or "text",
-                [f"mismatch at position {i}: given {given}, expected {known}"],
+                lambda: [f"mismatch at position {i}: given {given}, expected {known}"],
             )
             return EXIT_DATA
     data["match"] = True
-    _emit(data, args.format or "text", ["match"])
+    _emit(data, args.format or "text", lambda: ["match"])
     return EXIT_OK
 
 
@@ -348,8 +356,8 @@ def _positive_int(text: str) -> int:
 
 def _grid_order(text: str) -> int:
     value = _positive_int(text)
-    if value > MAX_GRID_N:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_GRID_N}")
+    if value > verify.MAX_GRID_N:
+        raise argparse.ArgumentTypeError(f"must be at most {verify.MAX_GRID_N}")
     return value
 
 
@@ -404,10 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
     subst_scales.add_argument("--n", type=_positive_int, required=True)
     subst_scales.set_defaults(handler=cmd_subst)
 
-    verify = commands.add_parser("verify", help="run a regression suite")
-    verify.add_argument("--suite", choices=("paper",), required=True)
-    verify.add_argument("--max-n", type=_grid_order, default=MAX_GRID_N, dest="max_n")
-    verify.set_defaults(handler=cmd_verify)
+    suite = commands.add_parser("verify", help="run a regression suite")
+    suite.add_argument("--suite", choices=("paper",), required=True)
+    # no default here: reading verify.MAX_GRID_N would execute verify
+    suite.add_argument("--max-n", type=_grid_order, default=None, dest="max_n")
+    suite.set_defaults(handler=cmd_verify)
 
     oeis = commands.add_parser("oeis", help="sequence snapshot checks")
     oeis_commands = oeis.add_subparsers(dest="oeis_command", required=True)

@@ -12,7 +12,6 @@ shape, so K has a rational indicator series N/Q with Q = 1 - z^P or Q = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Iterable
 
 Composition = tuple[int, ...]
@@ -78,26 +77,67 @@ def mutually_independent(A: Collection[Composition], B: Collection[Composition])
     return not {least_rotation(w) for w in A} & {least_rotation(w) for w in B}
 
 
-@dataclass(frozen=True)
 class PartSpec:
     """An eventually periodic set K of part sizes, held exactly.
 
     Below ``start`` the members are ``prefix``; from ``start`` on, k is a
     member exactly when (k - start) mod ``period`` lies in ``residues``.
+    The fields are stored in canonical form, the least period and then the
+    least start, so two specs of one set compare and hash equal.
     """
 
-    prefix: frozenset[int] = frozenset()
-    start: int = 1
-    period: int = 1
-    residues: frozenset[int] = frozenset()
+    __slots__ = ("prefix", "start", "period", "residues")
 
-    def __post_init__(self):
-        if min(self.prefix | {self.start}) < 1:
-            raise ValueError(f"part sizes must be >= 1, got {min(self.prefix | {self.start})}")
-        if self.period < 1 or not all(0 <= r < self.period for r in self.residues):
-            raise ValueError(f"need period >= 1 and residues in 0..period - 1, got period {self.period}")
-        if any(k >= self.start for k in self.prefix):
-            raise ValueError(f"prefix members must lie below start {self.start}")
+    def __init__(
+        self,
+        prefix: frozenset[int] = frozenset(),
+        start: int = 1,
+        period: int = 1,
+        residues: frozenset[int] = frozenset(),
+    ):
+        if min(prefix | {start}) < 1:
+            raise ValueError(f"part sizes must be >= 1, got {min(prefix | {start})}")
+        if period < 1 or not all(0 <= r < period for r in residues):
+            raise ValueError(f"need period >= 1 and residues in 0..period - 1, got period {period}")
+        if any(k >= start for k in prefix):
+            raise ValueError(f"prefix members must lie below start {start}")
+        # the least period divides every period: keep the least d | period
+        # that maps the residues onto themselves
+        period = next(
+            d for d in range(1, period + 1)
+            if period % d == 0 and all((r + d) % period in residues for r in residues)
+        )
+        residues = {r % period for r in residues}
+        # move start down while start - 1 lies in K exactly when the period says so
+        if not residues:
+            start = max(prefix, default=0) + 1
+        shift = 0
+        while start > 1 and ((start - 1) in prefix) == ((-shift - 1) % period in residues):
+            start, shift = start - 1, shift + 1
+        object.__setattr__(self, "prefix", frozenset(k for k in prefix if k < start))
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "residues", frozenset((r + shift) % period for r in residues))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PartSpec is immutable")
+
+    def _key(self) -> tuple:
+        return self.prefix, self.start, self.period, self.residues
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PartSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"PartSpec(prefix={self.prefix!r}, start={self.start}, "
+            f"period={self.period}, residues={self.residues!r})"
+        )
 
     # -- constructors -------------------------------------------------------
 

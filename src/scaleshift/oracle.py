@@ -11,7 +11,6 @@ compositions and wheels by part set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping
 
 from .combinatorics import Composition, PartSpec
@@ -180,17 +179,30 @@ def _jsonable(value):
     return value
 
 
-@dataclass(frozen=True)
 class OracleReport:
-    quantity: str
-    parameters: Mapping
-    expected: int
-    actual: int
-    match: bool
+    """One checked row; compared by value, and unhashable, as ``parameters`` is a dict."""
 
-    def __post_init__(self):
-        if self.match != (self.expected == self.actual):
+    __slots__ = ("quantity", "parameters", "expected", "actual", "match")
+
+    def __init__(self, quantity: str, parameters: Mapping, expected: int, actual: int, match: bool):
+        if match != (expected == actual):
             raise ValueError("match flag inconsistent with expected/actual")
+        object.__setattr__(self, "quantity", quantity)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "match", match)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("OracleReport is immutable")
+
+    def _key(self) -> tuple:
+        return self.quantity, self.parameters, self.expected, self.actual, self.match
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OracleReport):
+            return NotImplemented
+        return self._key() == other._key()
 
     @classmethod
     def of(cls, quantity: str, parameters: Mapping, expected: int, actual: int) -> "OracleReport":

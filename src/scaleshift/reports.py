@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .series import BivariateSeries
 
 CLOSED_FORM = "closed_form"
 ENUMERATION = "enumeration"
 
 
-@dataclass(frozen=True)
 class DimReport:
     """Transversal and orbital dimensions for sizes n = 1..order.
 
@@ -22,27 +19,42 @@ class DimReport:
     cardinality of the underlying scale set per n (enumeration mode).
     """
 
-    transversal: tuple[int, ...]
-    orbital: tuple[int, ...]
-    method: str
-    includes_empty: bool = False
-    class_sizes: tuple[int, ...] | None = None
-    bivariate_transversal: BivariateSeries | None = None
-    bivariate_orbital: BivariateSeries | None = None
+    __slots__ = (
+        "transversal", "orbital", "method", "includes_empty", "class_sizes",
+        "bivariate_transversal", "bivariate_orbital",
+    )
 
-    def __post_init__(self):
-        if self.method not in (CLOSED_FORM, ENUMERATION):
-            raise ValueError(f"unknown method {self.method!r}")
-        if len(self.transversal) != len(self.orbital):
+    def __init__(
+        self,
+        transversal: tuple[int, ...],
+        orbital: tuple[int, ...],
+        method: str,
+        includes_empty: bool = False,
+        class_sizes: tuple[int, ...] | None = None,
+        bivariate_transversal: BivariateSeries | None = None,
+        bivariate_orbital: BivariateSeries | None = None,
+    ):
+        if method not in (CLOSED_FORM, ENUMERATION):
+            raise ValueError(f"unknown method {method!r}")
+        if len(transversal) != len(orbital):
             raise ValueError("transversal and orbital lengths differ")
-        if self.class_sizes is not None and len(self.class_sizes) != self.order:
+        if class_sizes is not None and len(class_sizes) != len(transversal):
             raise ValueError("class_sizes length differs")
-        for n in range(1, self.order + 1):
-            if self.transversal[n - 1] > self.orbital[n - 1]:
+        for n, (t, o) in enumerate(zip(transversal, orbital), start=1):
+            if t > o:
                 raise ValueError(f"transversal exceeds orbital at n={n}")
-        self._check_row_sums(self.bivariate_transversal, self.transversal, 0)
-        constant = 1 if self.includes_empty else 0
-        self._check_row_sums(self.bivariate_orbital, self.orbital, constant)
+        self._check_row_sums(bivariate_transversal, transversal, 0)
+        self._check_row_sums(bivariate_orbital, orbital, 1 if includes_empty else 0)
+        object.__setattr__(self, "transversal", transversal)
+        object.__setattr__(self, "orbital", orbital)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "includes_empty", includes_empty)
+        object.__setattr__(self, "class_sizes", class_sizes)
+        object.__setattr__(self, "bivariate_transversal", bivariate_transversal)
+        object.__setattr__(self, "bivariate_orbital", bivariate_orbital)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DimReport is immutable")
 
     @staticmethod
     def _check_row_sums(table, univariate, constant):

@@ -12,7 +12,6 @@ optionally refined by the number of notes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress, repeat, zip_longest
 from math import gcd
 from operator import sub
@@ -235,12 +234,17 @@ def global_dims(
     )
 
 
-@dataclass(frozen=True, eq=False)
 class ScaleClass:
     """The scale sets of one distinguished symbol, graded by total."""
 
-    symbol: str
-    by_size: dict[int, frozenset[Composition]] = field(repr=False)
+    __slots__ = ("symbol", "by_size")
+
+    def __init__(self, symbol: str, by_size: dict[int, frozenset[Composition]]):
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "by_size", by_size)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ScaleClass is immutable")
 
     def at(self, n: int) -> frozenset[Composition]:
         try:

@@ -10,7 +10,6 @@ first return loop systems, and the language dimension formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import islice, product
 from operator import mul, or_
@@ -38,18 +37,29 @@ class BlockCountError(ValueError):
 SUPPORT_WALK_LIMIT = 4096  # see first_return
 
 
-@dataclass(frozen=True)
 class Alphabet:
-    symbols: tuple[str, ...]
+    __slots__ = ("symbols",)
 
-    def __post_init__(self):
-        if not self.symbols:
+    def __init__(self, symbols: tuple[str, ...]):
+        if not symbols:
             raise ValueError("alphabet is empty")
-        if len(set(self.symbols)) != len(self.symbols):
+        if len(set(symbols)) != len(symbols):
             raise ValueError("alphabet symbols repeat")
-        for s in self.symbols:
+        for s in symbols:
             if not s:
                 raise ValueError("empty symbol token")
+        object.__setattr__(self, "symbols", symbols)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Alphabet is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Alphabet):
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self) -> int:
+        return hash(self.symbols)
 
     @classmethod
     def of(cls, symbols) -> "Alphabet":
@@ -71,21 +81,33 @@ class Alphabet:
         return symbol in self.symbols
 
 
-@dataclass(frozen=True)
 class VertexShift:
-    alphabet: Alphabet
-    matrix: tuple[tuple[int, ...], ...]
+    """A 0/1 transition matrix over an alphabet; no ``__slots__``: cached tables need ``__dict__``."""
 
-    def __post_init__(self):
-        k = len(self.alphabet)
-        if len(self.matrix) != k:
+    def __init__(self, alphabet: Alphabet, matrix: tuple[tuple[int, ...], ...]):
+        k = len(alphabet)
+        if len(matrix) != k:
             raise ValueError("matrix size does not match alphabet")
-        for row in self.matrix:
+        for row in matrix:
             if len(row) != k:
                 raise ValueError("matrix is not square")
             for entry in row:
                 if entry not in (0, 1):
                     raise ValueError(f"matrix entries must be 0 or 1, got {entry}")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setattr__(self, name, value):
+        # successors and columns are cached from the matrix
+        raise AttributeError("VertexShift is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, VertexShift):
+            return NotImplemented
+        return (self.alphabet, self.matrix) == (other.alphabet, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.matrix))
 
     @classmethod
     def from_rows(cls, symbols, rows) -> "VertexShift":
@@ -109,18 +131,21 @@ class VertexShift:
         return _columns(self.matrix)
 
 
-@dataclass(frozen=True)
 class SftPresentation:
-    alphabet: Alphabet
-    forbidden: frozenset[Word]
+    __slots__ = ("alphabet", "forbidden")
 
-    def __post_init__(self):
-        for block in self.forbidden:
+    def __init__(self, alphabet: Alphabet, forbidden: frozenset[Word]):
+        for block in forbidden:
             if len(block) < 2:
                 raise ValueError("forbidden blocks must have length >= 2")
             for letter in block:
-                if letter not in self.alphabet:
+                if letter not in alphabet:
                     raise ValueError(f"forbidden block uses unknown symbol {letter!r}")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "forbidden", forbidden)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SftPresentation is immutable")
 
     @classmethod
     def of(cls, symbols, blocks) -> "SftPresentation":
@@ -143,32 +168,40 @@ def _is_subword(needle: Word, haystack: Word) -> bool:
     return any(haystack[i:i + k] == needle for i in range(len(haystack) - k + 1))
 
 
-@dataclass(frozen=True)
 class HigherBlock:
     """A vertex shift on admissible blocks plus the block spelling per vertex."""
 
-    shift: VertexShift
-    blocks: tuple[Word, ...]
+    __slots__ = ("shift", "blocks")
+
+    def __init__(self, shift: VertexShift, blocks: tuple[Word, ...]):
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "blocks", blocks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HigherBlock is immutable")
 
     def label(self, i: int) -> str:
         """The 1-block factor map: a vertex is sent to its first letter."""
         return self.blocks[i][0]
 
 
-@dataclass(frozen=True)
 class LoopSystem:
     """First return loops at ``symbol``: series plus the part set K of its sizes.
 
     ``series`` is truncated at its order; ``parts`` holds the sizes with a nonzero coefficient.
     """
 
-    symbol: str
-    series: TruncatedSeries
-    parts: PartSpec
+    __slots__ = ("symbol", "series", "parts")
 
-    def __post_init__(self):
-        if self.series.coefficient(0) != 0:
+    def __init__(self, symbol: str, series: TruncatedSeries, parts: PartSpec):
+        if series.coefficient(0) != 0:
             raise ValueError("loop series must have zero constant term")
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LoopSystem is immutable")
 
     def to_json(self) -> dict:
         return {

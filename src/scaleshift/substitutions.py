@@ -10,7 +10,6 @@ symbol and combined.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .combinatorics import Composition, rotation_dims
@@ -18,29 +17,40 @@ from .scales import DEFAULT_CAP, EnumerationCapError, induced_scale
 from .shiftspace import Alphabet, Word
 
 
-@dataclass(frozen=True)
 class Morphism:
-    alphabet: Alphabet
-    rules: tuple[tuple[str, Word], ...]
-    seed: str
+    __slots__ = ("alphabet", "rules", "seed")
 
-    def __post_init__(self):
-        heads = [symbol for symbol, _ in self.rules]
-        if sorted(heads) != sorted(self.alphabet.symbols):
+    def __init__(self, alphabet: Alphabet, rules: tuple[tuple[str, Word], ...], seed: str):
+        heads = [symbol for symbol, _ in rules]
+        if sorted(heads) != sorted(alphabet.symbols):
             raise ValueError("rules must cover the alphabet exactly once each")
-        for symbol, image in self.rules:
+        for symbol, image in rules:
             if not image:
                 raise ValueError(f"empty image for {symbol!r}")
             for letter in image:
-                if letter not in self.alphabet:
+                if letter not in alphabet:
                     raise ValueError(f"image of {symbol!r} uses unknown {letter!r}")
-        if self.seed not in self.alphabet:
-            raise ValueError(f"seed {self.seed!r} not in alphabet")
-        start = self.image(self.seed)
-        if start[0] != self.seed or len(start) < 2:
+        if seed not in alphabet:
+            raise ValueError(f"seed {seed!r} not in alphabet")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "seed", seed)
+        start = self.image(seed)
+        if start[0] != seed or len(start) < 2:
             raise ValueError(
                 "seed image must start with the seed and have length >= 2"
             )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Morphism is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Morphism):
+            return NotImplemented
+        return (self.alphabet, self.rules, self.seed) == (other.alphabet, other.rules, other.seed)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.rules, self.seed))
 
     @classmethod
     def of(cls, rules: dict, seed: str) -> "Morphism":
@@ -133,15 +143,27 @@ def block_language(morphism: Morphism, n: int, cap: int = DEFAULT_CAP) -> frozen
     return frozenset(blocks)
 
 
-@dataclass(frozen=True, eq=False)
 class ScaleStudy:
     """Scale sets of the n-blocks, per distinguished symbol and combined."""
 
-    n: int
-    per_symbol: dict[str, frozenset[Composition]] = field(repr=False)
-    combined: frozenset[Composition] = field(repr=False)
-    transversal_dim: int
-    orbital_dim: int
+    __slots__ = ("n", "per_symbol", "combined", "transversal_dim", "orbital_dim")
+
+    def __init__(
+        self,
+        n: int,
+        per_symbol: dict[str, frozenset[Composition]],
+        combined: frozenset[Composition],
+        transversal_dim: int,
+        orbital_dim: int,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "per_symbol", per_symbol)
+        object.__setattr__(self, "combined", combined)
+        object.__setattr__(self, "transversal_dim", transversal_dim)
+        object.__setattr__(self, "orbital_dim", orbital_dim)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ScaleStudy is immutable")
 
     def to_json(self) -> dict:
         return {

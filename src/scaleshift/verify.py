@@ -9,7 +9,6 @@ where the expected numbers live.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
@@ -417,11 +416,16 @@ def check_exclusions() -> list[OracleReport]:
     return [_report("asymptotics.excluded", {"note": note}, 1, 1)]
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    number: int
-    label: str
-    reports: tuple[OracleReport, ...]
+    __slots__ = ("number", "label", "reports")
+
+    def __init__(self, number: int, label: str, reports: tuple[OracleReport, ...]):
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "reports", reports)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CheckResult is immutable")
 
     @property
     def passed(self) -> bool:

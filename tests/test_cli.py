@@ -371,9 +371,18 @@ def test_oeis_fixture_dir_override(tmp_path, capsys):
     assert out.strip() == "match"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     assert main(["wheels"]) == 2
+    capsys.readouterr()
     assert main(["subst", "scales", "--preset", "unknown", "--n", "4"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: scaleshift subst scales [-h]")
+    # newer Pythons print the choices without quotes
+    assert err[-1].replace("'", "") == (
+        "scaleshift subst scales: error: argument --preset: invalid choice: unknown"
+        " (choose from feigenbaum, fibonacci, thue-morse)"
+    )
     assert main(["verify", "--suite", "other"]) == 2
     # part sizes start at 1, in a list and in a lower bound alike
     for parts in ("0,2", "0+"):
@@ -387,29 +396,72 @@ def test_usage_errors(capsys):
     assert main(["vertex", "global", "--matrix", GOLDEN_MAT, "--bivariate"]) == 2
     # the oracle grid stops at n = 10; a larger --max-n is refused, not clamped
     assert main(["verify", "--suite", "paper", "--max-n", "50"]) == 2
+    capsys.readouterr()
     assert main(["verify", "--suite", "paper", "--max-n", "11"]) == 2
+    assert capsys.readouterr().err == (
+        "usage: scaleshift verify [-h] --suite {paper} [--max-n MAX_N]\n"
+        "scaleshift verify: error: argument --max-n: must be at most 10\n"
+    )
     assert main(["verify", "--suite", "paper", "--max-n", "0"]) == 2
     # oeis check reads snapshots only: no --offline, and --fixtures belongs to it
     assert main(["oeis", "check", "--id", "A000358", "--coeffs", "1", "--offline"]) == 2
     assert main(["--fixtures", FIXTURES, "oeis", "check", "--id", "A000358", "--coeffs", "1"]) == 2
 
 
-def test_cli_import_loads_no_network_or_fractions():
+def _run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(scaleshift.__file__).resolve().parents[1])
-    probe = (
-        "import sys, scaleshift.cli; "
-        "code = scaleshift.cli.main(['oeis', 'check', '--id', 'A000358', '--coeffs', '1,2,2']); "
-        "print(code, sorted({'urllib.request', 'fractions'} & set(sys.modules)))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         timeout=60,
     )
+
+
+def test_cli_import_loads_no_network_or_fractions():
+    probe = (
+        "import sys, scaleshift.cli; "
+        "code = scaleshift.cli.main(['oeis', 'check', '--id', 'A000358', '--coeffs', '1,2,2']); "
+        "print(code, sorted({'urllib.request', 'fractions'} & set(sys.modules)))"
+    )
+    proc = _run_python(probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_import_defers_verify_and_skips_dataclasses():
+    # oracle and verify are registered but execute only when first used
+    probe = (
+        "import sys, scaleshift.cli\n"
+        "scaleshift.cli.build_parser()\n"
+        "names = {'oracle': 'oracle_levels', 'verify': 'run_reference_suite'}\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), [\n"
+        "    name for name, attr in names.items()\n"
+        "    if attr in object.__getattribute__(sys.modules[f'scaleshift.{name}'], '__dict__')\n"
+        "])\n"
+        "print(scaleshift.cli.verify.MAX_GRID_N, 'run_reference_suite' in vars(scaleshift.verify))\n"
+    )
+    proc = _run_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[] []", "10 True"]
+
+
+def test_oracle_imported_before_cli_is_one_module():
+    probe = (
+        "import importlib, sys\n"
+        "import scaleshift.oracle as first\n"
+        "import scaleshift, scaleshift.cli, scaleshift.verify\n"
+        "assert sys.modules['scaleshift.oracle'] is scaleshift.oracle is first\n"
+        "assert scaleshift.verify.OracleReport is first.OracleReport\n"
+        "importlib.reload(scaleshift)\n"
+        "assert scaleshift.oracle is first and sys.modules['scaleshift.verify'] is scaleshift.verify\n"
+        "print(scaleshift.cli.main(['verify', '--suite', 'paper', '--max-n', '2']))\n"
+    )
+    proc = _run_python(probe)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "0" and len([line for line in lines if ": PASS (" in line]) == 10
 
 
 def test_snapshot_checks_cover_all_bundled_sequences(capsys):

@@ -182,6 +182,38 @@ def test_part_spec_membership():
             cb.PartSpec(start=2, period=period, residues=frozenset(residues))
 
 
+def test_part_spec_canonical_form():
+    # the least period, then the least start: one field tuple per set
+    cases = {
+        (frozenset(), 2, 2, frozenset({0, 1})): (frozenset(), 2, 1, frozenset({0})),
+        (frozenset({1}), 4, 3, frozenset({0})): (frozenset(), 1, 3, frozenset({0})),
+        (frozenset({2}), 3, 4, frozenset({0, 2})): (frozenset({2}), 3, 2, frozenset({0})),
+        (frozenset({1, 2}), 6, 1, frozenset()): (frozenset({1, 2}), 3, 1, frozenset()),
+        # a finite set takes its start from its largest member, not by walking down
+        (frozenset(), 10**9, 1, frozenset()): (frozenset(), 1, 1, frozenset()),
+    }
+    for fields, canonical in cases.items():
+        spec = cb.PartSpec(*fields)
+        assert (spec.prefix, spec.start, spec.period, spec.residues) == canonical
+    # every spec with start <= 5 and period <= 4: equal exactly when the sets are
+    specs = [
+        cb.PartSpec(frozenset(prefix), start, period, frozenset(residues))
+        for start in range(1, 6)
+        for size in range(start)
+        for prefix in itertools.combinations(range(1, start), size)
+        for period in range(1, 5)
+        for count in range(period + 1)
+        for residues in itertools.combinations(range(period), count)
+    ]
+    by_members = {}
+    for spec in specs:
+        by_members.setdefault(spec.members_up_to(60), set()).add(spec)
+    assert all(len(group) == 1 for group in by_members.values())
+    assert len(set(specs)) == len(by_members)
+    with pytest.raises(AttributeError):
+        specs[0].start = 2
+
+
 def test_part_spec_indicator_gf():
     # N/Q expands to the indicator of K
     specs = [

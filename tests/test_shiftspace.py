@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from scaleshift.combinatorics import PartSpec
 from scaleshift.numtheory import divisors, mobius_invert
 from scaleshift.series import RationalFunction, TruncatedSeries
 from scaleshift.shiftspace import (
@@ -218,6 +219,9 @@ def test_cached_walk_tables_keep_equality_and_hash():
         assert cached == plain
         assert hash(cached) == hash(plain)
         assert len({cached, plain}) == 1
+        # the tables are cached from the matrix, so it cannot be reassigned
+        with pytest.raises(AttributeError):
+            cached.matrix = plain.matrix
         k = cached.size
         assert cached.successors == tuple(
             tuple((j,) for j in range(k) if cached.matrix[i][j]) for i in range(k)
@@ -289,6 +293,25 @@ def test_first_return_support_analysis():
     f = first_return(SFT2.shift, SFT2.shift.alphabet.symbols[0], 12)
     assert f.parts.members_up_to(12) == (3, 5, 7, 9, 11)
     assert f.parts.unbounded and f.parts.max_part is None
+
+
+def test_first_return_supports_are_canonical():
+    # supports compare and hash equal exactly when their members agree, on
+    # every 0/1 matrix up to 3 x 3 at each symbol
+    supports = []
+    for k in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=k * k):
+            shift = VertexShift.from_rows("abc"[:k], [bits[i * k:i * k + k] for i in range(k)])
+            supports += [first_return(shift, symbol, 1).parts for symbol in shift.alphabet]
+    by_members = {}
+    for parts in supports:
+        by_members.setdefault(parts.members_up_to(40), set()).add(parts)
+    assert all(len(group) == 1 for group in by_members.values())
+    assert len(set(supports)) == len(by_members)
+    # {2, 3, ...}, walked with period 2
+    skew = VertexShift.from_rows("abc", ((0, 0, 1), (1, 0, 1), (1, 1, 0)))
+    parts = first_return(skew, "a", 1).parts
+    assert parts == PartSpec.from_min(2) and parts.indicator_gf() == ((0, 0, 1), (1, -1))
 
 
 def test_first_return_long_walks():
