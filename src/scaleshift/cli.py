@@ -26,7 +26,6 @@ from .series import DEFAULT_ORDER
 from .shiftspace import (
     BlockCountError,
     DegenerateShiftError,
-    ReducibleShiftError,
     VertexShift,
     first_return,
     first_return_matrix,
@@ -442,7 +441,7 @@ def main(argv=None) -> int:
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (ReducibleShiftError, BlockCountError) as err:
+    except BlockCountError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PRECONDITION
     except EnumerationCapError as err:

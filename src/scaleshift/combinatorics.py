@@ -17,19 +17,6 @@ from typing import Collection, Iterable
 Composition = tuple[int, ...]
 
 
-def rotate(w: Composition, j: int) -> Composition:
-    """Cyclic left shift by j positions; negative j rotates right."""
-    if len(w) < 2:
-        return w
-    j %= len(w)
-    return w[j:] + w[:j]
-
-
-def orbit(w: Composition) -> frozenset[Composition]:
-    """All distinct rotations of w; the modes of the scale w encodes."""
-    return frozenset(rotate(w, j) for j in range(max(len(w), 1)))
-
-
 def least_rotation(w: tuple) -> tuple:
     """Lexicographically least rotation of any tuple (compositions or words)."""
     if len(w) < 2:
@@ -202,10 +189,4 @@ class PartSpec:
             if periodic and k + p < top:
                 num[k + p] -= 1
         return tuple(num), (1,) + (0,) * (p - 1) + (-1,) if periodic else (1,)
-
-    def tail_sizes(self) -> "PartSpec":
-        """E: the sizes outside K below some member of K, the final gaps of scales."""
-        top = self.start if self.unbounded else max(self.prefix, default=1)
-        rest = frozenset(range(self.period)) - self.residues if self.unbounded else frozenset()
-        return PartSpec(frozenset(range(1, top)) - self.prefix, top, self.period, rest)
 

@@ -20,15 +20,7 @@ from .combinatorics import Composition, PartSpec, rotation_dims
 from .numtheory import burnside
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
 from .series import DEFAULT_ORDER, BivariateSeries, RationalFunction, TruncatedSeries, log_derivative
-from .shiftspace import (
-    ReducibleShiftError,
-    VertexShift,
-    Word,
-    first_return,
-    is_irreducible,
-    language_from,
-    word_counts,
-)
+from .shiftspace import VertexShift, Word, first_return, language_from, word_counts
 
 DEFAULT_CAP = 10_000_000
 
@@ -129,9 +121,9 @@ def _wheel_table(comp: BivariateSeries) -> BivariateSeries:
     return BivariateSeries(rows, order)
 
 
-def a_series(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Scales whose final gap falls outside K: (sum_{k in E} z^k) C^K(z)."""
-    return _tailed(composition_gf(spec, order), spec.tail_sizes(), order)
+def a_series(spec: PartSpec, tails: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Scales whose final gap falls outside K: (sum_{k in E} z^k) C^K(z), E = ``tails``."""
+    return _tailed(composition_gf(spec, order), tails, order)
 
 
 def _tailed(comp: TruncatedSeries, tails: PartSpec, order: int) -> TruncatedSeries:
@@ -139,13 +131,13 @@ def _tailed(comp: TruncatedSeries, tails: PartSpec, order: int) -> TruncatedSeri
     return comp * RationalFunction(*tails.indicator_gf(order)).expand(order)
 
 
-def b_series(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+def b_series(spec: PartSpec, tails: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Modes swept by the out-of-K scales: u d/du of a at u = 1.
 
     With a = u e C and C = 1/(1 - u s), d/du at u = 1 is
     e C + e s C^2 = e C^2, since 1 + s C = C; so b = a C.
     """
-    return a_series(spec, order) * composition_gf(spec, order)
+    return a_series(spec, tails, order) * composition_gf(spec, order)
 
 
 def symbol_dims(
@@ -158,14 +150,11 @@ def symbol_dims(
 
     Transversal: wheels over the loop sizes plus the out-of-K tails,
     each of which heads its own rotation class.  Orbital: compositions
-    over the loop sizes plus the modes of the tailed scales.
+    over the loop sizes plus the modes of the tailed scales.  Both read K
+    and the tails off ``first_return``'s walk, so they hold for every matrix.
     """
-    if not is_irreducible(shift):
-        raise ReducibleShiftError(
-            "scale closed forms need an irreducible transition matrix"
-        )
-    spec = first_return(shift, symbol, order).parts
-    tails = spec.tail_sizes()
+    loops = first_return(shift, symbol, order)
+    spec, tails = loops.parts, loops.tails
     comp = composition_gf(spec, order)
     a = _tailed(comp, tails, order)
     b = a * comp
@@ -193,11 +182,11 @@ def _scale_levels(shift: VertexShift, walks, order: int, cap: int, keep) -> list
     """[keep(scales of the length-n words) for n = 1..order], one level at a time.
 
     ``walks`` pairs each start symbol index with the symbol indices whose
-    visits mark the gaps of its words.  Each level first charges every word
-    of its length against ``cap``, and only what ``keep`` returns outlives
-    the level.
+    visits mark the gaps of its words.  Each level first charges the words
+    of its length from those starts against ``cap``, and only what ``keep``
+    returns outlives the level.
     """
-    counts = word_counts(shift, order)
+    counts = word_counts(shift, order, [start for start, _ in walks])
     budget = cap
     kept = []
     for n in range(1, order + 1):

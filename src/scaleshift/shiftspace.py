@@ -22,10 +22,6 @@ from .series import DEFAULT_ORDER, RationalFunction, TruncatedSeries, log_deriva
 Word = tuple[str, ...]
 
 
-class ReducibleShiftError(ValueError):
-    """The transition matrix is not irreducible."""
-
-
 class DegenerateShiftError(ValueError):
     """The presentation admits no blocks at all."""
 
@@ -186,19 +182,22 @@ class HigherBlock:
 
 
 class LoopSystem:
-    """First return loops at ``symbol``: series plus the part set K of its sizes.
+    """First return loops at ``symbol``: series, the part set K of its sizes, and the tails E.
 
-    ``series`` is truncated at its order; ``parts`` holds the sizes with a nonzero coefficient.
+    ``series`` is truncated at its order; ``parts`` holds the sizes with a
+    nonzero coefficient.  ``tails`` holds the final gaps of scales outside K:
+    the sizes g not in K such that a walk of g - 1 steps from ``symbol`` stays off it.
     """
 
-    __slots__ = ("symbol", "series", "parts")
+    __slots__ = ("symbol", "series", "parts", "tails")
 
-    def __init__(self, symbol: str, series: TruncatedSeries, parts: PartSpec):
+    def __init__(self, symbol: str, series: TruncatedSeries, parts: PartSpec, tails: PartSpec):
         if series.coefficient(0) != 0:
             raise ValueError("loop series must have zero constant term")
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "tails", tails)
 
     def __setattr__(self, name, value):
         raise AttributeError("LoopSystem is immutable")
@@ -332,13 +331,15 @@ def _char_det(matrix) -> list[int]:
     return [(-1) ** i * e for i, e in enumerate(elem)]
 
 
-def word_counts(shift: VertexShift, order: int) -> list[int]:
+def word_counts(shift: VertexShift, order: int, starts=None) -> list[int]:
     """Number of length-n words for n = 1..order: the entry sum of A^(n-1).
 
-    The walk starts from the all-ones vector, so entry j of its n-th step
-    counts the words of length n + 1 that end at symbol j.
+    Only words from the symbol indices ``starts`` count, every symbol when
+    None.  The walk starts from their indicator vector, so entry j of its
+    n-th step counts those words of length n + 1 that end at symbol j.
     """
-    return [sum(v) for v in islice(_walks(shift.columns, [1] * shift.size), order)]
+    indicator = [int(starts is None or i in starts) for i in range(shift.size)]
+    return [sum(v) for v in islice(_walks(shift.columns, indicator), order)]
 
 
 def zeta_rational(shift: VertexShift) -> RationalFunction:
@@ -371,33 +372,46 @@ def _necklaces(p: ArithSequence) -> ArithSequence:
 def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> LoopSystem:
     """The loop system at ``symbol``: the first-return walk with D = {symbol}.
 
-    The series is ``first_return_matrix``'s.  K is read off the supports X_j
-    of its walk vector A[s, R]·B^j, as bit sets over the r symbols of R that
-    reach a predecessor of s: n >= 2 is in K when X_(n-2) meets those, and
-    the first X_j1 equal to an earlier X_j0 makes K periodic from j0 + 2,
-    period j1 - j0.  The preperiod is below r^2 (the index bound of 0/1
-    matrices), so with no repeat within max(order, r^2, SUPPORT_WALK_LIMIT)
-    steps the period is long: K is exact up to there, then holds every size.
+    The series is ``first_return_matrix``'s.  K and the tails E are read off
+    the supports X_j of its walk vector A[s, R]·B^j, as bit sets over the r
+    symbols of R: n >= 2 is in K when X_(n-2) meets the predecessors of s,
+    and in E when X_(n-2) is non-empty and misses them; 1 is in E when
+    A[s, s] = 0.  A walk of r steps inside R repeats a symbol, so a
+    non-empty X_j with j >= r is never empty again: from there on the
+    symbols with no way back to the predecessors of s are folded into s's
+    own bit, which marks exactly that.  The first X_j1 equal to an earlier
+    X_j0 then makes K and E periodic from j0 + 2, period j1 - j0.  The
+    preperiod is below r^2 (the index bound of 0/1 matrices), so with no
+    repeat within max(order, r^2, SUPPORT_WALK_LIMIT) steps the period is
+    long: K and E are exact up to there, then K holds every size and E none.
     """
     si = shift.alphabet.index(symbol)
     a = shift.matrix
+    rest = [v for v in range(shift.size) if v != si]
     # a path to s's predecessors through s itself passes one of them first
-    keep = _reach(shift.columns, shift.columns[si]) - {si}
-    succ = {u: sum(1 << v for v in keep if a[u][v]) for u in keep}
-    closing = sum(1 << v for v in keep if a[v][si])
-    x = sum(1 << v for v in keep if a[si][v])
+    back = _reach(shift.columns, shift.columns[si])
+    dead = sum(1 << v for v in rest if v not in back)
+    succ = {u: sum(1 << v for v in rest if a[u][v]) for u in rest}
+    closing = sum(1 << v for v in rest if a[v][si])
+    running = 1 << si
+    x = sum(1 << v for v in rest if a[si][v])
     seen: dict[int, int] = {}
-    while x not in seen and len(seen) <= max(order, len(keep) ** 2, SUPPORT_WALK_LIMIT):
+    while x not in seen and len(seen) <= max(order, len(rest) ** 2, SUPPORT_WALK_LIMIT):
         seen[x] = len(seen)
-        x = reduce(or_, (m for u, m in succ.items() if x >> u & 1), 0)
-    sizes = [j + 2 for j, y in enumerate(seen) if y & closing] + [1] * a[si][si]
-    j0 = seen.get(x, len(seen))  # no repeat: every size past the walk
+        x = reduce(or_, (m for u, m in succ.items() if x >> u & 1), x & running)
+        if x & dead and len(seen) >= len(rest):
+            x = x & ~dead | running
+    j0 = seen.get(x, len(seen))  # no repeat: every size past the walk is a loop
     start, period = j0 + 2, len(seen) - j0 or 1
-    sizes += [start] * (x not in seen)
-    prefix = frozenset(n for n in sizes if n < start)
-    residues = frozenset(n - start for n in sizes if n >= start)
+    loops = [j + 2 for j, y in enumerate(seen) if y & closing] + [1] * a[si][si]
+    tails = [j + 2 for j, y in enumerate(seen) if y and not y & closing] + [1] * (1 - a[si][si])
+
+    def spec(sizes):
+        prefix = frozenset(n for n in sizes if n < start)
+        return PartSpec(prefix, start, period, frozenset(n - start for n in sizes if n >= start))
+
     series = first_return_matrix(shift, (symbol,), order)[symbol, symbol]
-    return LoopSystem(symbol, series, PartSpec(prefix, start, period, residues))
+    return LoopSystem(symbol, series, spec(loops + [start] * (x not in seen)), spec(tails))
 
 
 def first_return_matrix(shift: VertexShift, distinguished, order: int = DEFAULT_ORDER):

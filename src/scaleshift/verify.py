@@ -209,13 +209,11 @@ def check_golden_dims() -> list[OracleReport]:
     bull = symbol_dims(GOLDEN, BULL, 12, bivariate=True)
     reports.append(_report("dims.transversal", {"symbol": BULL, "n": 12}, 85, bull.transversal_at(12)))
     reports.append(_report("dims.orbital", {"symbol": BULL, "n": 12}, 329, bull.orbital_at(12)))
-    parts = first_return(GOLDEN, BULL, 12).parts
-    reports.append(
-        _report("dims.tail_classes", {"symbol": BULL, "n": 12}, 55, a_series(parts, 12).coefficient(12))
-    )
-    reports.append(
-        _report("dims.tail_modes", {"symbol": BULL, "n": 12}, 240, b_series(parts, 12).coefficient(12))
-    )
+    loops = first_return(GOLDEN, BULL, 12)
+    tailed = a_series(loops.parts, loops.tails, 12)
+    reports.append(_report("dims.tail_classes", {"symbol": BULL, "n": 12}, 55, tailed.coefficient(12)))
+    modes = b_series(loops.parts, loops.tails, 12)
+    reports.append(_report("dims.tail_modes", {"symbol": BULL, "n": 12}, 240, modes.coefficient(12)))
     top = global_dims(GOLDEN, 12)
     reports.append(_report("dims.global_transversal", {"n": 12}, 115, top.transversal_at(12)))
     reports.append(_report("dims.global_orbital", {"n": 12}, 561, top.orbital_at(12)))

@@ -4,7 +4,8 @@ Composition sets and expected numbers for the built-in case studies:
 the golden mean shift, the two-step SFT with forbidden blocks
 {distinguished-pair, triple}, and the three substitution sequences.
 Words are spelled as strings over the two-symbol alphabet and turned
-into letter tuples with `w`.
+into letter tuples with `w`; `rotate` and `orbit` are the brute-force
+rotation helpers the tests compare the library's rotation counts against.
 """
 
 CIRC = "∘"   # open note symbol
@@ -14,6 +15,19 @@ BULL = "•"   # closed note symbol
 def w(text):
     """Spell a word string as a tuple of single-character symbols."""
     return tuple(text)
+
+
+def rotate(c, j):
+    """Cyclic left shift of a composition by j positions; negative j rotates right."""
+    if len(c) < 2:
+        return c
+    j %= len(c)
+    return c[j:] + c[:j]
+
+
+def orbit(c):
+    """All distinct rotations of c; the modes of the scale c encodes."""
+    return frozenset(rotate(c, j) for j in range(max(len(c), 1)))
 
 
 # Golden mean shift: matrix rows over alphabet (CIRC, BULL).

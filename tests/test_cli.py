@@ -8,6 +8,9 @@ import pytest
 
 import scaleshift
 from scaleshift.cli import main
+from scaleshift.combinatorics import rotation_dims
+from scaleshift.scales import scale_class
+from scaleshift.shiftspace import parse_matrix
 
 from refsets import WHEELS_12_BY_LENGTH
 
@@ -156,14 +159,31 @@ def test_vertex_loops_long_period(tmp_path, capsys):
     assert (data["support_unbounded"], data["support_max"]) == (True, None)
 
 
-def test_vertex_reducible_exit(tmp_path, capsys):
-    target = tmp_path / "split.mat"
-    target.write_text("a b\n1 0\n0 1\n", encoding="utf-8")
-    code, _, err = run(
-        ["vertex", "dims", "--matrix", str(target), "--symbol", "a", "--order", "4"], capsys
-    )
-    assert code == 3
-    assert "irreducible" in err
+def test_vertex_dims_reducible(tmp_path, capsys):
+    # reducible matrices exit 0, and the rows and by-notes tables equal enumeration
+    target = tmp_path / "reducible.mat"
+    rows_at = {}
+    for rows, symbol, order in (("1 1\n0 1", "a", 12), ("1 1\n0 1", "b", 8), ("1 0\n0 1", "a", 8)):
+        target.write_text(f"a b\n{rows}\n", encoding="utf-8")
+        argv = ["vertex", "dims", "--matrix", str(target), "--symbol", symbol, "--order", str(order)]
+        code, out, err = run(argv + ["--bivariate"], capsys)
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        levels = scale_class(parse_matrix(target.read_text(encoding="utf-8")), symbol, order).by_size
+        for row in data["rows"]:
+            n, scales = row["n"], levels[row["n"]]
+            assert (row["transversal"], row["orbital"], row["class_size"]) == (*rotation_dims(scales), len(scales))
+            for m in range(n + 1):
+                cells = (data["bivariate_transversal"]["rows"][n][m], data["bivariate_orbital"]["rows"][n][m])
+                assert tuple(map(int, cells)) == rotation_dims([c for c in scales if len(c) == m])
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)["rows"] == data["rows"]
+        rows_at[rows, symbol] = data["rows"]
+    # at a of a b / 1 1 / 0 1 the scales of 12 are (1, ..., 1, 13 - i) with
+    # i parts: 12 rotation classes, with 1 + 2 + ... + 11 + 1 = 67 modes
+    assert rows_at["1 1\n0 1", "a"][11] == {
+        "n": 12, "transversal": 12, "orbital": 67, "class_size": 12, "method": "closed_form"
+    }
     code, _, err = run(
         ["vertex", "zeta", "--matrix", str(tmp_path / "absent.mat"), "--order", "4"], capsys
     )
@@ -192,6 +212,18 @@ def test_sft_scales(capsys):
     by_n = {entry["n"]: entry["scales"] for entry in data["scales"]["∘∘"]["sets"]}
     assert by_n[1] == [[1]]
     assert all(comp[0] == 1 for comp in by_n[12])
+
+
+def test_sft_scales_charges_each_start(capsys):
+    # each distinguished start is charged its own words of lengths 1..16:
+    # 198 from ∘∘ and 262 from ∘•, not the 807 words from every block
+    argv = ["sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "16"]
+    code, out, err = run(["--cap", "262"] + argv, capsys)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["scales"]) == 2
+    code, out, err = run(["--cap", "261"] + argv, capsys)
+    assert (code, out) == (3, "")
+    assert "words of length 16 exceeds the cap; lower --order or raise --cap" in err
 
 
 def test_sft_scales_explicit_set(capsys):
@@ -472,6 +504,8 @@ def test_snapshot_checks_cover_all_bundled_sequences(capsys):
     from scaleshift.shiftspace import VertexShift, periodic_counts, periodic_orbit_counts
 
     golden = VertexShift.from_rows(("∘", "•"), ((1, 1), (1, 0)))
+    # the loop sizes at • of golden and its one tail size
+    bull, one = PartSpec.from_min(2), PartSpec.finite({1})
     qbar = periodic_orbit_counts(golden, 16)
     q = mobius_invert(periodic_counts(golden, 12))
     fib = RationalFunction([0, 1, -1], [1, -1, -1]).expand(11)
@@ -479,11 +513,10 @@ def test_snapshot_checks_cover_all_bundled_sequences(capsys):
         "A000358": [qbar[n] for n in range(1, 17)],
         "A006206": [q[n] // n for n in range(1, 13)],
         "A006490": [(n + 1) * fib.coefficient(n + 1) for n in range(10)],
-        "A032190": [int(wheels_gf(PartSpec.from_min(2), 12).coefficient(n)) for n in range(1, 13)],
-        "A006367": [int(b_series(PartSpec.from_min(2), 12).coefficient(n)) for n in range(1, 13)],
+        "A032190": [int(wheels_gf(bull, 12).coefficient(n)) for n in range(1, 13)],
+        "A006367": [int(b_series(bull, one, 12).coefficient(n)) for n in range(1, 13)],
         "A206268": [
-            int(composition_gf(PartSpec.from_min(2), 12).coefficient(n))
-            + int(b_series(PartSpec.from_min(2), 12).coefficient(n))
+            int(composition_gf(bull, 12).coefficient(n)) + int(b_series(bull, one, 12).coefficient(n))
             for n in range(13)
         ],
         "A000071": [0, 0, 1, 2, 4, 7, 12, 20, 33, 54, 88, 143, 232, 376, 609, 986],

@@ -1,9 +1,10 @@
+import itertools
+
 import pytest
 
 from scaleshift.combinatorics import (
     PartSpec,
     least_rotation,
-    orbit,
     rotation_dims,
     transversal_of,
 )
@@ -24,12 +25,13 @@ from scaleshift.scales import (
 )
 from scaleshift.series import BivariateSeries
 from scaleshift.shiftspace import (
-    ReducibleShiftError,
     SftPresentation,
     VertexShift,
     first_return,
     higher_block,
+    is_irreducible,
 )
+from scaleshift.verify import _irreducible_shifts
 
 from refsets import (
     BULL,
@@ -55,6 +57,7 @@ from refsets import (
     WHEELS_12,
     WHEELS_12_BY_LENGTH,
     WHEELS_PREFIX,
+    orbit,
     w,
 )
 
@@ -145,18 +148,28 @@ def test_wheels_match_enumeration():
 
 
 def test_tail_sizes():
-    def tails(spec):
-        e = spec.tail_sizes()
+    # E, the final gaps outside K, read off the first-return walk
+    def tails(shift, symbol):
+        e = first_return(shift, symbol, 1).tails
         return e.members_up_to(12), e.unbounded
 
-    assert tails(PartSpec.finite({1, 2})) == ((), False)
-    assert tails(PartSpec.from_min(2)) == ((1,), False)
-    assert tails(PartSpec.naturals()) == ((), False)
-    assert tails(PartSpec.finite({2, 5})) == ((1, 3, 4), False)
-    assert tails(PartSpec.finite({3})) == ((1, 2), False)
-    assert tails(PartSpec.finite(())) == ((), False)
+    cycle3 = VertexShift.from_rows("abc", ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    assert tails(GOLDEN, CIRC) == ((), False)
+    assert tails(GOLDEN, BULL) == ((1,), False)
+    assert tails(FULL2, CIRC) == ((), False)
+    assert tails(TWO_FIVE, "a") == ((1, 3, 4), False)
+    assert tails(cycle3, "a") == ((1, 2), False)
     # loops at a of 4, 7, 10, ... edges leave every other size as a tail
-    assert tails(PERIOD3_PARTS) == ((1, 2, 3, 5, 6, 8, 9, 11, 12), True)
+    assert tails(PERIOD3, "a") == ((1, 2, 3, 5, 6, 8, 9, 11, 12), True)
+    # reducible: no loop at all, yet the one-symbol word has the scale (1,);
+    # and a walk that never comes back makes every size past K a tail
+    assert tails(VertexShift.from_rows("a", ((0,),)), "a") == ((1,), False)
+    assert tails(VertexShift.from_rows("ab", ((1, 1), (0, 1))), "a") == (tuple(range(2, 13)), True)
+    # on irreducible shifts E is every size outside K below some member of K
+    for shift in _irreducible_shifts():
+        for symbol in shift.alphabet:
+            loops = first_return(shift, symbol, 1)
+            assert list(loops.tails.members_up_to(24)) == reference_tails(loops.parts, 24)
 
 
 def reference_tails(spec, order):
@@ -188,12 +201,13 @@ def tailed_by_length(spec, order):
 
 
 def test_a_and_b_series():
-    bull = PartSpec.from_min(2)
-    assert a_series(bull, 12).coeffs[1:] == GOLDEN_A_BULL
-    assert b_series(bull, 12).coeffs[1:] == GOLDEN_B_BULL
-    assert a_series(PartSpec.finite({1, 2}), 12).coeffs == (0,) * 13
-    assert b_series(PartSpec.finite({1, 2}), 12).coeffs == (0,) * 13
-    assert a_series(bull, 12).coeffs == tuple(sum(row) for row in tailed_by_length(bull, 12))
+    bull, one = PartSpec.from_min(2), PartSpec.finite({1})
+    assert a_series(bull, one, 12).coeffs[1:] == GOLDEN_A_BULL
+    assert b_series(bull, one, 12).coeffs[1:] == GOLDEN_B_BULL
+    none = PartSpec.finite(())
+    assert a_series(PartSpec.finite({1, 2}), none, 12).coeffs == (0,) * 13
+    assert b_series(PartSpec.finite({1, 2}), none, 12).coeffs == (0,) * 13
+    assert a_series(bull, one, 12).coeffs == tuple(sum(row) for row in tailed_by_length(bull, 12))
     # b = a C is the derivative of the bivariate a at u = 1, taken the long way
     specs = [bull, PartSpec.finite({2, 5}), PartSpec.finite({3}), PartSpec.finite({1, 2})]
     specs += [first_return(GOLDEN, symbol, 24).parts for symbol in (CIRC, BULL)]
@@ -201,9 +215,11 @@ def test_a_and_b_series():
         weighted = tuple(
             sum(m * c for m, c in enumerate(row)) for row in tailed_by_length(spec, 24)
         )
-        assert b_series(spec, 24).coeffs == weighted
-    # the loop sizes at • are {2, 3, ...}
-    assert a_series(first_return(GOLDEN, BULL, 12).parts, 12) == a_series(bull, 12)
+        tails = PartSpec.finite(reference_tails(spec, 24))
+        assert b_series(spec, tails, 24).coeffs == weighted
+    # the loop sizes at • are {2, 3, ...}, and its one tail is 1
+    loops = first_return(GOLDEN, BULL, 12)
+    assert a_series(loops.parts, loops.tails, 12) == a_series(bull, one, 12)
 
 
 def test_closed_forms_match_sums_over_parts():
@@ -261,10 +277,33 @@ def test_symbol_dims_golden_bull():
     assert report.bivariate_transversal.coefficient(5, 3) == 1
 
 
-def test_symbol_dims_needs_irreducible():
-    split = VertexShift.from_rows(("a", "b"), ((1, 0), (0, 1)))
-    with pytest.raises(ReducibleShiftError):
-        symbol_dims(split, "a", 6)
+def test_symbol_dims_match_enumeration_on_reducible_matrices():
+    # every reducible 0/1 matrix on up to 3 symbols (test_oracle checks the
+    # irreducible ones), at every symbol, against the enumerated scale sets,
+    # with and without the note counts; a scale (g,) shows g is a final gap
+    order = 6
+    for k in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=k * k):
+            shift = VertexShift.from_rows("abc"[:k], [bits[i * k:i * k + k] for i in range(k)])
+            if is_irreducible(shift):
+                continue
+            for symbol in shift.alphabet:
+                report = symbol_dims(shift, symbol, order, bivariate=True)
+                loops = first_return(shift, symbol, order)
+                levels = scale_class(shift, symbol, order).by_size
+                finals = [g for g in range(1, order + 1) if (g,) in levels[g]]
+                assert loops.tails.members_up_to(order) == tuple(
+                    g for g in finals if g not in loops.parts.members_up_to(order)
+                )
+                for n, scales in levels.items():
+                    assert report.class_sizes[n - 1] == len(scales)
+                    assert rotation_dims(scales) == (report.transversal_at(n), report.orbital_at(n))
+                    for m in range(n + 1):
+                        by_notes = rotation_dims([c for c in scales if len(c) == m])
+                        assert by_notes == (
+                            report.bivariate_transversal.coefficient(n, m),
+                            report.bivariate_orbital.coefficient(n, m),
+                        )
 
 
 def test_symbol_dims_match_enumeration():
@@ -319,6 +358,14 @@ def test_witness_sets_are_transversals():
 def test_scale_class_unknown_symbol():
     with pytest.raises(ValueError):
         scale_class(GOLDEN, "x", 4)
+
+
+def test_scale_class_charges_walked_words():
+    # the words from • of lengths 1..8 number 1 + 1 + 2 + ... + 21 = 54;
+    # the 88 words from ∘ are not walked and not charged
+    assert len(scale_class(GOLDEN, BULL, 8, cap=54).at(8)) == 21
+    with pytest.raises(EnumerationCapError, match="enumerating 21 words of length 8"):
+        scale_class(GOLDEN, BULL, 8, cap=53)
 
 
 def test_global_dims_golden():

@@ -44,6 +44,7 @@ from refsets import (
     SFT2_BLOCKS,
     SFT2_FORBIDDEN,
     SFT2_ROWS,
+    orbit,
     w,
 )
 
@@ -334,8 +335,10 @@ def test_first_return_long_walks():
     # a cycle of n symbols entered from s and left back to s at one symbol
     # adds the loop sizes 2 + tn, so the period is the product of the cycle
     # lengths.  Period 210 is found and K is exact; period 30030 is past the
-    # walk limit, so K is exact up to it and then holds every size.  With no
-    # way back to s the cycles add no size and are cut from the walk: K = {2}.
+    # walk limit, so K is exact up to it and then holds every size; the tails
+    # E are the other sizes the walk reaches.  With no way back to s the
+    # cycles add no loop size, only tails, and are folded out of the walk
+    # once it has run r steps: K = {2}, and every other size is in E.
     for lengths, back in (((2, 3, 5, 7), 1), ((2, 3, 5, 7, 11, 13), 1), ((2, 3, 5, 7, 11, 13), 0)):
         size = 2 + sum(lengths)
         rows = [[0] * size for _ in range(size)]
@@ -347,15 +350,18 @@ def test_first_return_long_walks():
                 rows[first + t][first + (t + 1) % length] = 1
             first += length
         shift = VertexShift.from_rows([f"v{i}" for i in range(size)], rows)
-        parts = first_return(shift, "v0", 1).parts
+        system = first_return(shift, "v0", 1)
+        parts = system.parts
         if not back:
             assert (parts.members_up_to(6000), parts.unbounded, parts.max_part) == ((2,), False, 2)
+            assert system.tails.members_up_to(6000) == (1, *range(3, 6001))
             continue
         loops = {2 + t * n for n in lengths for t in range(3000)}
         top = 6000 if len(lengths) == 4 else SUPPORT_WALK_LIMIT + 2
         assert parts.period == (210 if len(lengths) == 4 else 1)
         assert parts.members_up_to(6000) == (*sorted(k for k in loops if k <= top), *range(top + 1, 6001))
         assert (parts.unbounded, parts.max_part) == (True, None)
+        assert system.tails.members_up_to(6000) == tuple(k for k in range(1, top + 1) if k not in loops)
 
 
 def test_first_return_matrix_two_symbol_hole():
@@ -461,7 +467,7 @@ def test_language_dims_golden():
 def test_language_dims_match_enumeration():
     # transversal dim: rotation classes meeting L_n; orbital dim: size of
     # the union of the full rotation orbits of the words of L_n
-    from scaleshift.combinatorics import least_rotation, orbit
+    from scaleshift.combinatorics import least_rotation
 
     for shift in (GOLDEN, FULL2, SFT2.shift):
         report = language_dims(shift, 7)
