@@ -6,11 +6,15 @@ closed-form modules, so cross-checks catch bugs on either side.  Of a vertex
 shift the oracle reads only its alphabet and ``VertexShift.entry``; from
 those it derives on its own the admissible words, their rotation classes, the
 scales the words induce (the gap rule below), first return path counts, and
-compositions and wheels by part set.
+compositions and wheels by part set.  Every word is generated and counted;
+for its scale, each word becomes its visit pattern, and each distinct
+pattern is decoded into its gaps once per process.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain, filterfalse, repeat
 from typing import Collection, Iterable, Iterator, Mapping
 
 from .combinatorics import Composition, PartSpec
@@ -27,6 +31,16 @@ KINDS = ("compositions", "wheels")
 _VISITS = [bytes(int(i == s) for i in range(256)) for s in range(MAX_SYMBOLS)]
 
 
+@lru_cache(maxsize=MAX_SUM + 1)
+def _windows(n: int) -> tuple[slice, ...]:
+    """The slices of the n length-n windows of an item written twice; one for n = 0.
+
+    The oracle's own words and compositions are at most ``MAX_SUM`` long, so
+    the cache holds every length they reach.
+    """
+    return tuple(slice(i, i + n) for i in range(n or 1))
+
+
 def _orbit_dims(items: Iterable) -> tuple[int, int]:
     """Rotation classes of the distinct items, and the size of their union.
 
@@ -36,13 +50,9 @@ def _orbit_dims(items: Iterable) -> tuple[int, int]:
     """
     classes = 0
     union: set = set()
-    for item in items:
-        if item in union:
-            continue
+    for item in filterfalse(union.__contains__, items):
         classes += 1
-        n = len(item)
-        twice = item + item
-        union.update([twice[i:i + n] for i in range(n or 1)])
+        union.update(map((item + item).__getitem__, _windows(len(item))))
     return classes, len(union)
 
 
@@ -52,11 +62,12 @@ def _successors(shift: VertexShift) -> list[list[int]]:
     return [[j for j, t in enumerate(symbols) if shift.entry(s, t) == 1] for s in symbols]
 
 
-def _word_levels(shift: VertexShift, max_n: int) -> Iterator[list[bytes]]:
+def _word_levels(shift: VertexShift, max_n: int) -> Iterator[list[list[bytes]]]:
     """The admissible words of length n = 1..max_n, coded by symbol index.
 
-    Each level extends the one before by one edge, so a level is dropped as
-    soon as the next one is built.
+    Each level holds one list of words per first symbol, in alphabet order.
+    It extends the level before by one edge, so a level is dropped as soon
+    as the next one is built.
     """
     if shift.size > MAX_SYMBOLS:
         raise ValueError(f"cost guard: at most {MAX_SYMBOLS} symbols, got {shift.size}")
@@ -64,28 +75,37 @@ def _word_levels(shift: VertexShift, max_n: int) -> Iterator[list[bytes]]:
         raise ValueError(f"cost guard: need 1 <= n <= {MAX_WORD_LENGTH}, got {max_n}")
     letters = [bytes((i,)) for i in range(shift.size)]
     follow = [[letters[j] for j in succ] for succ in _successors(shift)]
-    words = letters
-    yield words
+    level = [[letter] for letter in letters]
+    yield level
     for _ in range(max_n - 1):
-        words = [word + letter for word in words for letter in follow[word[-1]]]
-        yield words
+        level = [
+            [word + letter for word in words for letter in follow[word[-1]]] for words in level
+        ]
+        yield level
 
 
-def _scale_sets(words: list[bytes], size: int) -> tuple[set[Composition], ...]:
+@lru_cache(maxsize=2 ** MAX_WORD_LENGTH)
+def _pattern_gaps(pattern: bytes) -> Composition:
+    """The gaps of a visit pattern: each 1 and the run of 0s after it.
+
+    Each 1 is followed by a run of 0s, and its gap is that run's length plus
+    one; the run split off before the leading 1 is empty.  A pattern of
+    length n starts with 1, so at most 2^(n-1) of them exist per length.
+    """
+    return tuple(len(run) + 1 for run in pattern.split(b"\x01")[1:])
+
+
+def _scale_sets(level: list[list[bytes]]) -> tuple[set[Composition], ...]:
     """The scales of the words, one set per first symbol.
 
     A word induces the gaps between consecutive visits to its first symbol,
     the last gap wrapping past the end.  Only the visits matter, so each word
-    is first reduced to its visit pattern, 1 at a visit and 0 elsewhere.
-    Each 1 is followed by a run of 0s, and its gap is that run's length plus
-    one; the run split off before the leading 1 is empty.
+    becomes its visit pattern, 1 at a visit and 0 elsewhere, and each
+    distinct pattern is decoded into its gaps once per process.
     """
-    patterns: list[set[bytes]] = [set() for _ in range(size)]
-    for word in words:
-        patterns[word[0]].add(word.translate(_VISITS[word[0]]))
     return tuple(
-        {tuple(len(run) + 1 for run in pattern.split(b"\x01")[1:]) for pattern in found}
-        for found in patterns
+        set(map(_pattern_gaps, set(map(bytes.translate, words, repeat(_VISITS[start])))))
+        for start, words in enumerate(level)
     )
 
 
@@ -99,15 +119,15 @@ def oracle_levels(
     only the scales outlive the level.
     """
     return [
-        (_orbit_dims(words), _scale_sets(words, shift.size))
-        for words in _word_levels(shift, max_n)
+        (_orbit_dims(chain.from_iterable(level)), _scale_sets(level))
+        for level in _word_levels(shift, max_n)
     ]
 
 
 def oracle_language_dims(shift: VertexShift, n: int) -> tuple[int, int]:
-    for words in _word_levels(shift, n):
+    for level in _word_levels(shift, n):
         pass
-    return _orbit_dims(words)
+    return _orbit_dims(chain.from_iterable(level))
 
 
 def oracle_scale_dims(scales: Collection[Composition]) -> tuple[int, int]:

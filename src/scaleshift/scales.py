@@ -182,19 +182,18 @@ def _scale_levels(shift: VertexShift, walks, order: int, cap: int, keep) -> list
     """[keep(scales of the length-n words) for n = 1..order], one level at a time.
 
     ``walks`` pairs each start symbol index with the symbol indices whose
-    visits mark the gaps of its words.  Each level first charges the words
-    of its length from those starts against ``cap``, and only what ``keep``
-    returns outlives the level.
+    visits mark the gaps of its words.  The words of every length from those
+    starts are charged against ``cap`` before any word is built, and only
+    what ``keep`` returns outlives a level.
     """
     counts = word_counts(shift, order, [start for start, _ in walks])
     budget = cap
+    for n, count in enumerate(counts, start=1):
+        budget -= count
+        if budget < 0:
+            raise EnumerationCapError(f"enumerating {count} words of length {n} exceeds the cap")
     kept = []
     for n in range(1, order + 1):
-        budget -= counts[n - 1]
-        if budget < 0:
-            raise EnumerationCapError(
-                f"enumerating {counts[n - 1]} words of length {n} exceeds the cap"
-            )
         scales = set()
         for start, marked in walks:
             scales.update(map(_gaps, language_from(shift, (start,), n), repeat(marked)))

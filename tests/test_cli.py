@@ -100,6 +100,13 @@ def test_vertex_global(capsys):
     assert (rows[12]["transversal"], rows[12]["orbital"]) == (115, 561)
     assert (rows[5]["transversal"], rows[5]["orbital"]) == (6, 13)
     assert rows[12]["class_size"] == 376
+    # golden has 984 words of lengths 1..12 from both symbols, 377 of length 12
+    argv = ["vertex", "global", "--matrix", GOLDEN_MAT, "--order", "12"]
+    code, capped, err = run(["--cap", "984"] + argv, capsys)
+    assert (code, capped, err) == (0, out, "")
+    code, capped, err = run(["--cap", "983"] + argv, capsys)
+    assert (code, capped) == (3, "")
+    assert "enumerating 377 words of length 12 exceeds the cap; lower --order or raise --cap" in err
 
 
 def test_vertex_language(capsys):

@@ -6,6 +6,8 @@ import pytest
 from scaleshift.combinatorics import PartSpec
 from scaleshift.oracle import (
     OracleReport,
+    _orbit_dims,
+    _pattern_gaps,
     oracle_first_return,
     oracle_language_dims,
     oracle_levels,
@@ -22,7 +24,7 @@ from scaleshift.shiftspace import (
     language_dims,
     word_counts,
 )
-from scaleshift.verify import _irreducible_shifts
+from scaleshift.verify import _irreducible_shifts, check_oracle_grid
 
 from refsets import BULL, CIRC, GOLDEN_ROWS, WHEELS_PREFIX, w
 
@@ -76,6 +78,47 @@ def test_scale_dims_match_symbol_closed_form():
                     report.transversal[n - 1],
                     report.orbital[n - 1],
                 )
+
+
+def _literal_orbit_dims(items):
+    """(rotation classes, size of the union): every rotation of every item, literally."""
+    orbits = {frozenset(item[i:] + item[:i] for i in range(len(item) or 1)) for item in items}
+    return len(orbits), len(set().union(*orbits))
+
+
+def test_orbit_dims_match_literal_rotations():
+    periodic = b"\x00\x01" * 3
+    compositions = [
+        comp
+        for m in range(7)
+        for comp in itertools.product(range(1, 7), repeat=m)
+        if sum(comp) <= 6
+    ]
+    rng = random.Random(14)
+    words = [bytes(rng.randrange(3) for _ in range(7)) for _ in range(300)]
+    cases = [
+        [],
+        [periodic],
+        [periodic, periodic[1:] + periodic[:1], periodic, b"\x01\x00\x01"],
+        [b""],
+        [b"", b"", b"\x02"],
+        [b"\x00\x00\x01", b"\x01\x00\x00", b"\x00\x01\x00", b"\x01\x01\x00", b"\x00\x00\x01"],
+        compositions,
+        [comp for comp in compositions if sum(comp) == 6],
+        words + words[::3],
+    ]
+    for items in cases:
+        assert _orbit_dims(items) == _orbit_dims(iter(items)) == _literal_orbit_dims(items)
+
+
+def test_grid_decodes_each_pattern_once():
+    # a visit pattern of length n starts with a visit, so the grid's words of
+    # length <= 10 have at most 1 + 2 + ... + 2^9 = 1,023 distinct patterns
+    _pattern_gaps.cache_clear()
+    assert all(report.match for report in check_oracle_grid())
+    info = _pattern_gaps.cache_info()
+    assert info.misses == info.currsize <= 1023
+    assert info.hits > 100 * info.misses
 
 
 def test_levels_scale_sets_match_scale_class():

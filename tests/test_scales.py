@@ -386,6 +386,17 @@ def test_global_dims_cap():
         global_dims(FULL2, 30, cap=100)
 
 
+def test_global_dims_cap_before_any_word(monkeypatch):
+    # golden has 9,227,462 words of lengths 1..31 and 5,702,887 of length 32,
+    # so the default cap of 10^7 trips at 32; no word of any length is built
+    def walk(*args):
+        raise AssertionError("a word was built before the cap was checked")
+
+    monkeypatch.setattr("scaleshift.scales.language_from", walk)
+    with pytest.raises(EnumerationCapError, match="enumerating 5702887 words of length 32 exceeds"):
+        global_dims(GOLDEN, 8000)
+
+
 def test_distinguished_set_scales_sft():
     double = SFT2.alphabet.symbols  # ("∘∘", "∘•", "•∘")
 
