@@ -16,6 +16,7 @@ from .combinatorics import PartSpec, transversal_of
 from .scales import (
     DEFAULT_CAP,
     EnumerationCapError,
+    _charge,
     global_dims,
     scale_class,
     symbol_dims,
@@ -156,9 +157,7 @@ def cmd_vertex_global(args) -> int:
 def cmd_vertex_language(args) -> int:
     shift = _load_shift(args.matrix)
     order = args.order
-    count = word_counts(shift, order)[-1]
-    if count > args.cap:
-        raise EnumerationCapError(f"enumerating {count} words of length {order} exceeds the cap")
+    _charge(word_counts(shift, order)[-1:], args.cap, first=order)
     words = sorted(language_from(shift, range(shift.size), order))
     data = {
         "n": order,
@@ -204,6 +203,9 @@ def cmd_sft(args) -> int:
         distinguished = tuple(
             blocks[i] for i in range(len(blocks)) if recoded.label(i) == head
         )
+    # each start gets the whole cap, and all are charged before any is walked
+    for start in distinguished:
+        _charge(word_counts(shift, args.order, [shift.alphabet.index(start)]), args.cap)
     matrix = first_return_matrix(shift, distinguished, args.order)
     table = {
         f"{s}->{t}": list(series.coeffs)

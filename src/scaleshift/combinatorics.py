@@ -172,17 +172,17 @@ class PartSpec:
         tail = range(self.start, limit + 1)
         return (*head, *(k for k in tail if (k - self.start) % self.period in self.residues))
 
-    def indicator_gf(self, order: int | None = None) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(N, Q) with sum_{k in K} z^k = N/Q: Q = 1 - z^P when K is unbounded, else 1.
+    def indicator_gf(self, order: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(N, Q) with N/Q = sum_{k in K} z^k up to z^order.
 
-        N is that sum times Q, cut below start + P.  Given ``order``, N/Q
-        agrees up to z^order, and N is the sum cut at order over Q = 1 when K
-        is finite or start + P passes order + 1: neither outgrows the order.
+        When K is unbounded and start + P is at most order + 1, Q = 1 - z^P and
+        N is that sum times Q, cut below start + P.  Otherwise Q = 1 and N is
+        the sum cut at order: neither outgrows the order.
         """
-        periodic = self.unbounded and (order is None or self.start + self.period <= order + 1)
+        periodic = self.unbounded and self.start + self.period <= order + 1
         p = self.period if periodic else 0
         last = order if self.unbounded else self.max_part or 0
-        top = self.start + p if periodic else 1 + (last if order is None else min(last, order))
+        top = self.start + p if periodic else 1 + min(last, order)
         num = [0] * top
         for k in self.members_up_to(top - 1):
             num[k] += 1

@@ -16,7 +16,8 @@ class DimReport:
     term counts the empty composition; the constant is not stored in the
     ``orbital`` tuple but shows up in the n = 0 row of the bivariate
     table when one is attached.  ``class_sizes`` optionally records the
-    cardinality of the underlying scale set per n (enumeration mode).
+    cardinality of the underlying scale set per n; the closed forms and the
+    enumerators both record it.
     """
 
     __slots__ = (

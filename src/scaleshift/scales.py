@@ -44,15 +44,15 @@ def _gaps(word, marked) -> Composition:
     return tuple(map(sub, stops[1:], stops))
 
 
-def _composition_form(spec: PartSpec, order: int) -> tuple[tuple[int, ...], list[int]]:
-    """(Q, Q - N): with s = N/Q the indicator of K, 1/(1 - s) = Q/(Q - N)."""
+def _composition_form(spec: PartSpec, order: int) -> RationalFunction:
+    """C = Q/(Q - N): with s = N/Q the indicator of K, C = 1/(1 - s)."""
     num, den = spec.indicator_gf(order)
-    return den, [q - n for q, n in zip_longest(den, num, fillvalue=0)]
+    return RationalFunction(den, [q - n for q, n in zip_longest(den, num, fillvalue=0)])
 
 
 def composition_gf(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """1/(1 - sum_{k in K} z^k): compositions with all parts in K."""
-    return RationalFunction(*_composition_form(spec, order)).expand(order)
+    return _composition_form(spec, order).expand(order)
 
 
 def composition_bgf(spec: PartSpec, order: int = DEFAULT_ORDER) -> BivariateSeries:
@@ -94,8 +94,12 @@ def wheels_gf(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     P_m / m, P_m the z^m coefficient of L(Q - N) - L(Q), L(f) = -z f'/f; so
     the z^n coefficient is the Burnside count (1/n) sum_{k|n} phi(k) P_{n/k}.
     """
-    den, den_minus_num = _composition_form(spec, order)
-    p = list(map(sub, log_derivative(den_minus_num, order).coeffs, log_derivative(den, order).coeffs))
+    return _wheels(_composition_form(spec, order), order)
+
+
+def _wheels(form: RationalFunction, order: int) -> TruncatedSeries:
+    logs = (log_derivative(poly, order).coeffs for poly in (form.denominator, form.numerator))
+    p = list(map(sub, *logs))
     coeffs = [0] + [burnside(n, n, lambda k: p[n // k]) for n in range(1, order + 1)]
     return TruncatedSeries(coeffs, order)
 
@@ -122,13 +126,8 @@ def _wheel_table(comp: BivariateSeries) -> BivariateSeries:
 
 
 def a_series(spec: PartSpec, tails: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Scales whose final gap falls outside K: (sum_{k in E} z^k) C^K(z), E = ``tails``."""
-    return _tailed(composition_gf(spec, order), tails, order)
-
-
-def _tailed(comp: TruncatedSeries, tails: PartSpec, order: int) -> TruncatedSeries:
-    """The tail indicator sum_{k in E} z^k times ``comp``."""
-    return comp * RationalFunction(*tails.indicator_gf(order)).expand(order)
+    """Scales whose final gap falls outside K: e(z) C^K(z), e the indicator of ``tails``."""
+    return (RationalFunction(*tails.indicator_gf(order)) * _composition_form(spec, order)).expand(order)
 
 
 def b_series(spec: PartSpec, tails: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -137,7 +136,8 @@ def b_series(spec: PartSpec, tails: PartSpec, order: int = DEFAULT_ORDER) -> Tru
     With a = u e C and C = 1/(1 - u s), d/du at u = 1 is
     e C + e s C^2 = e C^2, since 1 + s C = C; so b = a C.
     """
-    return a_series(spec, tails, order) * composition_gf(spec, order)
+    comp = _composition_form(spec, order)
+    return (RationalFunction(*tails.indicator_gf(order)) * comp * comp).expand(order)
 
 
 def symbol_dims(
@@ -155,10 +155,10 @@ def symbol_dims(
     """
     loops = first_return(shift, symbol, order)
     spec, tails = loops.parts, loops.tails
-    comp = composition_gf(spec, order)
-    a = _tailed(comp, tails, order)
-    b = a * comp
-    transversal = (wheels_gf(spec, order) + a).coeffs[1:]
+    form = _composition_form(spec, order)
+    tailed = RationalFunction(*tails.indicator_gf(order)) * form
+    comp, a, b = (f.expand(order) for f in (form, tailed, tailed * form))
+    transversal = (_wheels(form, order) + a).coeffs[1:]
     orbital = (comp + b).coeffs[1:]
     sizes = (comp + a).coeffs[1:]
     table_t = table_o = None
@@ -178,20 +178,28 @@ def symbol_dims(
     )
 
 
+def _charge(counts, cap: int, first: int = 1) -> None:
+    """Charge the counts of the words of lengths first, first + 1, ... against ``cap`` in turn.
+
+    The first length that overdraws raises, before any word is built.  ``cli``
+    charges ``vertex language`` and each ``sft scales`` start here too.
+    """
+    budget = cap
+    for n, count in enumerate(counts, start=first):
+        budget -= count
+        if budget < 0:
+            raise EnumerationCapError(f"enumerating {count} words of length {n} exceeds the cap")
+
+
 def _scale_levels(shift: VertexShift, walks, order: int, cap: int, keep) -> list:
     """[keep(scales of the length-n words) for n = 1..order], one level at a time.
 
     ``walks`` pairs each start symbol index with the symbol indices whose
     visits mark the gaps of its words.  The words of every length from those
-    starts are charged against ``cap`` before any word is built, and only
-    what ``keep`` returns outlives a level.
+    starts are charged against ``cap`` first, and only what ``keep`` returns
+    outlives a level.
     """
-    counts = word_counts(shift, order, [start for start, _ in walks])
-    budget = cap
-    for n, count in enumerate(counts, start=1):
-        budget -= count
-        if budget < 0:
-            raise EnumerationCapError(f"enumerating {count} words of length {n} exceeds the cap")
+    _charge(word_counts(shift, order, [start for start, _ in walks]), cap)
     kept = []
     for n in range(1, order + 1):
         scales = set()

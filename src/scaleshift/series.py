@@ -3,14 +3,17 @@
 Three carriers:
 
 - ``TruncatedSeries``: dense integer coefficient table for z^0 .. z^N.
+  Truncated series add; they do not multiply.
 - ``BivariateSeries``: triangular table c[n][m] for 0 <= m <= n <= N, where z
   marks size and u marks length; truncation applies to z only, the bound
   m <= n is structural (no composition has more parts than its size).
-- ``RationalFunction``: quotient of integer polynomials, expandable at 0.
+- ``RationalFunction``: quotient of integer polynomials.  Rational functions
+  multiply exactly, and each expands at 0 by one linear recurrence, so a
+  product of closed forms is one expansion, not a product of truncations.
 
 Every series here counts something, so coefficients are plain ``int`` and a
-constructor given anything else raises ``NonIntegralCoefficientError``. The
-ring operations never divide; the closed forms that do (the Burnside orbit
+constructor given anything else raises ``NonIntegralCoefficientError``. No
+operation here divides; the closed forms that do (the Burnside orbit
 count in ``numtheory``, Newton's identities) check the remainder where they
 divide.
 """
@@ -63,46 +66,12 @@ class TruncatedSeries:
             raise IndexError(f"coefficient index {n} outside 0..{self.order}")
         return self.coeffs[n]
 
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"mismatched truncation orders {self.order} and {other.order}")
-
-    def _coerce(self, value) -> "TruncatedSeries | None":
-        if isinstance(value, TruncatedSeries):
-            return value
-        if isinstance(value, int):
-            return TruncatedSeries([value], self.order)
-        return None
-
-    # -- ring operations ---------------------------------------------------
-
     def __add__(self, other) -> "TruncatedSeries":
-        g = self._coerce(other)
-        if g is None:
-            return NotImplemented
-        self._check_order(g)
-        return TruncatedSeries([a + b for a, b in zip(self.coeffs, g.coeffs)], self.order)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, int):
-            return TruncatedSeries([other * a for a in self.coeffs], self.order)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._check_order(other)
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(out, n)
-
-    __rmul__ = __mul__
+        if self.order != other.order:
+            raise ValueError(f"mismatched truncation orders {self.order} and {other.order}")
+        return TruncatedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)], self.order)
 
     # -- serialization -----------------------------------------------------
 
@@ -222,6 +191,15 @@ class RationalFunction:
             s[n] = acc * d0
         return TruncatedSeries(s, order)
 
+    def __mul__(self, other) -> "RationalFunction":
+        """Exact product; the denominators' constant terms ±1 multiply to ±1."""
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
+        return RationalFunction(
+            _poly_mul(self.numerator, other.numerator),
+            _poly_mul(self.denominator, other.denominator),
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
@@ -244,3 +222,12 @@ def _trim(poly: Sequence[int]) -> tuple[int, ...]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _poly_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, start=i):
+                out[j] += a * b
+    return out

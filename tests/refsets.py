@@ -5,8 +5,11 @@ the golden mean shift, the two-step SFT with forbidden blocks
 {distinguished-pair, triple}, and the three substitution sequences.
 Words are spelled as strings over the two-symbol alphabet and turned
 into letter tuples with `w`; `rotate` and `orbit` are the brute-force
-rotation helpers the tests compare the library's rotation counts against.
+rotation helpers the tests compare the library's rotation counts against,
+and `series_product` the schoolbook product they check closed forms against.
 """
+
+from scaleshift.series import TruncatedSeries
 
 CIRC = "∘"   # open note symbol
 BULL = "•"   # closed note symbol
@@ -28,6 +31,19 @@ def rotate(c, j):
 def orbit(c):
     """All distinct rotations of c; the modes of the scale c encodes."""
     return frozenset(rotate(c, j) for j in range(max(len(c), 1)))
+
+
+def series_product(f, g):
+    """The product of two truncated series, cut at their common order, term by term."""
+    if f.order != g.order:
+        raise ValueError(f"mismatched truncation orders {f.order} and {g.order}")
+    n = f.order
+    out = [0] * (n + 1)
+    for i, a in enumerate(f.coeffs):
+        if a:
+            for j in range(n + 1 - i):
+                out[i + j] += a * g.coeffs[j]
+    return TruncatedSeries(out, n)
 
 
 # Golden mean shift: matrix rows over alphabet (CIRC, BULL).

@@ -233,6 +233,20 @@ def test_sft_scales_charges_each_start(capsys):
     assert "words of length 16 exceeds the cap; lower --order or raise --cap" in err
 
 
+def test_sft_scales_charges_every_start_first(capsys, monkeypatch):
+    # ∘• overdraws --cap 261, so the command exits before it walks ∘∘'s 198 words
+    def walk(*args):
+        raise AssertionError("a word was walked before the cap was checked")
+
+    monkeypatch.setattr("scaleshift.scales.language_from", walk)
+    argv = ["--cap", "261", "sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "16"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: enumerating 65 words of length 16 exceeds the cap; lower --order or raise --cap\n"
+    )
+
+
 def test_sft_scales_explicit_set(capsys):
     code, out, _ = run(
         ["sft", "scales", "--forbidden", TWOSTEP_FORB, "--set", "∘∘", "--order", "6"], capsys

@@ -23,7 +23,7 @@ from scaleshift.scales import (
     wheels_bgf,
     wheels_gf,
 )
-from scaleshift.series import BivariateSeries
+from scaleshift.series import BivariateSeries, TruncatedSeries
 from scaleshift.shiftspace import (
     SftPresentation,
     VertexShift,
@@ -58,6 +58,7 @@ from refsets import (
     WHEELS_12_BY_LENGTH,
     WHEELS_PREFIX,
     orbit,
+    series_product,
     w,
 )
 
@@ -220,6 +221,29 @@ def test_a_and_b_series():
     # the loop sizes at • are {2, 3, ...}, and its one tail is 1
     loops = first_return(GOLDEN, BULL, 12)
     assert a_series(loops.parts, loops.tails, 12) == a_series(bull, one, 12)
+
+
+def test_closed_forms_match_series_products():
+    # a = e C and b = e C^2 are each one expansion of an exact product; check
+    # them and the report rows against products of the expanded factors, on
+    # every 0/1 matrix up to 3 x 3 at each symbol
+    order = 12
+    for k in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=k * k):
+            shift = VertexShift.from_rows("abc"[:k], [bits[i * k:i * k + k] for i in range(k)])
+            for symbol in shift.alphabet:
+                loops = first_return(shift, symbol, order)
+                comp = composition_gf(loops.parts, order)
+                tails = loops.tails.members_up_to(order)
+                e = TruncatedSeries([int(n in tails) for n in range(order + 1)], order)
+                a = series_product(e, comp)
+                b = series_product(a, comp)
+                assert a_series(loops.parts, loops.tails, order) == a
+                assert b_series(loops.parts, loops.tails, order) == b
+                report = symbol_dims(shift, symbol, order)
+                assert report.transversal == (wheels_gf(loops.parts, order) + a).coeffs[1:]
+                assert report.orbital == (comp + b).coeffs[1:]
+                assert report.class_sizes == (comp + a).coeffs[1:]
 
 
 def test_closed_forms_match_sums_over_parts():

@@ -11,17 +11,21 @@ from scaleshift.series import (
     TruncatedSeries,
 )
 
+from refsets import series_product
+
 
 def S(*coeffs, order=None):
     return TruncatedSeries(list(coeffs), order)
 
 
 def test_add_and_mul_basics():
-    one_plus = S(1, 1, order=4)
-    one_minus = S(1, -1, order=4)
-    assert (one_plus * one_minus) == S(1, 0, -1, order=4)
-    g = S(0, 1, 1, order=4)
-    assert (g * g) == S(0, 0, 1, 2, 1, order=4)
+    assert S(1, 1, order=4) + S(1, -1, order=4) == S(2, order=4)
+    # truncated series add; rational functions multiply
+    one_plus = RationalFunction([1, 1], [1])
+    one_minus = RationalFunction([1, -1], [1])
+    assert (one_plus * one_minus).expand(4) == S(1, 0, -1, order=4)
+    g = RationalFunction([0, 1, 1], [1])
+    assert (g * g).expand(4) == S(0, 0, 1, 2, 1, order=4)
 
 
 def test_expanded_rational_plus_zero():
@@ -30,19 +34,41 @@ def test_expanded_rational_plus_zero():
 
 
 def test_scalar_arithmetic():
+    # truncated series neither take int operands nor multiply
     g = S(0, 1, order=3)
-    assert (1 + g * -1) == S(1, -1, order=3)
-    assert (2 * g) == S(0, 2, order=3)
-    assert (g * -3) == S(0, -3, order=3)
-    with pytest.raises(TypeError):
-        g * 0.5
+    for operation in (
+        lambda: 1 + g, lambda: g + 1, lambda: 2 * g, lambda: g * -3, lambda: g * g, lambda: g * 0.5,
+    ):
+        with pytest.raises(TypeError):
+            operation()
 
 
 def test_mismatched_orders_rejected():
     with pytest.raises(ValueError):
         S(1, order=3) + S(1, order=4)
-    with pytest.raises(ValueError):
-        S(1, order=3) * S(1, order=4)
+
+
+def test_rational_product_matches_series_product():
+    # constant terms -1 in numerators and denominators; -1 * -1 = 1 and 1 * -1 = -1
+    forms = [
+        RationalFunction([1], [-1, 1]),
+        RationalFunction([-1, 0, 2], [1, -1, -1]),
+        RationalFunction([0, 1, -1], [-1, 0, 0, 1]),
+        RationalFunction([3, 0, 0, 0, -1], [1]),
+        RationalFunction([], [-1, 2]),
+    ]
+    order = 12
+    for f in forms:
+        for g in forms:
+            product = f * g
+            assert product.denominator[0] == f.denominator[0] * g.denominator[0]
+            assert product.expand(order) == series_product(f.expand(order), g.expand(order))
+    assert (forms[0] * forms[0]).denominator == (1, -2, 1)
+    for bad in (2, S(1, order=3)):
+        with pytest.raises(TypeError):
+            forms[1] * bad
+        with pytest.raises(TypeError):
+            bad * forms[1]
 
 
 def test_expand_examples():
@@ -121,7 +147,7 @@ def test_bivariate_length_weighted_matches_partial():
     comp = composition_bgf(PartSpec.finite({1, 3}), 8)
     weighted = comp.length_weighted()
     c = comp.at_u1()
-    assert weighted.at_u1() == S(0, 1, 0, 1, order=8) * c * c
+    assert weighted.at_u1() == series_product(series_product(S(0, 1, 0, 1, order=8), c), c)
     for n in range(9):
         for m in range(n + 1):
             assert weighted.coefficient(n, m) == m * comp.coefficient(n, m)
