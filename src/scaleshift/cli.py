@@ -20,8 +20,8 @@ from .scales import (
     global_dims,
     scale_class,
     symbol_dims,
-    wheels_bgf,
     wheels_gf,
+    wheels_row,
 )
 from .series import DEFAULT_ORDER
 from .shiftspace import (
@@ -55,16 +55,28 @@ class CommandError(Exception):
         self.code = code
 
 
-def _emit(data: dict, fmt: str, text_lines) -> None:
-    """Print ``data`` as JSON, or the lines the callable ``text_lines`` returns.
+def _emit(data, fmt: str, text_lines) -> None:
+    """Print the dict the callable ``data`` returns as JSON, or the lines the
+    callable ``text_lines`` returns.
 
-    The text lines are built only when text is printed.
+    Only the form that is printed is built.  Counts may have more digits
+    than Python's int-to-str limit allows, so the limit is lifted while the
+    output is built and printed, and restored after; parsing outside input
+    keeps it.
     """
-    if fmt == "json":
-        print(json.dumps(data, ensure_ascii=False, sort_keys=True))
-    else:
-        for line in text_lines():
-            print(line)
+    # Python before 3.10.7 has no limit to lift
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            print(json.dumps(data(), ensure_ascii=False, sort_keys=True))
+        else:
+            for line in text_lines():
+                print(line)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def _read_file(path: str) -> str:
@@ -93,8 +105,8 @@ def cmd_wheels(args) -> int:
     data = {"n": args.n, "parts": args.parts, "total": total}
     values = [total]
     if args.by_length:
-        values = data["by_length"] = list(wheels_bgf(spec, args.n).rows[args.n][1:])
-    _emit(data, args.format or "text", lambda: [",".join(str(v) for v in values)])
+        values = data["by_length"] = wheels_row(spec, args.n)[1:]
+    _emit(lambda: data, args.format or "text", lambda: [",".join(str(v) for v in values)])
     return EXIT_OK
 
 
@@ -126,7 +138,7 @@ def cmd_vertex_zeta(args) -> int:
         "denominator": list(form.denominator),
         "coefficients": coeffs,
     }
-    _emit(data, args.format or "json", lambda: [",".join(str(c) for c in coeffs)])
+    _emit(lambda: data, args.format or "json", lambda: [",".join(str(c) for c in coeffs)])
     return EXIT_OK
 
 
@@ -134,7 +146,7 @@ def cmd_vertex_loops(args) -> int:
     shift = _load_shift(args.matrix)
     loops = first_return(shift, _require_symbol(args, shift), args.order)
     coeffs = loops.series.coeffs
-    _emit(loops.to_json(), args.format or "json", lambda: [",".join(str(c) for c in coeffs)])
+    _emit(loops.to_json, args.format or "json", lambda: [",".join(str(c) for c in coeffs)])
     return EXIT_OK
 
 
@@ -142,15 +154,18 @@ def cmd_vertex_dims(args) -> int:
     shift = _load_shift(args.matrix)
     symbol = _require_symbol(args, shift)
     report = symbol_dims(shift, symbol, args.order, bivariate=args.bivariate)
-    data = {"symbol": symbol, **report.to_json()}
-    _emit(data, args.format or "json", lambda: _dims_lines(report, args.order))
+    _emit(
+        lambda: {"symbol": symbol, **report.to_json()},
+        args.format or "json",
+        lambda: _dims_lines(report, args.order),
+    )
     return EXIT_OK
 
 
 def cmd_vertex_global(args) -> int:
     shift = _load_shift(args.matrix)
     report = global_dims(shift, args.order, cap=args.cap)
-    _emit(report.to_json(), args.format or "json", lambda: _dims_lines(report, args.order))
+    _emit(report.to_json, args.format or "json", lambda: _dims_lines(report, args.order))
     return EXIT_OK
 
 
@@ -165,7 +180,7 @@ def cmd_vertex_language(args) -> int:
         "words": word_texts(shift, words),
         "witnesses": word_texts(shift, sorted(transversal_of(words))),
     }
-    _emit(data, args.format or "json", lambda: [",".join(data["words"])])
+    _emit(lambda: data, args.format or "json", lambda: [",".join(data["words"])])
     return EXIT_OK
 
 
@@ -223,7 +238,7 @@ def cmd_sft(args) -> int:
         "first_return": table,
         "scales": scales,
     }
-    _emit(data, args.format or "json", lambda: _sft_lines(blocks, distinguished, table, scales))
+    _emit(lambda: data, args.format or "json", lambda: _sft_lines(blocks, distinguished, table, scales))
     return EXIT_OK
 
 
@@ -248,9 +263,7 @@ def cmd_subst(args) -> int:
         except ValueError as err:
             raise CommandError(EXIT_DATA, f"bad rules file {args.rules}: {err}") from err
     study = substitution_scales(morphism, args.n, cap=args.cap)
-    data = study.to_json()
-    data["transversal"] = [list(comp) for comp in sorted(transversal_of(study.combined))]
-    _emit(data, args.format or "json", lambda: _subst_lines(study))
+    _emit(study.to_json, args.format or "json", lambda: _subst_lines(study))
     return EXIT_OK
 
 
@@ -328,20 +341,20 @@ def cmd_oeis(args) -> int:
     if len(coeffs) > len(values):
         data["match"] = False
         data["reason"] = "prefix longer than the snapshot"
-        _emit(data, args.format or "text", lambda: [f"mismatch: {data['reason']}"])
+        _emit(lambda: data, args.format or "text", lambda: [f"mismatch: {data['reason']}"])
         return EXIT_DATA
     for i, (given, known) in enumerate(zip(coeffs, values)):
         if given != known:
             data["match"] = False
             data["first_mismatch"] = {"position": i, "given": given, "expected": known}
             _emit(
-                data,
+                lambda: data,
                 args.format or "text",
                 lambda: [f"mismatch at position {i}: given {given}, expected {known}"],
             )
             return EXIT_DATA
     data["match"] = True
-    _emit(data, args.format or "text", lambda: ["match"])
+    _emit(lambda: data, args.format or "text", lambda: ["match"])
     return EXIT_OK
 
 

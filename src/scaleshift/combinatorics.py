@@ -17,46 +17,133 @@ from typing import Collection, Iterable
 Composition = tuple[int, ...]
 
 
+# Compositions of at least this many parts are keyed in linear time by Booth's
+# algorithm.  Below it, striking the rotation windows at C level is faster,
+# and the more so the more members of a set share a class: on the Thue-Morse
+# and Fibonacci scale sets, with one to three members per class, the two
+# cross between 48 and 96 parts.
+_LINEAR_FROM = 64
+
+
 def least_rotation(w: tuple) -> tuple:
-    """Lexicographically least rotation of any tuple (compositions or words)."""
-    if len(w) < 2:
-        return w
-    doubled = w + w
-    n = len(w)
-    return min(doubled[i : i + n] for i in range(n))
+    """Lexicographically least rotation of any tuple (compositions or words),
+    found by Booth's algorithm in linear time."""
+    k = _booth(w)
+    return w[k:] + w[:k]
 
 
-def rotation_dims(B: Collection[Composition]) -> tuple[int, int]:
-    """(transversal, orbital): the rotation classes B meets, and the size of
-    the union of their full orbits.
+def _booth(w: tuple) -> int:
+    """Start of the least rotation of ``w`` (Booth, 1980), in O(len(w)).
 
-    One pass over a copy of B: take any w, strike its rotations (the windows
-    of w + w) from the copy, and count one class of orbit size p, the least
-    period of w, which is the position of the first window equal to w.  The
-    empty composition is its own orbit of size 1.  Distinct classes have
-    disjoint orbits, so the sum of the orbit sizes is the size of the union.
+    One scan of w + w keeps the failure function of the rotation starting
+    at the candidate k, and moves k on whenever a mismatch shows a smaller
+    item; the empty tuple gives 0.
+    """
+    s = w + w
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        item = s[j]
+        i = fail[j - k - 1]
+        x = s[k + i + 1]
+        while i != -1 and item != x:
+            if item < x:
+                k = j - i - 1
+            i = fail[i]
+            x = s[k + i + 1]
+        if item != x:
+            # i == -1, and x is the candidate's first item
+            if item < x:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def _orbit_size(key: tuple) -> int:
+    """Number of distinct rotations of a non-empty tuple: its least period p
+    when p divides its length, else its length.
+
+    p = L - pi[L - 1], pi the prefix function of Knuth, Morris and Pratt.
+    """
+    pi = [0] * len(key)
+    k = 0
+    for q in range(1, len(key)):
+        item = key[q]
+        while k and key[k] != item:
+            k = pi[k - 1]
+        if key[k] == item:
+            k += 1
+        pi[q] = k
+    p = len(key) - pi[-1]
+    return p if len(key) % p == 0 else len(key)
+
+
+def _rotation_classes(B: Iterable[Composition], least: bool) -> tuple[list[Composition], int]:
+    """A member of each rotation class that B meets, and the size of the
+    union of their orbits; with ``least`` set, each member is the least
+    element of B in its class.
+
+    A member of ``_LINEAR_FROM`` parts or more is keyed by its least
+    rotation, which ``least_rotation`` finds in linear time, and a new key
+    adds its ``_orbit_size``.  A shorter w strikes its rotations, the
+    windows of w + w, from the rest of B and adds its least period, the
+    position of the first window equal to w.  Collecting the members struck
+    to pick the least costs a set per class, so only the callers that need
+    it ask.  The empty composition is its own orbit of size 1.
     """
     rest = set(B)
-    classes = orbital = 0
+    keyed: dict[Composition, Composition] = {}
+    members = []
+    orbital = 0
     while rest:
         w = rest.pop()
         m = len(w)
+        if m >= _LINEAR_FROM:
+            key = least_rotation(w)
+            chosen = keyed.get(key)
+            if chosen is None:
+                orbital += _orbit_size(key)
+            if chosen is None or w < chosen:
+                keyed[key] = w
+            continue
         doubled = w + w
         windows = [doubled[i : i + m] for i in range(1, max(m, 1) + 1)]
-        rest.difference_update(windows)
-        classes += 1
         orbital += windows.index(w) + 1
-    return classes, orbital
+        if least:
+            struck = rest.intersection(windows)
+            rest -= struck
+            struck.add(w)
+            w = min(struck)
+        else:
+            rest.difference_update(windows)
+        members.append(w)
+    members += keyed.values()
+    return members, orbital
 
 
-def transversal_of(B: Collection[Composition]) -> set[Composition]:
+def rotation_dims(B: Iterable[Composition]) -> tuple[int, int]:
+    """(transversal, orbital): the rotation classes B meets, and the size of
+    the union of their full orbits.
+
+    One pass of ``_rotation_classes``: members of ``_LINEAR_FROM`` parts or
+    more are keyed by their least rotation in linear time (Booth), shorter
+    ones strike their rotation windows.
+    """
+    members, orbital = _rotation_classes(B, least=False)
+    return len(members), orbital
+
+
+def rotation_classes(B: Iterable[Composition]) -> tuple[set[Composition], int]:
+    """(``transversal_of(B)``, the orbital dimension of B) from one pass."""
+    members, orbital = _rotation_classes(B, least=True)
+    return set(members), orbital
+
+
+def transversal_of(B: Iterable[Composition]) -> set[Composition]:
     """One element of B per represented class: the least element of B in the class."""
-    chosen: dict[Composition, Composition] = {}
-    for w in B:
-        key = least_rotation(w)
-        if key not in chosen or w < chosen[key]:
-            chosen[key] = w
-    return set(chosen.values())
+    return set(_rotation_classes(B, least=True)[0])
 
 
 def mutually_independent(A: Collection[Composition], B: Collection[Composition]) -> bool:

@@ -1,14 +1,15 @@
-"""Brute-force ground truth for every counted quantity.
+"""Brute-force ground truth for the scale dimensions that ``verify`` checks.
 
 Everything here works by exhaustive generation: no series arithmetic, no
 matrix identities, no divisor sums.  The point is independence from the
 closed-form modules, so cross-checks catch bugs on either side.  Of a vertex
 shift the oracle reads only its alphabet and ``VertexShift.entry``; from
-those it derives on its own the admissible words, their rotation classes, the
-scales the words induce (the gap rule below), first return path counts, and
-compositions and wheels by part set.  Every word is generated and counted;
-for its scale, each word becomes its visit pattern, and each distinct
-pattern is decoded into its gaps once per process.
+those it derives on its own the admissible words, their rotation classes and
+the scales the words induce (the gap rule below).  Every word is generated
+and counted; for its scale, each word becomes its visit pattern, and each
+distinct pattern is decoded into its gaps once per process.  The tests'
+brute-force counts of compositions, wheels and first return paths live in
+``tests/oracle_refs.py`` and reuse the word levels and orbit counter here.
 """
 
 from __future__ import annotations
@@ -17,15 +18,12 @@ from functools import lru_cache
 from itertools import chain, filterfalse, repeat
 from typing import Collection, Iterable, Iterator, Mapping
 
-from .combinatorics import Composition, PartSpec
+from .combinatorics import Composition
 from .shiftspace import VertexShift
 
 MAX_SYMBOLS = 4
 MAX_WORD_LENGTH = 14
 MAX_SUM = 20
-MAX_RETURN_STEPS = 12
-
-KINDS = ("compositions", "wheels")
 
 # byte tables mapping symbol index s to 1 and every other index to 0
 _VISITS = [bytes(int(i == s) for i in range(256)) for s in range(MAX_SYMBOLS)]
@@ -124,71 +122,8 @@ def oracle_levels(
     ]
 
 
-def oracle_language_dims(shift: VertexShift, n: int) -> tuple[int, int]:
-    for level in _word_levels(shift, n):
-        pass
-    return _orbit_dims(chain.from_iterable(level))
-
-
 def oracle_scale_dims(scales: Collection[Composition]) -> tuple[int, int]:
     return _orbit_dims(scales)
-
-
-def _allowed_parts(parts: PartSpec | Iterable[int] | None, n: int) -> tuple[int, ...]:
-    if parts is None:
-        return tuple(range(1, n + 1))
-    if isinstance(parts, PartSpec):
-        return parts.members_up_to(n)
-    explicit = sorted(set(parts))
-    if any(k < 1 for k in explicit):
-        raise ValueError("parts must be positive")
-    return tuple(k for k in explicit if k <= n)
-
-
-def _compositions(n: int, allowed: tuple[int, ...]) -> list[Composition]:
-    out: list[Composition] = []
-    stack: list[tuple[Composition, int]] = [((), n)]
-    while stack:
-        prefix, rest = stack.pop()
-        if rest == 0:
-            out.append(prefix)
-            continue
-        for k in allowed:
-            if k <= rest:
-                stack.append((prefix + (k,), rest - k))
-    return out
-
-
-def oracle_series_coeff(
-    kind: str,
-    parts: PartSpec | Iterable[int] | None,
-    n: int,
-    m: int | None = None,
-) -> int:
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}, expected one of {KINDS}")
-    if not 0 <= n <= MAX_SUM:
-        raise ValueError(f"cost guard: need 0 <= n <= {MAX_SUM}, got {n}")
-    comps = _compositions(n, _allowed_parts(parts, n))
-    if m is not None:
-        comps = [comp for comp in comps if len(comp) == m]
-    if kind == "compositions":
-        return len(comps)
-    # a wheel has at least one part: the empty composition is no wheel
-    return _orbit_dims(comp for comp in comps if comp)[0]
-
-
-def oracle_first_return(shift: VertexShift, symbol: str, k: int) -> int:
-    start = shift.alphabet.index(symbol)
-    if not 1 <= k <= MAX_RETURN_STEPS:
-        raise ValueError(f"cost guard: need 1 <= k <= {MAX_RETURN_STEPS}, got {k}")
-    # the end of every path of k edges from symbol back to symbol that
-    # avoids symbol in between, one entry per path
-    succ = _successors(shift)
-    ends = [start]
-    for step in range(1, k + 1):
-        ends = [t for v in ends for t in succ[v] if (t == start) == (step == k)]
-    return len(ends)
 
 
 def _jsonable(value):

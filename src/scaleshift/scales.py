@@ -114,15 +114,24 @@ def wheels_bgf(spec: PartSpec, order: int = DEFAULT_ORDER) -> BivariateSeries:
     return _wheel_table(composition_bgf(spec, order))
 
 
+def wheels_row(spec: PartSpec, n: int) -> list[int]:
+    """Row n of ``wheels_bgf(spec, n)``: the wheels of total n by number of parts, m = 0..n.
+
+    Its Burnside sums read only the composition rows n/k for k | n, so no
+    other wheel row is built.
+    """
+    return _wheel_row(composition_bgf(spec, n).rows, n)
+
+
 def _wheel_table(comp: BivariateSeries) -> BivariateSeries:
-    order, table = comp.order, comp.rows
-    rows = [[0]]
-    for n in range(1, order + 1):
-        row = [0] * (n + 1)
-        for m in range(1, n + 1):
-            row[m] = burnside(m, gcd(n, m), lambda k: table[n // k][m // k])
-        rows.append(row)
-    return BivariateSeries(rows, order)
+    return BivariateSeries([_wheel_row(comp.rows, n) for n in range(comp.order + 1)], comp.order)
+
+
+def _wheel_row(table: tuple[tuple[int, ...], ...], n: int) -> list[int]:
+    row = [0] * (n + 1)
+    for m in range(1, n + 1):
+        row[m] = burnside(m, gcd(n, m), lambda k: table[n // k][m // k])
+    return row
 
 
 def a_series(spec: PartSpec, tails: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-from .combinatorics import Composition, rotation_dims
+from .combinatorics import Composition, rotation_classes
 from .scales import DEFAULT_CAP, EnumerationCapError, induced_scale
 from .shiftspace import Alphabet, Word
 
@@ -144,26 +144,34 @@ def block_language(morphism: Morphism, n: int, cap: int = DEFAULT_CAP) -> frozen
 
 
 class ScaleStudy:
-    """Scale sets of the n-blocks, per distinguished symbol and combined."""
+    """Scale sets of the n-blocks, per distinguished symbol and combined.
 
-    __slots__ = ("n", "per_symbol", "combined", "transversal_dim", "orbital_dim")
+    ``transversal`` holds the least member of each rotation class that the
+    combined set meets, and ``orbital_dim`` the size of their orbits' union.
+    """
+
+    __slots__ = ("n", "per_symbol", "combined", "transversal", "orbital_dim")
 
     def __init__(
         self,
         n: int,
         per_symbol: dict[str, frozenset[Composition]],
         combined: frozenset[Composition],
-        transversal_dim: int,
+        transversal: frozenset[Composition],
         orbital_dim: int,
     ):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "per_symbol", per_symbol)
         object.__setattr__(self, "combined", combined)
-        object.__setattr__(self, "transversal_dim", transversal_dim)
+        object.__setattr__(self, "transversal", transversal)
         object.__setattr__(self, "orbital_dim", orbital_dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScaleStudy is immutable")
+
+    @property
+    def transversal_dim(self) -> int:
+        return len(self.transversal)
 
     def to_json(self) -> dict:
         return {
@@ -172,6 +180,7 @@ class ScaleStudy:
             "orbital_dim": self.orbital_dim,
             "combined_size": len(self.combined),
             "combined": [list(c) for c in sorted(self.combined)],
+            "transversal": [list(c) for c in sorted(self.transversal)],
             "per_symbol": {
                 symbol: [list(c) for c in sorted(scales)]
                 for symbol, scales in self.per_symbol.items()
@@ -189,4 +198,5 @@ def substitution_scales(morphism: Morphism, n: int, cap: int = DEFAULT_CAP) -> S
         for symbol in morphism.alphabet
     }
     combined = frozenset().union(*per_symbol.values())
-    return ScaleStudy(n, per_symbol, combined, *rotation_dims(combined))
+    transversal, orbital = rotation_classes(combined)
+    return ScaleStudy(n, per_symbol, combined, frozenset(transversal), orbital)

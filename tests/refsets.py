@@ -29,8 +29,26 @@ def rotate(c, j):
 
 
 def orbit(c):
-    """All distinct rotations of c; the modes of the scale c encodes."""
-    return frozenset(rotate(c, j) for j in range(max(len(c), 1)))
+    """All distinct rotations of c, the windows of c + c; the modes of the scale c encodes."""
+    doubled = c + c
+    return frozenset(doubled[j : j + len(c)] for j in range(max(len(c), 1)))
+
+
+def rotation_classes_ref(members):
+    """(the least member of each rotation class, the size of the union of the orbits).
+
+    Takes any c from a copy of ``members``, strikes its rotations (the windows
+    of c + c) from the copy, and keeps the least of c and the members struck.
+    """
+    rest = set(members)
+    least, union = set(), set()
+    while rest:
+        c = rest.pop()
+        windows = orbit(c)
+        least.add(min(windows & rest | {c}))
+        rest -= windows
+        union |= windows
+    return least, len(union)
 
 
 def series_product(f, g):

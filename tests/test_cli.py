@@ -55,6 +55,36 @@ def test_wheels_parts_past_n(capsys):
         assert code == 0 and sum(map(int, out.split(","))) == int(total)
 
 
+def test_big_integers_print(capsys):
+    # the total at n = 15000 has more digits than Python's default limit on
+    # int-to-str conversion; printing lifts it, and parsing keeps it after
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, _ = run(["wheels", "--n", "15000"], capsys)
+    total = out.strip()
+    assert code == 0 and total.isdigit() and len(total) > 4300
+    code, out, _ = run(["--format", "json", "wheels", "--n", "15000"], capsys)
+    assert code == 0 and json.loads(out, parse_int=str)["total"] == total
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        code, _, err = run(["oeis", "check", "--id", "A000358", "--coeffs", "7" * 5000], capsys)
+        assert code == 2 and "bad --coeffs" in err
+
+
+def test_big_loop_counts_print(tmp_path, capsys):
+    # on the full shift over 17 symbols the first returns of length k number
+    # 16^(k - 1), more than 4,300 digits at k = 3600; the JSON form turns them
+    # into strings, which must happen while printing lifts the limit too
+    target = tmp_path / "full17.mat"
+    target.write_text(" ".join(f"s{i}" for i in range(17)) + "\n" + ("1 " * 16 + "1\n") * 17, encoding="utf-8")
+    argv = ["vertex", "loops", "--matrix", str(target), "--symbol", "s0", "--order", "3600"]
+    code, out, _ = run(["--format", "text", *argv], capsys)
+    last = out.strip().split(",")[-1]
+    # 16^3599 has 4,334 digits; compare its last 18 without converting it whole
+    assert code == 0 and len(last) == 4334 and int(last[-18:]) == pow(16, 3599, 10**18)
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["series"]["coeffs"][-1] == last
+
+
 def test_vertex_zeta(capsys):
     code, out, _ = run(["vertex", "zeta", "--matrix", GOLDEN_MAT, "--order", "8"], capsys)
     assert code == 0

@@ -6,10 +6,10 @@ import pytest
 import refsets
 from scaleshift import combinatorics as cb
 from scaleshift import series
-from scaleshift.oracle import oracle_series_coeff
 from scaleshift.scales import composition_gf
 
-from refsets import orbit, rotate
+from oracle_refs import oracle_series_coeff
+from refsets import orbit, rotate, rotation_classes_ref
 
 
 def test_rotate():
@@ -118,6 +118,62 @@ def test_mutually_independent():
     for a, b in itertools.combinations(studies, 2):
         assert cb.mutually_independent(a, b)
     assert not cb.mutually_independent({(1, 2)}, {(2, 1)})
+
+
+def test_booth_matches_least_of_all_rotations():
+    # both sides of the linear-time threshold, periodic and constant tuples,
+    # and the empty and one-part tuples
+    rng = random.Random(1980)
+    edge = cb._LINEAR_FROM
+    cases = [(), (4,), (1, 2) * 40, (2, 1) * 41, (3,) * edge, (3,) * (edge - 1), (1, 2, 2) * 30]
+    for _ in range(20_000):
+        if rng.random() < 0.1:
+            base = tuple(rng.choices((1, 2, 3), k=rng.randrange(1, 7)))
+            c = base * rng.randrange(1, 2 + 3 * edge // (2 * len(base)))
+        else:
+            length = rng.choice(
+                (*[rng.randrange(0, 24)] * 14, rng.randrange(edge - 3, edge + 3), rng.randrange(edge, 2 * edge))
+            )
+            c = tuple(rng.choices((1, 1, 2, 3), k=length))
+        cases.append(rotate(c, rng.randrange(max(len(c), 1))))
+    lengths = {len(c) for c in cases}
+    assert {0, 1, edge - 1, edge} <= lengths and max(lengths) >= 3 * edge // 2
+    for c in cases:
+        rotations = orbit(c)
+        expected = min(rotations)
+        assert cb.least_rotation(c) == expected, c
+        if c:
+            assert cb._orbit_size(expected) == len(rotations), c
+
+
+def test_rotation_classes_match_window_striking():
+    # random sets mixing members below and above the linear-time threshold,
+    # with several members per class, against the window-striking reference
+    rng = random.Random(1977)
+    edge = cb._LINEAR_FROM
+
+    def draw():
+        if rng.random() < 0.3:
+            base = tuple(rng.choices((1, 2), k=rng.randrange(1, 6)))
+            return base * rng.randrange(1, 2 * edge // len(base))
+        length = rng.choice(
+            (rng.randrange(0, 12), rng.randrange(edge - 2, edge + 2), rng.randrange(edge, 2 * edge))
+        )
+        return tuple(rng.choices((1, 1, 2, 3), k=length))
+
+    for _ in range(40):
+        members = set()
+        for _ in range(rng.randrange(1, 30)):
+            c = draw()
+            members |= {rotate(c, rng.randrange(max(len(c), 1))) for _ in range(rng.randrange(1, 5))}
+        least, orbital = rotation_classes_ref(members)
+        assert cb.rotation_dims(members) == (len(least), orbital)
+        assert cb.rotation_classes(members) == (least, orbital)
+        assert cb.transversal_of(members) == least
+        assert cb.transversal_of(sorted(members) * 2) == least
+        other = {draw() for _ in range(rng.randrange(1, 6))}
+        shared = bool(set().union(*map(orbit, members)) & set().union(*map(orbit, other)))
+        assert cb.mutually_independent(members, other) is not shared
 
 
 def test_enumerate_compositions():

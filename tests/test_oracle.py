@@ -8,11 +8,8 @@ from scaleshift.oracle import (
     OracleReport,
     _orbit_dims,
     _pattern_gaps,
-    oracle_first_return,
-    oracle_language_dims,
     oracle_levels,
     oracle_scale_dims,
-    oracle_series_coeff,
 )
 from scaleshift.scales import global_dims, scale_class, symbol_dims
 from scaleshift.shiftspace import (
@@ -26,6 +23,7 @@ from scaleshift.shiftspace import (
 )
 from scaleshift.verify import _irreducible_shifts, check_oracle_grid
 
+from oracle_refs import oracle_first_return, oracle_language_dims, oracle_series_coeff
 from refsets import BULL, CIRC, GOLDEN_ROWS, WHEELS_PREFIX, w
 
 GOLDEN = VertexShift.from_rows((CIRC, BULL), GOLDEN_ROWS)

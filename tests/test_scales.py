@@ -9,7 +9,6 @@ from scaleshift.combinatorics import (
     transversal_of,
 )
 from scaleshift.numtheory import burnside
-from scaleshift.oracle import oracle_series_coeff
 from scaleshift.scales import (
     EnumerationCapError,
     a_series,
@@ -22,6 +21,7 @@ from scaleshift.scales import (
     symbol_dims,
     wheels_bgf,
     wheels_gf,
+    wheels_row,
 )
 from scaleshift.series import BivariateSeries, TruncatedSeries
 from scaleshift.shiftspace import (
@@ -33,6 +33,7 @@ from scaleshift.shiftspace import (
 )
 from scaleshift.verify import _irreducible_shifts
 
+from oracle_refs import oracle_series_coeff
 from refsets import (
     BULL,
     CIRC,
@@ -139,6 +140,20 @@ def test_wheels_bgf():
         for n in range(13):
             for m in range(n + 1):
                 assert table.coefficient(n, m) == oracle_series_coeff("wheels", spec, n, m)
+
+
+def test_wheels_row_matches_table():
+    # each row from the composition rows it reads, against the whole table at
+    # order 200 and the total of wheels_gf; the spans below 41 and near 200
+    # are whole, the rows between every seventh
+    for parts in ("all", "2,3", "3+"):
+        spec = PartSpec.parse(parts)
+        table = wheels_bgf(spec, 200)
+        totals = wheels_gf(spec, 200)
+        for n in (*range(41), *range(41, 190, 7), *range(190, 201)):
+            row = wheels_row(spec, n)
+            assert row == list(table.rows[n]), (parts, n)
+            assert sum(row) == totals.coefficient(n)
 
 
 def test_wheels_match_enumeration():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from scaleshift.combinatorics import mutually_independent, rotation_dims
+from scaleshift.combinatorics import mutually_independent, rotation_dims, transversal_of
 from scaleshift.scales import EnumerationCapError
 from scaleshift.substitutions import (
     Morphism,
@@ -26,6 +26,7 @@ from refsets import (
     FIB_SCALES_CIRC,
     TM_PREFIX_16,
     TM_SCALES,
+    rotation_classes_ref,
     w,
 )
 
@@ -181,7 +182,21 @@ def test_scale_study_json():
     assert data["n"] == 5
     assert data["combined_size"] == len(study.combined)
     assert data["transversal_dim"] == study.transversal_dim
+    assert data["transversal"] == sorted(map(list, study.transversal))
     assert all(sum(comp) == 5 for comp in data["combined"])
+
+
+def test_scale_study_transversal_is_least_per_class():
+    # n = 12 keeps every scale below the linear-time threshold, n = 200 and
+    # 400 put every Thue-Morse and Fibonacci scale above it; the quadratic
+    # reference runs up to n = 200
+    for morphism in (TM, FIB, FEIG):
+        for n in (12, 200, 400):
+            study = substitution_scales(morphism, n)
+            assert study.transversal == transversal_of(study.combined)
+            assert (study.transversal_dim, study.orbital_dim) == rotation_dims(study.combined)
+            if n <= 200:
+                assert (study.transversal, study.orbital_dim) == rotation_classes_ref(study.combined)
 
 
 def test_morphism_from_json():
