@@ -123,10 +123,22 @@ def _require_symbol(args, shift: VertexShift) -> str:
 
 
 def _dims_lines(report, order: int) -> list[str]:
-    return [
+    """One line per n; with by-notes tables, their cells m = 1..n follow on it."""
+    lines = [
         f"n={n} transversal={report.transversal_at(n)} orbital={report.orbital_at(n)}"
         for n in range(1, order + 1)
     ]
+    if report.bivariate_transversal is None:
+        return lines
+    return [
+        f"{line} transversal_by_notes={_notes(report.bivariate_transversal, n)}"
+        f" orbital_by_notes={_notes(report.bivariate_orbital, n)}"
+        for n, line in enumerate(lines, start=1)
+    ]
+
+
+def _notes(table, n: int) -> str:
+    return ",".join(map(str, table.rows[n][1:]))
 
 
 def cmd_vertex_zeta(args) -> int:

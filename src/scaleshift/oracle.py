@@ -6,14 +6,19 @@ closed-form modules, so cross-checks catch bugs on either side.  Of a vertex
 shift the oracle reads only its alphabet and ``VertexShift.entry``; from
 those it derives on its own the admissible words, their rotation classes and
 the scales the words induce (the gap rule below).  Every word is generated
-and counted; for its scale, each word becomes its visit pattern, and each
-distinct pattern is decoded into its gaps once per process.  The tests'
-brute-force counts of compositions, wheels and first return paths live in
-``tests/oracle_refs.py`` and reuse the word levels and orbit counter here.
+and counted.  A word over k symbols is written in base b = max(k, 2), so its
+rank is the number it spells; one table per (b, n), built once per process by
+striking the rotations of every one of the b^n words, gives each rank its
+class and each class its size.  For its scale, each word becomes its visit
+pattern, and each distinct pattern is decoded into its gaps once per process.
+The tests' brute-force counts of compositions, wheels, first return paths and
+language classes live in ``tests/oracle_refs.py`` and reuse the word levels and
+orbit counter here.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from itertools import chain, filterfalse, repeat
 from typing import Collection, Iterable, Iterator, Mapping
@@ -24,9 +29,12 @@ from .shiftspace import VertexShift
 MAX_SYMBOLS = 4
 MAX_WORD_LENGTH = 14
 MAX_SUM = 20
+#: Most entries of one rotation-class table: 4^10, where the grid needs 3^10
+MAX_CLASS_TABLE = 4 ** 10
 
-# byte tables mapping symbol index s to 1 and every other index to 0
-_VISITS = [bytes(int(i == s) for i in range(256)) for s in range(MAX_SYMBOLS)]
+# words spell symbol index i as the ASCII digit i; these byte tables map the
+# digit of symbol s to 1 and every other byte to 0
+_VISITS = [bytes(int(i == ord("0") + s) for i in range(256)) for s in range(MAX_SYMBOLS)]
 
 
 @lru_cache(maxsize=MAX_SUM + 1)
@@ -61,7 +69,7 @@ def _successors(shift: VertexShift) -> list[list[int]]:
 
 
 def _word_levels(shift: VertexShift, max_n: int) -> Iterator[list[list[bytes]]]:
-    """The admissible words of length n = 1..max_n, coded by symbol index.
+    """The admissible words of length n = 1..max_n, symbol index i spelt as the digit i.
 
     Each level holds one list of words per first symbol, in alphabet order.
     It extends the level before by one edge, so a level is dropped as soon
@@ -71,8 +79,10 @@ def _word_levels(shift: VertexShift, max_n: int) -> Iterator[list[list[bytes]]]:
         raise ValueError(f"cost guard: at most {MAX_SYMBOLS} symbols, got {shift.size}")
     if not 1 <= max_n <= MAX_WORD_LENGTH:
         raise ValueError(f"cost guard: need 1 <= n <= {MAX_WORD_LENGTH}, got {max_n}")
-    letters = [bytes((i,)) for i in range(shift.size)]
-    follow = [[letters[j] for j in succ] for succ in _successors(shift)]
+    letters = [str(i).encode() for i in range(shift.size)]
+    follow = {
+        letter[0]: [letters[j] for j in succ] for letter, succ in zip(letters, _successors(shift))
+    }
     level = [[letter] for letter in letters]
     yield level
     for _ in range(max_n - 1):
@@ -107,6 +117,36 @@ def _scale_sets(level: list[list[bytes]]) -> tuple[set[Composition], ...]:
     )
 
 
+@lru_cache(maxsize=(MAX_SYMBOLS - 1) * MAX_WORD_LENGTH)
+def _class_table(base: int, n: int) -> tuple[array, array]:
+    """(class id of each rank, size of each class) for the base^n words of length n.
+
+    Rotating a word left by one digit takes its rank r to
+    (r mod base^(n-1))·base + r div base^(n-1); each rank not yet struck
+    starts a new class, and walking that map until it returns strikes the
+    class's every member.
+    """
+    top = base ** (n - 1)
+    ids = array("i", [-1]) * (top * base)
+    sizes = array("b")
+    for rank in range(top * base):
+        if ids[rank] < 0:
+            member, size = rank, 0
+            while ids[member] < 0:
+                ids[member] = len(sizes)
+                member = member % top * base + member // top
+                size += 1
+            sizes.append(size)
+    return ids, sizes
+
+
+def _language_dims(words: Iterable[bytes], base: int, n: int) -> tuple[int, int]:
+    """Rotation classes of the length-n words, and the size of their union."""
+    ids, sizes = _class_table(base, n)
+    classes = set(map(ids.__getitem__, map(int, words, repeat(base))))
+    return len(classes), sum(map(sizes.__getitem__, classes))
+
+
 def oracle_levels(
     shift: VertexShift, max_n: int
 ) -> list[tuple[tuple[int, int], tuple[set[Composition], ...]]]:
@@ -114,11 +154,20 @@ def oracle_levels(
 
     Each length-n level of words gives its (transversal, orbital) pair and
     the scales its words induce, one set per start symbol in alphabet order;
-    only the scales outlive the level.
+    only the scales outlive the level.  The rotation-class tables cost
+    base^n entries, so that is checked before any word or table is built.
     """
+    base = max(shift.size, 2)
+    # a length past MAX_WORD_LENGTH is refused by _word_levels; min() keeps
+    # the power small for it
+    if base ** min(max_n, MAX_WORD_LENGTH) > MAX_CLASS_TABLE:
+        raise ValueError(
+            f"cost guard: a rotation-class table of {base}^{max_n} entries "
+            f"exceeds {MAX_CLASS_TABLE}"
+        )
     return [
-        (_orbit_dims(chain.from_iterable(level)), _scale_sets(level))
-        for level in _word_levels(shift, max_n)
+        (_language_dims(chain.from_iterable(level), base, n), _scale_sets(level))
+        for n, level in enumerate(_word_levels(shift, max_n), start=1)
     ]
 
 

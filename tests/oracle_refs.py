@@ -1,5 +1,7 @@
 """Brute-force references that only the tests use: language dimensions,
 composition and wheel counts by part set, and first return path counts.
+The language dimensions strike each class's rotation windows, so they check
+the oracle's rank-indexed class tables by an independent path.
 
 Like ``scaleshift.oracle``, whose word levels, successor lists and orbit
 counter they reuse, they work by exhaustive generation and read nothing

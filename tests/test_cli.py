@@ -123,6 +123,35 @@ def test_vertex_dims(capsys):
     assert code == 2
 
 
+def test_vertex_dims_bivariate_text(capsys):
+    # with --bivariate, each text line carries the by-notes cells m = 1..n
+    # of the JSON tables; without it, the lines stop after the orbital count
+    for symbol in ("∘", "•"):
+        argv = ["vertex", "dims", "--matrix", GOLDEN_MAT, "--symbol", symbol, "--order", "12"]
+        code, out, _ = run(["--format", "json"] + argv + ["--bivariate"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        code, text, err = run(["--format", "text"] + argv + ["--bivariate"], capsys)
+        assert (code, err) == (0, "")
+        lines = text.splitlines()
+        assert len(lines) == 12
+        for row, line in zip(data["rows"], lines):
+            n = row["n"]
+            cells = {
+                name: ",".join(data[f"bivariate_{name}"]["rows"][n][1:])
+                for name in ("transversal", "orbital")
+            }
+            assert line == (
+                f"n={n} transversal={row['transversal']} orbital={row['orbital']}"
+                f" transversal_by_notes={cells['transversal']}"
+                f" orbital_by_notes={cells['orbital']}"
+            )
+        code, plain, _ = run(["--format", "text"] + argv, capsys)
+        assert code == 0
+        assert plain.splitlines() == [line.split(" transversal_by_notes=")[0] for line in lines]
+    assert lines[4] == "n=5 transversal=4 orbital=8 transversal_by_notes=1,2,1,0,0 orbital_by_notes=1,4,3,0,0"
+
+
 def test_vertex_global(capsys):
     code, out, _ = run(["vertex", "global", "--matrix", GOLDEN_MAT, "--order", "12"], capsys)
     assert code == 0

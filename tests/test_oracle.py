@@ -1,11 +1,16 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import scaleshift.oracle
 from scaleshift.combinatorics import PartSpec
 from scaleshift.oracle import (
+    MAX_WORD_LENGTH,
     OracleReport,
+    _class_table,
     _orbit_dims,
     _pattern_gaps,
     oracle_levels,
@@ -54,6 +59,97 @@ def test_language_dims_match_closed_form():
                 report.transversal[n - 1],
                 report.orbital[n - 1],
             )
+
+
+FULL3 = VertexShift.from_rows("abc", ((1, 1, 1),) * 3)
+
+
+def test_levels_language_dims_match_reference():
+    # the class tables against the window-striking reference, on every grid
+    # shift up to n = 8 and on two shifts at the grid's own n = 10
+    cases = [(shift, 8) for shift in _irreducible_shifts()] + [(FULL3, 10), (GOLDEN, 10)]
+    for shift, top in cases:
+        found = [dims for dims, _ in oracle_levels(shift, top)]
+        assert found == [oracle_language_dims(shift, n) for n in range(1, top + 1)]
+
+
+def _spelt(rank, base, n):
+    """The n base-``base`` digits of rank, most significant first."""
+    return [rank // base ** (n - 1 - i) % base for i in range(n)]
+
+
+def test_class_table_classes_are_rotation_orbits():
+    for base in (2, 3):
+        for n in range(1, 9):
+            ids, sizes = _class_table(base, n)
+            assert len(ids) == sum(sizes) == base ** n
+            for rank in range(base ** n):
+                digits = _spelt(rank, base, n)
+                orbit = {
+                    int("".join(map(str, digits[i:] + digits[:i])), base) for i in range(n)
+                }
+                assert {ids[r] for r in orbit} == {ids[rank]}
+                assert sizes[ids[rank]] == len(orbit)
+            # equal ids only within an orbit: the orbits fill the table exactly
+            assert len(sizes) == len(set(ids))
+
+
+def test_one_symbol_shift_language_dims():
+    # one symbol spells its words in base 2, the smallest base int() reads
+    loop = VertexShift.from_rows("a", ((1,),))
+    levels = oracle_levels(loop, MAX_WORD_LENGTH)
+    assert [dims for dims, _ in levels] == [(1, 1)] * MAX_WORD_LENGTH
+
+
+def test_class_table_guard_before_allocation(monkeypatch):
+    # limit 3^4: n = 4 on three symbols is accepted, n = 5 refused before any
+    # table array or word level is built
+    monkeypatch.setattr(scaleshift.oracle, "MAX_CLASS_TABLE", 3 ** 4)
+    built = []
+
+    def recording(factory, label):
+        def record(*args):
+            built.append(label)
+            return factory(*args)
+        return record
+
+    monkeypatch.setattr(scaleshift.oracle, "array", recording(scaleshift.oracle.array, "array"))
+    monkeypatch.setattr(
+        scaleshift.oracle, "_word_levels", recording(scaleshift.oracle._word_levels, "words")
+    )
+    _class_table.cache_clear()
+    try:
+        assert [dims for dims, _ in oracle_levels(FULL3, 4)] == [(3, 3), (6, 9), (11, 27), (24, 81)]
+        assert "array" in built and "words" in built
+        built.clear()
+        with pytest.raises(ValueError, match="3\\^5"):
+            oracle_levels(FULL3, 5)
+        assert built == []
+        # two symbols fit up to the same 81 entries: 2^6 = 64, but not 2^7
+        oracle_levels(FULL2, 6)
+        built.clear()
+        with pytest.raises(ValueError):
+            oracle_levels(FULL2, 7)
+        assert built == []
+    finally:
+        _class_table.cache_clear()
+
+
+def test_oracle_imports_no_closed_form_module():
+    # oracle.py reads only Composition and VertexShift from the package, so
+    # its counts stay independent of the closed forms they check
+    tree = ast.parse(Path(scaleshift.oracle.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            package.add((node.module, tuple(alias.name for alias in node.names)))
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module.split(".")[0] != "scaleshift", node.module
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("scaleshift") for alias in node.names)
+    assert package == {("combinatorics", ("Composition",)), ("shiftspace", ("VertexShift",))}
+    closed_forms = {"series", "scales", "numtheory", "reports", "substitutions"}
+    assert not {module for module, _ in package} & closed_forms
 
 
 def test_scale_dims():
