@@ -12,7 +12,7 @@ optionally refined by the number of notes.
 
 from __future__ import annotations
 
-from itertools import compress, repeat, zip_longest
+from itertools import zip_longest
 from math import gcd
 from operator import sub
 
@@ -20,7 +20,7 @@ from .combinatorics import Composition, PartSpec, rotation_dims
 from .numtheory import burnside
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
 from .series import DEFAULT_ORDER, BivariateSeries, RationalFunction, TruncatedSeries, log_derivative
-from .shiftspace import VertexShift, Word, first_return, language_from, word_counts
+from .shiftspace import VertexShift, Word, first_return, word_counts
 
 DEFAULT_CAP = 10_000_000
 
@@ -33,14 +33,8 @@ def induced_scale(word: Word) -> Composition:
     """Gaps between occurrences of the first symbol, last gap wrapping."""
     if not word:
         raise ValueError("the empty word induces no scale")
-    return _gaps(word, {word[0]})
-
-
-def _gaps(word, marked) -> Composition:
-    """Gaps between the positions of ``word`` whose symbol is in ``marked``,
-    the last running to the end of the word; the word starts at a marked symbol.
-    """
-    stops = [*compress(range(len(word)), map(marked.__contains__, word)), len(word)]
+    first = word[0]
+    stops = [i for i, symbol in enumerate(word) if symbol == first] + [len(word)]
     return tuple(map(sub, stops[1:], stops))
 
 
@@ -203,19 +197,49 @@ def _charge(counts, cap: int, first: int = 1) -> None:
 def _scale_levels(shift: VertexShift, walks, order: int, cap: int, keep) -> list:
     """[keep(scales of the length-n words) for n = 1..order], one level at a time.
 
-    ``walks`` pairs each start symbol index with the symbol indices whose
-    visits mark the gaps of its words.  The words of every length from those
-    starts are charged against ``cap`` first, and only what ``keep`` returns
-    outlives a level.
+    ``walks`` pairs each start symbol index with the set of symbol indices
+    whose visits mark the gaps of its words.  The words of every length from
+    those starts are charged against ``cap`` first; the walk then visits gap
+    states and builds no word.  A level maps each key (last symbol, length of
+    the open gap) to the set of closed-gap prefixes that reach it, and the
+    level's scales are those prefixes closed by the open gap.  Merging is
+    exact: two words with the same last symbol, open gap and closed prefix
+    induce the same scale on every extension, since a word's future depends
+    on its last symbol alone.  An unmarked step passes its set on whole, so
+    prefix sets are shared across keys and levels and never changed in place.
+    Only what ``keep`` returns outlives a level.
     """
     _charge(word_counts(shift, order, [start for start, _ in walks]), cap)
+    succ = shift.successors
+    levels = [({(start, 1): {()}}, marked) for start, marked in walks]
     kept = []
     for n in range(1, order + 1):
         scales = set()
-        for start, marked in walks:
-            scales.update(map(_gaps, language_from(shift, (start,), n), repeat(marked)))
+        for level, _ in levels:
+            for (_, gap), closed in level.items():
+                scales.update([c + (gap,) for c in closed])
         kept.append(keep(scales))
+        if n < order:
+            levels = [(_step(level, succ, marked), marked) for level, marked in levels]
     return kept
+
+
+def _step(level: dict, succ, marked) -> dict:
+    """The gap states one symbol on from ``level``; a marked symbol closes the open gap."""
+    out = {}
+    for (last, gap), closed in level.items():
+        shut = None
+        for (t,) in succ[last]:
+            if t in marked:
+                key = (t, 1)
+                if shut is None:
+                    shut = {c + (gap,) for c in closed}
+                new = shut
+            else:
+                key, new = (t, gap + 1), closed
+            old = out.get(key)
+            out[key] = new if old is None or old is new else old | new
+    return out
 
 
 def global_dims(
@@ -223,8 +247,9 @@ def global_dims(
 ) -> DimReport:
     """Dimensions of the scales over all distinguished symbols at once.
 
-    Enumerates every word, distinguishes its first symbol, and reduces
-    the resulting scale sets exactly; no closed form is attempted.
+    Walks the gap states of the words from every symbol, distinguishes
+    each word's first symbol, and reduces the resulting scale sets exactly;
+    no closed form is attempted.
     """
     walks = [(i, {i}) for i in range(shift.size)]
     dims = _scale_levels(

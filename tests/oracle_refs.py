@@ -1,7 +1,9 @@
 """Brute-force references that only the tests use: language dimensions,
-composition and wheel counts by part set, and first return path counts.
-The language dimensions strike each class's rotation windows, so they check
-the oracle's rank-indexed class tables by an independent path.
+composition and wheel counts by part set, first return path counts, and the
+scale sets of literal words.  The language dimensions strike each class's
+rotation windows, so they check the oracle's rank-indexed class tables by an
+independent path; the scale sets cut every word from ``language_from``, so
+they check the gap-state walk of ``scaleshift.scales`` word by word.
 
 Like ``scaleshift.oracle``, whose word levels, successor lists and orbit
 counter they reuse, they work by exhaustive generation and read nothing
@@ -10,14 +12,17 @@ from the closed-form modules.
 
 from __future__ import annotations
 
+import re
 from itertools import chain
 from typing import Iterable
 
 from scaleshift.combinatorics import Composition, PartSpec
 from scaleshift.oracle import MAX_SUM, _orbit_dims, _successors, _word_levels
-from scaleshift.shiftspace import VertexShift
+from scaleshift.shiftspace import VertexShift, language_from
 
 MAX_RETURN_STEPS = 12
+
+_GAP = re.compile(rb"10*")  # a visit and the run of non-visits after it
 
 KINDS = ("compositions", "wheels")
 
@@ -83,3 +88,25 @@ def oracle_first_return(shift: VertexShift, symbol: str, k: int) -> int:
     for step in range(1, k + 1):
         ends = [t for v in ends for t in succ[v] if (t == start) == (step == k)]
     return len(ends)
+
+
+def word_levels(shift: VertexShift, start: int, order: int) -> list[list[tuple[int, ...]]]:
+    """The words from symbol index ``start`` of each length 1..order, from ``language_from``."""
+    return [language_from(shift, (start,), n) for n in range(1, order + 1)]
+
+
+def word_scale_sets(levels, marked) -> list[set[Composition]]:
+    """The scale sets of the words of each level, by the word rule.
+
+    Each literal word is spelled as its visit pattern, 1 at the positions
+    whose symbol index is in ``marked`` and 0 elsewhere, and cut before each
+    1; the last gap runs to the end of the word.
+    """
+    visits = bytearray(b"0" * 256)
+    for i in marked:
+        visits[i] = ord("1")
+    return [set(map(_cut, {bytes(word).translate(visits) for word in words})) for words in levels]
+
+
+def _cut(pattern: bytes) -> Composition:
+    return tuple(map(len, _GAP.findall(pattern)))

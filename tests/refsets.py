@@ -144,6 +144,9 @@ SFT2_FORBIDDEN = {w(BULL + BULL), w(CIRC * 3)}
 SFT2_BLOCKS = (w(CIRC + CIRC), w(CIRC + BULL), w(BULL + CIRC))
 SFT2_ROWS = ((0, 1, 0), (0, 0, 1), (1, 1, 0))
 
+# Three-step SFT with forbidden blocks {BULL BULL, BULL CIRC CIRC CIRC}.
+THREESTEP_FORBIDDEN = {w(BULL + BULL), w(BULL + CIRC * 3)}
+
 # Substitution fixed point prefixes.
 TM_PREFIX_16 = w(
     CIRC + BULL + BULL + CIRC + BULL + CIRC + CIRC + BULL

@@ -10,7 +10,7 @@ import scaleshift
 from scaleshift.cli import main
 from scaleshift.combinatorics import rotation_dims
 from scaleshift.scales import scale_class
-from scaleshift.shiftspace import parse_matrix
+from scaleshift.shiftspace import VertexShift, parse_matrix
 
 from refsets import WHEELS_12_BY_LENGTH
 
@@ -297,7 +297,8 @@ def test_sft_scales_charges_every_start_first(capsys, monkeypatch):
     def walk(*args):
         raise AssertionError("a word was walked before the cap was checked")
 
-    monkeypatch.setattr("scaleshift.scales.language_from", walk)
+    # the walk reads successors first; word_counts reads only columns
+    monkeypatch.setattr(VertexShift, "successors", property(walk))
     argv = ["--cap", "261", "sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "16"]
     code, out, err = run(argv, capsys)
     assert (code, out) == (3, "")

@@ -33,7 +33,7 @@ from scaleshift.shiftspace import (
 )
 from scaleshift.verify import _irreducible_shifts
 
-from oracle_refs import oracle_series_coeff
+from oracle_refs import oracle_series_coeff, word_levels, word_scale_sets
 from refsets import (
     BULL,
     CIRC,
@@ -55,10 +55,12 @@ from refsets import (
     GOLDEN_W_BULL,
     GOLDEN_W_CIRC,
     SFT2_FORBIDDEN,
+    THREESTEP_FORBIDDEN,
     WHEELS_12,
     WHEELS_12_BY_LENGTH,
     WHEELS_PREFIX,
     orbit,
+    rotation_classes_ref,
     series_product,
     w,
 )
@@ -431,7 +433,8 @@ def test_global_dims_cap_before_any_word(monkeypatch):
     def walk(*args):
         raise AssertionError("a word was built before the cap was checked")
 
-    monkeypatch.setattr("scaleshift.scales.language_from", walk)
+    # the walk reads successors first; word_counts reads only columns
+    monkeypatch.setattr(VertexShift, "successors", property(walk))
     with pytest.raises(EnumerationCapError, match="enumerating 5702887 words of length 32 exceeds"):
         global_dims(GOLDEN, 8000)
 
@@ -474,6 +477,55 @@ def test_distinguished_set_scales_errors():
         scale_class(GOLDEN, BULL, 4, distinguished={CIRC})
     with pytest.raises(ValueError):
         scale_class(GOLDEN, CIRC, 4, distinguished={CIRC, "x"})
+
+
+def _with_start(size, start):
+    """Every set of symbol indices below ``size`` that contains ``start``."""
+    rest = [i for i in range(size) if i != start]
+    for r in range(size):
+        for extra in itertools.combinations(rest, r):
+            yield {start, *extra}
+
+
+def test_enumerated_scales_match_word_rule():
+    # every 0/1 matrix on at most 3 symbols (530), every start and every
+    # distinguished set containing it (6,210 cases), n <= 8, set for set;
+    # global_dims against the union of the singleton cases
+    for size in (1, 2, 3):
+        symbols = "abc"[:size]
+        for bits in itertools.product((0, 1), repeat=size * size):
+            rows = tuple(bits[i * size:(i + 1) * size] for i in range(size))
+            shift = VertexShift.from_rows(symbols, rows)
+            union = [set() for _ in range(8)]
+            for start in range(size):
+                levels = word_levels(shift, start, 8)
+                for marked in _with_start(size, start):
+                    expected = word_scale_sets(levels, marked)
+                    got = scale_class(
+                        shift, symbols[start], 8, distinguished=[symbols[i] for i in marked]
+                    )
+                    assert [got.at(n) for n in range(1, 9)] == expected, (rows, start, marked)
+                    if marked == {start}:
+                        for scales, new in zip(union, expected):
+                            scales |= new
+            report = global_dims(shift, 8)
+            dims = [rotation_classes_ref(scales) for scales in union]
+            assert report.transversal == tuple(len(least) for least, _ in dims), rows
+            assert report.orbital == tuple(orbital for _, orbital in dims), rows
+            assert report.class_sizes == tuple(map(len, union)), rows
+
+
+@pytest.mark.parametrize("forbidden", [SFT2_FORBIDDEN, THREESTEP_FORBIDDEN], ids=["sft2", "threestep"])
+def test_sft_scales_match_word_rule(forbidden):
+    # the block graphs sft scales walks: every start block and every
+    # distinguished set of blocks containing it, n <= 14, set for set
+    shift = higher_block(SftPresentation.of((CIRC, BULL), forbidden)).shift
+    blocks = shift.alphabet.symbols
+    for start in range(shift.size):
+        levels = word_levels(shift, start, 14)
+        for marked in _with_start(shift.size, start):
+            got = scale_class(shift, blocks[start], 14, distinguished=[blocks[i] for i in marked])
+            assert [got.at(n) for n in range(1, 15)] == word_scale_sets(levels, marked), marked
 
 
 def test_scale_class_json():
