@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Collection, Iterable
 
+from .values import Value
+
 Composition = tuple[int, ...]
 
 
@@ -151,7 +153,7 @@ def mutually_independent(A: Collection[Composition], B: Collection[Composition])
     return not {least_rotation(w) for w in A} & {least_rotation(w) for w in B}
 
 
-class PartSpec:
+class PartSpec(Value):
     """An eventually periodic set K of part sizes, held exactly.
 
     Below ``start`` the members are ``prefix``; from ``start`` on, k is a
@@ -193,25 +195,8 @@ class PartSpec:
         object.__setattr__(self, "period", period)
         object.__setattr__(self, "residues", frozenset((r + shift) % period for r in residues))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PartSpec is immutable")
-
     def _key(self) -> tuple:
         return self.prefix, self.start, self.period, self.residues
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartSpec):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"PartSpec(prefix={self.prefix!r}, start={self.start}, "
-            f"period={self.period}, residues={self.residues!r})"
-        )
 
     # -- constructors -------------------------------------------------------
 

@@ -18,6 +18,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .series import NonIntegralCoefficientError
+from .values import Value
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -93,7 +94,7 @@ def _orders(g: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, totient(k)) for k in divisors(g))
 
 
-class ArithSequence:
+class ArithSequence(Value):
     """Finite integer sequence indexed from 1, mirroring a_1, ..., a_N.
 
     Index 0 is a hard error, never a silent zero; whatever happens at n = 0
@@ -103,7 +104,7 @@ class ArithSequence:
     __slots__ = ("_values",)
 
     def __init__(self, values: Iterable[int]):
-        self._values = tuple(int(v) for v in values)
+        object.__setattr__(self, "_values", tuple(int(v) for v in values))
         if not self._values:
             raise ValueError("ArithSequence needs at least one term")
 
@@ -118,16 +119,8 @@ class ArithSequence:
     def __iter__(self) -> Iterator[int]:
         return iter(self._values)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArithSequence):
-            return NotImplemented
-        return self._values == other._values
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __repr__(self) -> str:
-        return f"ArithSequence({list(self._values)!r})"
+    def _key(self) -> tuple:
+        return self._values
 
 
 def mobius_invert(p: ArithSequence) -> ArithSequence:

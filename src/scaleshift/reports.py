@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from .series import BivariateSeries
+from .values import Frozen
 
 CLOSED_FORM = "closed_form"
 ENUMERATION = "enumeration"
 
 
-class DimReport:
+class DimReport(Frozen):
     """Transversal and orbital dimensions for sizes n = 1..order.
 
     ``transversal[i]`` and ``orbital[i]`` hold the values at n = i + 1.
@@ -53,9 +54,6 @@ class DimReport:
         object.__setattr__(self, "class_sizes", class_sizes)
         object.__setattr__(self, "bivariate_transversal", bivariate_transversal)
         object.__setattr__(self, "bivariate_orbital", bivariate_orbital)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DimReport is immutable")
 
     @staticmethod
     def _check_row_sums(table, univariate, constant):

@@ -21,6 +21,7 @@ from .numtheory import burnside
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
 from .series import DEFAULT_ORDER, BivariateSeries, RationalFunction, TruncatedSeries, log_derivative
 from .shiftspace import VertexShift, Word, first_return, word_counts
+from .values import Frozen
 
 DEFAULT_CAP = 10_000_000
 
@@ -264,7 +265,7 @@ def global_dims(
     )
 
 
-class ScaleClass:
+class ScaleClass(Frozen):
     """The scale sets of one distinguished symbol, graded by total."""
 
     __slots__ = ("symbol", "by_size")
@@ -272,9 +273,6 @@ class ScaleClass:
     def __init__(self, symbol: str, by_size: dict[int, frozenset[Composition]]):
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "by_size", by_size)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScaleClass is immutable")
 
     def at(self, n: int) -> frozenset[Composition]:
         try:

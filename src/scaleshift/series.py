@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .values import Value
+
 #: Default truncation order; every bundled check needs N <= 16, headroom is cheap.
 DEFAULT_ORDER = 64
 
@@ -38,7 +40,7 @@ def _ints(values: Iterable[int]) -> list[int]:
     return out
 
 
-class TruncatedSeries:
+class TruncatedSeries(Value):
     """Formal power series truncated at a fixed order N, integer coefficients."""
 
     __slots__ = ("order", "coeffs")
@@ -55,9 +57,6 @@ class TruncatedSeries:
             values.extend([0] * (order + 1 - len(values)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(values[: order + 1]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncatedSeries is immutable")
 
     # -- basics ------------------------------------------------------------
 
@@ -79,18 +78,11 @@ class TruncatedSeries:
         """JSON form with decimal-string integer coefficients."""
         return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+    def _key(self) -> tuple:
+        return self.order, self.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
 
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({list(self.coeffs)}, order={self.order})"
-
-class BivariateSeries:
+class BivariateSeries(Value):
     """Triangular bivariate series: z marks size, u marks length, m <= n."""
 
     __slots__ = ("order", "rows")
@@ -110,9 +102,6 @@ class BivariateSeries:
             table.append([0] * (n + 1))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "rows", tuple(tuple(row) for row in table))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BivariateSeries is immutable")
 
     def coefficient(self, n: int, m: int) -> int:
         if not 0 <= n <= self.order:
@@ -144,19 +133,11 @@ class BivariateSeries:
     def to_json(self) -> dict:
         return {"order": self.order, "rows": [[str(c) for c in row] for row in self.rows]}
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        return self.order == other.order and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.rows))
-
-    def __repr__(self) -> str:
-        return f"BivariateSeries(order={self.order}, rows={[list(row) for row in self.rows]})"
+    def _key(self) -> tuple:
+        return self.order, self.rows
 
 
-class RationalFunction:
+class RationalFunction(Value):
     """Quotient of integer polynomials whose denominator has constant term ±1.
 
     ±1 are the only invertible integers, so the expansion at 0 stays integral
@@ -172,9 +153,6 @@ class RationalFunction:
             raise ValueError("denominator needs constant term 1 or -1")
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
 
     def expand(self, order: int) -> TruncatedSeries:
         """Series expansion at 0: the unique s with numerator = denominator * s."""
@@ -200,16 +178,8 @@ class RationalFunction:
             _poly_mul(self.denominator, other.denominator),
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.numerator == other.numerator and self.denominator == other.denominator
-
-    def __hash__(self) -> int:
-        return hash((self.numerator, self.denominator))
-
-    def __repr__(self) -> str:
-        return f"RationalFunction({list(self.numerator)}, {list(self.denominator)})"
+    def _key(self) -> tuple:
+        return self.numerator, self.denominator
 
 
 def log_derivative(poly: Sequence[int], order: int) -> TruncatedSeries:

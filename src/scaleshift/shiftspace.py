@@ -18,6 +18,7 @@ from .combinatorics import PartSpec, transversal_of
 from .numtheory import ArithSequence, burnside
 from .reports import CLOSED_FORM, DimReport
 from .series import DEFAULT_ORDER, RationalFunction, TruncatedSeries, log_derivative
+from .values import Frozen, Value
 
 Word = tuple[str, ...]
 
@@ -33,7 +34,7 @@ class BlockCountError(ValueError):
 SUPPORT_WALK_LIMIT = 4096  # see first_return
 
 
-class Alphabet:
+class Alphabet(Value):
     __slots__ = ("symbols",)
 
     def __init__(self, symbols: tuple[str, ...]):
@@ -46,16 +47,8 @@ class Alphabet:
                 raise ValueError("empty symbol token")
         object.__setattr__(self, "symbols", symbols)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Alphabet):
-            return NotImplemented
-        return self.symbols == other.symbols
-
-    def __hash__(self) -> int:
-        return hash(self.symbols)
+    def _key(self) -> tuple:
+        return self.symbols
 
     @classmethod
     def of(cls, symbols) -> "Alphabet":
@@ -77,8 +70,9 @@ class Alphabet:
         return symbol in self.symbols
 
 
-class VertexShift:
-    """A 0/1 transition matrix over an alphabet; no ``__slots__``: cached tables need ``__dict__``."""
+class VertexShift(Value):
+    """A 0/1 transition matrix over an alphabet; no ``__slots__``, as
+    ``successors`` and ``columns`` are cached from the matrix in ``__dict__``."""
 
     def __init__(self, alphabet: Alphabet, matrix: tuple[tuple[int, ...], ...]):
         k = len(alphabet)
@@ -93,17 +87,8 @@ class VertexShift:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "matrix", matrix)
 
-    def __setattr__(self, name, value):
-        # successors and columns are cached from the matrix
-        raise AttributeError("VertexShift is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VertexShift):
-            return NotImplemented
-        return (self.alphabet, self.matrix) == (other.alphabet, other.matrix)
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.matrix))
+    def _key(self) -> tuple:
+        return self.alphabet, self.matrix
 
     @classmethod
     def from_rows(cls, symbols, rows) -> "VertexShift":
@@ -127,7 +112,7 @@ class VertexShift:
         return _columns(self.matrix)
 
 
-class SftPresentation:
+class SftPresentation(Frozen):
     __slots__ = ("alphabet", "forbidden")
 
     def __init__(self, alphabet: Alphabet, forbidden: frozenset[Word]):
@@ -139,9 +124,6 @@ class SftPresentation:
                     raise ValueError(f"forbidden block uses unknown symbol {letter!r}")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "forbidden", forbidden)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SftPresentation is immutable")
 
     @classmethod
     def of(cls, symbols, blocks) -> "SftPresentation":
@@ -164,7 +146,7 @@ def _is_subword(needle: Word, haystack: Word) -> bool:
     return any(haystack[i:i + k] == needle for i in range(len(haystack) - k + 1))
 
 
-class HigherBlock:
+class HigherBlock(Frozen):
     """A vertex shift on admissible blocks plus the block spelling per vertex."""
 
     __slots__ = ("shift", "blocks")
@@ -173,15 +155,12 @@ class HigherBlock:
         object.__setattr__(self, "shift", shift)
         object.__setattr__(self, "blocks", blocks)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HigherBlock is immutable")
-
     def label(self, i: int) -> str:
         """The 1-block factor map: a vertex is sent to its first letter."""
         return self.blocks[i][0]
 
 
-class LoopSystem:
+class LoopSystem(Frozen):
     """First return loops at ``symbol``: series, the part set K of its sizes, and the tails E.
 
     ``series`` is truncated at its order; ``parts`` holds the sizes with a
@@ -198,9 +177,6 @@ class LoopSystem:
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "parts", parts)
         object.__setattr__(self, "tails", tails)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LoopSystem is immutable")
 
     def to_json(self) -> dict:
         return {
@@ -475,7 +451,7 @@ def parse_forbidden(text: str) -> SftPresentation:
 
     Without the header the alphabet is the sorted set of letters seen.
     Single-character tokens may be concatenated; multi-character tokens
-    must be whitespace-separated.
+    must be separated by spaces or tabs.
     """
     symbols = None
     blocks = []
@@ -488,7 +464,8 @@ def parse_forbidden(text: str) -> SftPresentation:
             if body.lower().startswith("alphabet:"):
                 symbols = tuple(body[len("alphabet:"):].split())
             continue
-        blocks.append(tuple(line.split()) if " " in line else tuple(line))
+        tokens = line.split()
+        blocks.append(tuple(tokens) if len(tokens) > 1 else tuple(line))
     if not blocks:
         raise ValueError("no forbidden blocks in file")
     if symbols is None:

@@ -15,9 +15,10 @@ from itertools import chain
 from .combinatorics import Composition, rotation_classes
 from .scales import DEFAULT_CAP, EnumerationCapError, induced_scale
 from .shiftspace import Alphabet, Word
+from .values import Frozen, Value
 
 
-class Morphism:
+class Morphism(Value):
     __slots__ = ("alphabet", "rules", "seed")
 
     def __init__(self, alphabet: Alphabet, rules: tuple[tuple[str, Word], ...], seed: str):
@@ -41,16 +42,8 @@ class Morphism:
                 "seed image must start with the seed and have length >= 2"
             )
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Morphism is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return (self.alphabet, self.rules, self.seed) == (other.alphabet, other.rules, other.seed)
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.rules, self.seed))
+    def _key(self) -> tuple:
+        return self.alphabet, self.rules, self.seed
 
     @classmethod
     def of(cls, rules: dict, seed: str) -> "Morphism":
@@ -143,7 +136,7 @@ def block_language(morphism: Morphism, n: int, cap: int = DEFAULT_CAP) -> frozen
     return frozenset(blocks)
 
 
-class ScaleStudy:
+class ScaleStudy(Frozen):
     """Scale sets of the n-blocks, per distinguished symbol and combined.
 
     ``transversal`` holds the least member of each rotation class that the
@@ -165,9 +158,6 @@ class ScaleStudy:
         object.__setattr__(self, "combined", combined)
         object.__setattr__(self, "transversal", transversal)
         object.__setattr__(self, "orbital_dim", orbital_dim)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScaleStudy is immutable")
 
     @property
     def transversal_dim(self) -> int:

@@ -42,6 +42,7 @@ from .shiftspace import (
     zeta_rational,
 )
 from .substitutions import PRESETS, block_language, substitution_scales
+from .values import Frozen
 
 CIRC = "∘"
 BULL = "•"
@@ -414,16 +415,13 @@ def check_exclusions() -> list[OracleReport]:
     return [_report("asymptotics.excluded", {"note": note}, 1, 1)]
 
 
-class CheckResult:
+class CheckResult(Frozen):
     __slots__ = ("number", "label", "reports")
 
     def __init__(self, number: int, label: str, reports: tuple[OracleReport, ...]):
         object.__setattr__(self, "number", number)
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "reports", reports)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CheckResult is immutable")
 
     @property
     def passed(self) -> bool:

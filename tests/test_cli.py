@@ -328,6 +328,19 @@ def test_sft_scales_explicit_set(capsys):
         assert "distinct blocks" in err
 
 
+def test_sft_scales_tab_separated(tmp_path, capsys):
+    outputs = []
+    for name, separator in (("spaced.forb", " "), ("tabbed.forb", "\t")):
+        target = tmp_path / name
+        body = f"bb{separator}bb\naa{separator}aa{separator}aa\n"
+        target.write_text("# alphabet: aa bb\n" + body, encoding="utf-8")
+        code, out, err = run(["sft", "scales", "--forbidden", str(target), "--order", "4"], capsys)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["blocks"] == ["aa|aa", "aa|bb", "bb|aa"]
+
+
 def test_sft_degenerate(tmp_path, capsys):
     target = tmp_path / "dead.forb"
     target.write_text("∘•\n•∘\n∘∘\n••\n", encoding="utf-8")

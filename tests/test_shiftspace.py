@@ -508,3 +508,12 @@ def test_parse_forbidden():
     assert spaced.forbidden == {("ab", "cd")}
     with pytest.raises(ValueError):
         parse_forbidden("# alphabet: ∘ •\n")
+
+
+def test_parse_forbidden_tabs():
+    # multi-character symbols may be separated by tabs as well as spaces
+    spaced = parse_forbidden("# alphabet: aa bb\nbb bb\naa aa aa\n")
+    for body in ("bb\tbb\naa\taa\taa\n", "bb \tbb\naa\taa aa\n"):
+        tabbed = parse_forbidden("# alphabet: aa bb\n" + body)
+        assert tabbed.alphabet == spaced.alphabet
+        assert tabbed.forbidden == spaced.forbidden == {("bb", "bb"), ("aa", "aa", "aa")}
