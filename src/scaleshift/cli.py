@@ -36,7 +36,6 @@ from .shiftspace import (
     parse_matrix,
     word_counts,
     word_texts,
-    zeta,
     zeta_rational,
 )
 from .substitutions import PRESETS, morphism_from_json, substitution_scales
@@ -144,7 +143,7 @@ def _notes(table, n: int) -> str:
 def cmd_vertex_zeta(args) -> int:
     shift = _load_shift(args.matrix)
     form = zeta_rational(shift)
-    coeffs = list(zeta(shift, args.order).coeffs)
+    coeffs = list(form.expand(args.order).coeffs)
     data = {
         "numerator": list(form.numerator),
         "denominator": list(form.denominator),

@@ -30,16 +30,20 @@ _LINEAR_FROM = 64
 def least_rotation(w: tuple) -> tuple:
     """Lexicographically least rotation of any tuple (compositions or words),
     found by Booth's algorithm in linear time."""
-    k = _booth(w)
+    k = _booth(w)[0]
     return w[k:] + w[:k]
 
 
-def _booth(w: tuple) -> int:
-    """Start of the least rotation of ``w`` (Booth, 1980), in O(len(w)).
+def _booth(w: tuple) -> tuple[int, int]:
+    """Start of the least rotation of ``w`` (Booth, 1980), and the number of
+    distinct rotations of ``w``, in O(len(w)).
 
     One scan of w + w keeps the failure function of the rotation starting
     at the candidate k, and moves k on whenever a mismatch shows a smaller
-    item; the empty tuple gives 0.
+    item.  At the end, fail[n - 1] + 1 is the longest proper border of the
+    least rotation itself, so p = n - fail[n - 1] - 1 is its least period:
+    the orbit has p members when p divides n, else n.  The empty tuple
+    gives (0, 1), its own orbit of size 1.
     """
     s = w + w
     fail = [-1] * len(s)
@@ -60,26 +64,9 @@ def _booth(w: tuple) -> int:
             fail[j - k] = -1
         else:
             fail[j - k] = i + 1
-    return k
-
-
-def _orbit_size(key: tuple) -> int:
-    """Number of distinct rotations of a non-empty tuple: its least period p
-    when p divides its length, else its length.
-
-    p = L - pi[L - 1], pi the prefix function of Knuth, Morris and Pratt.
-    """
-    pi = [0] * len(key)
-    k = 0
-    for q in range(1, len(key)):
-        item = key[q]
-        while k and key[k] != item:
-            k = pi[k - 1]
-        if key[k] == item:
-            k += 1
-        pi[q] = k
-    p = len(key) - pi[-1]
-    return p if len(key) % p == 0 else len(key)
+    n = len(w)
+    period = n - fail[n - 1] - 1 if n else 1
+    return k, period if n % period == 0 else n
 
 
 def _rotation_classes(B: Iterable[Composition], least: bool) -> tuple[list[Composition], int]:
@@ -88,9 +75,9 @@ def _rotation_classes(B: Iterable[Composition], least: bool) -> tuple[list[Compo
     element of B in its class.
 
     A member of ``_LINEAR_FROM`` parts or more is keyed by its least
-    rotation, which ``least_rotation`` finds in linear time, and a new key
-    adds its ``_orbit_size``.  A shorter w strikes its rotations, the
-    windows of w + w, from the rest of B and adds its least period, the
+    rotation, which ``_booth`` finds in linear time, and a new key adds the
+    orbit size that the same scan gives.  A shorter w strikes its rotations,
+    the windows of w + w, from the rest of B and adds its least period, the
     position of the first window equal to w.  Collecting the members struck
     to pick the least costs a set per class, so only the callers that need
     it ask.  The empty composition is its own orbit of size 1.
@@ -103,10 +90,11 @@ def _rotation_classes(B: Iterable[Composition], least: bool) -> tuple[list[Compo
         w = rest.pop()
         m = len(w)
         if m >= _LINEAR_FROM:
-            key = least_rotation(w)
+            start, size = _booth(w)
+            key = w[start:] + w[:start]
             chosen = keyed.get(key)
             if chosen is None:
-                orbital += _orbit_size(key)
+                orbital += size
             if chosen is None or w < chosen:
                 keyed[key] = w
             continue

@@ -1,12 +1,14 @@
 """Elementary arithmetic functions for periodic-point and necklace counting.
 
 Implements the Mobius function mu(n), Euler's totient phi(n), divisor
-enumeration, Mobius inversion of 1-indexed integer sequences:
+enumeration, Mobius inversion of the coefficients z^1.. of a series:
 
     q_n = sum_{k | n} mu(n/k) * p_k    <=>    p_n = sum_{k | n} q_k,
 
-and the Burnside orbit count of a cyclic group action, the one place where
-the system divides to count rotation classes.
+the Burnside orbit count of a cyclic group action, the one place where
+the system divides to count rotation classes, and ``cyclic_counts``, the
+Burnside count over the power sums of a rational function's logarithm
+behind both wheels and necklaces.
 
 Factorization is plain trial division on purpose: arguments never exceed a
 series truncation order (a few hundred at most), so a sieve would be noise.
@@ -15,10 +17,10 @@ series truncation order (a few hundred at most), so a sieve would be noise.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from operator import sub
+from typing import Callable
 
-from .series import NonIntegralCoefficientError
-from .values import Value
+from .series import NonIntegralCoefficientError, RationalFunction, TruncatedSeries, log_derivative
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -94,41 +96,26 @@ def _orders(g: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, totient(k)) for k in divisors(g))
 
 
-class ArithSequence(Value):
-    """Finite integer sequence indexed from 1, mirroring a_1, ..., a_N.
+def cyclic_counts(form: RationalFunction, order: int) -> TruncatedSeries:
+    """The cycle construction of ``form`` = F: sum_k phi(k)/k log F(z^k), to ``order``.
 
-    Index 0 is a hard error, never a silent zero; whatever happens at n = 0
-    belongs to the series layer, not here.
+    Without fractions: with F = A/B and L(f) = -z f'/f, log F has m-th
+    coefficient P_m / m, P_m the z^m coefficient of P = L(B) - L(A); so the
+    z^n coefficient is the Burnside count (1/n) sum_{k|n} phi(k) P_{n/k},
+    and z^0 is 0.  For F = 1/(1 - s) these are the wheels over the part
+    set with indicator s; for F the zeta function 1/det(I - zA), the
+    necklaces of the shift.
     """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: Iterable[int]):
-        object.__setattr__(self, "_values", tuple(int(v) for v in values))
-        if not self._values:
-            raise ValueError("ArithSequence needs at least one term")
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= len(self._values):
-            raise IndexError(f"index {n} outside 1..{len(self._values)}")
-        return self._values[n - 1]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._values)
-
-    def _key(self) -> tuple:
-        return self._values
+    logs = (log_derivative(poly, order).coeffs for poly in (form.denominator, form.numerator))
+    p = list(map(sub, *logs))
+    coeffs = [0] + [burnside(n, n, lambda k: p[n // k]) for n in range(1, order + 1)]
+    return TruncatedSeries(coeffs, order)
 
 
-def mobius_invert(p: ArithSequence) -> ArithSequence:
-    """Mobius inversion: q_n = sum_{k | n} mu(n/k) p_k for every index n.
+def mobius_invert(p: TruncatedSeries) -> TruncatedSeries:
+    """Mobius inversion: q_n = sum_{k | n} mu(n/k) p_k for n = 1..order, q_0 = 0.
 
     Round-trips with divisor summation: sum_{k | n} q_k = p_n.
     """
-    q = []
-    for n in range(1, len(p) + 1):
-        q.append(sum(mobius(n // k) * p[k] for k in divisors(n)))
-    return ArithSequence(q)
+    q = [sum(mobius(n // k) * p.coeffs[k] for k in divisors(n)) for n in range(1, p.order + 1)]
+    return TruncatedSeries([0] + q, p.order)

@@ -17,9 +17,9 @@ from math import gcd
 from operator import sub
 
 from .combinatorics import Composition, PartSpec, rotation_dims
-from .numtheory import burnside
+from .numtheory import burnside, cyclic_counts
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
-from .series import DEFAULT_ORDER, BivariateSeries, RationalFunction, TruncatedSeries, log_derivative
+from .series import DEFAULT_ORDER, BivariateSeries, RationalFunction, TruncatedSeries
 from .shiftspace import VertexShift, Word, first_return, word_counts
 from .values import Frozen
 
@@ -84,19 +84,10 @@ def _shifted(first: int, source, spec: PartSpec, order: int) -> BivariateSeries:
 def wheels_gf(spec: PartSpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Rotation classes of compositions with parts in K, by total.
 
-    sum_k phi(k)/k log 1/(1 - s(z^k)) without fractions: with s = N/Q the
-    indicator of K, log 1/(1 - s) = log Q - log(Q - N) has m-th coefficient
-    P_m / m, P_m the z^m coefficient of L(Q - N) - L(Q), L(f) = -z f'/f; so
-    the z^n coefficient is the Burnside count (1/n) sum_{k|n} phi(k) P_{n/k}.
+    sum_k phi(k)/k log 1/(1 - s(z^k)), s the indicator of K: the cycle
+    construction of the composition form C (see ``numtheory.cyclic_counts``).
     """
-    return _wheels(_composition_form(spec, order), order)
-
-
-def _wheels(form: RationalFunction, order: int) -> TruncatedSeries:
-    logs = (log_derivative(poly, order).coeffs for poly in (form.denominator, form.numerator))
-    p = list(map(sub, *logs))
-    coeffs = [0] + [burnside(n, n, lambda k: p[n // k]) for n in range(1, order + 1)]
-    return TruncatedSeries(coeffs, order)
+    return cyclic_counts(_composition_form(spec, order), order)
 
 
 def wheels_bgf(spec: PartSpec, order: int = DEFAULT_ORDER) -> BivariateSeries:
@@ -162,7 +153,7 @@ def symbol_dims(
     form = _composition_form(spec, order)
     tailed = RationalFunction(*tails.indicator_gf(order)) * form
     comp, a, b = (f.expand(order) for f in (form, tailed, tailed * form))
-    transversal = (_wheels(form, order) + a).coeffs[1:]
+    transversal = (cyclic_counts(form, order) + a).coeffs[1:]
     orbital = (comp + b).coeffs[1:]
     sizes = (comp + a).coeffs[1:]
     table_t = table_o = None

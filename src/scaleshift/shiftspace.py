@@ -15,7 +15,7 @@ from itertools import islice, product
 from operator import mul, or_
 
 from .combinatorics import PartSpec, transversal_of
-from .numtheory import ArithSequence, burnside
+from .numtheory import cyclic_counts
 from .reports import CLOSED_FORM, DimReport
 from .series import DEFAULT_ORDER, RationalFunction, TruncatedSeries, log_derivative
 from .values import Frozen, Value
@@ -200,16 +200,24 @@ def higher_block(sft: SftPresentation) -> HigherBlock:
     )
     if not blocks:
         raise DegenerateShiftError("no admissible blocks")
-    full = {b for b in sft.forbidden if len(b) == m + 1}
-    rows = tuple(
-        tuple(
-            1 if u[1:] == v[:-1] and u + v[-1:] not in full else 0
-            for v in blocks
+    # the matrix is dense: 10^7 entries hold ~80 MB of row pointers alone
+    entries = len(blocks) ** 2
+    if entries > 10_000_000:
+        raise BlockCountError(
+            f"the block matrix over {len(blocks)} blocks needs {entries} entries; the limit is 10^7"
         )
+    full = {b for b in sft.forbidden if len(b) == m + 1}
+    tokens = tuple(_block_token(b) for b in blocks)
+    return HigherBlock(VertexShift.from_rows(tokens, _block_rows(blocks, full)), blocks)
+
+
+def _block_rows(blocks: tuple[Word, ...], full: set[Word]) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 rows of the block graph: u -> v when v extends u by one letter
+    and u + v[-1] is not one of the ``full`` forbidden blocks."""
+    return tuple(
+        tuple(1 if u[1:] == v[:-1] and u + v[-1:] not in full else 0 for v in blocks)
         for u in blocks
     )
-    tokens = tuple(_block_token(b) for b in blocks)
-    return HigherBlock(VertexShift.from_rows(tokens, rows), blocks)
 
 
 def _block_token(block: Word) -> str:
@@ -326,23 +334,18 @@ def zeta(shift: VertexShift, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return zeta_rational(shift).expand(order)
 
 
-def periodic_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> ArithSequence:
-    """p_n = trace(A^n) for n = 1..order, read off the zeta function.
+def periodic_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """sum_n p_n z^n with p_n = trace(A^n), read off the zeta function; z^0 is 0.
 
     With D = det(I - zA) = 1/zeta, log zeta = sum_n p_n z^n / n, so
     sum_n p_n z^n = -z D'/D.
     """
-    return ArithSequence(log_derivative(_char_det(shift.matrix), order).coeffs[1:])
+    return log_derivative(_char_det(shift.matrix), order)
 
 
-def periodic_orbit_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> ArithSequence:
-    """Necklace counts: closed orbits of length dividing n."""
-    return _necklaces(periodic_counts(shift, order))
-
-
-def _necklaces(p: ArithSequence) -> ArithSequence:
-    """Burnside on the periodic counts p."""
-    return ArithSequence(burnside(n, n, lambda k: p[n // k]) for n in range(1, len(p) + 1))
+def periodic_orbit_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    """Necklace counts: closed orbits of length dividing n, the cycle construction of zeta."""
+    return cyclic_counts(zeta_rational(shift), order)
 
 
 def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> LoopSystem:
@@ -423,8 +426,9 @@ def language_dims(shift: VertexShift, order: int = DEFAULT_ORDER) -> DimReport:
     stranded words is a class of its own whose orbit has all n rotations.
     """
     words = word_counts(shift, order)
-    p = periodic_counts(shift, order)
-    necklaces = _necklaces(p)
+    form = zeta_rational(shift)
+    p = log_derivative(form.denominator, order).coeffs
+    necklaces = cyclic_counts(form, order).coeffs
     transversal = []
     orbital = []
     for n in range(1, order + 1):

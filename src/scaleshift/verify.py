@@ -13,7 +13,7 @@ from itertools import product
 from math import gcd
 
 from .combinatorics import PartSpec, mutually_independent
-from .numtheory import ArithSequence, divisors, mobius, mobius_invert, totient
+from .numtheory import divisors, mobius, mobius_invert, totient
 from .oracle import OracleReport, oracle_levels, oracle_scale_dims
 from .scales import (
     a_series,
@@ -26,7 +26,7 @@ from .scales import (
     wheels_bgf,
     wheels_gf,
 )
-from .series import RationalFunction
+from .series import RationalFunction, TruncatedSeries
 from .shiftspace import (
     SftPresentation,
     VertexShift,
@@ -140,10 +140,10 @@ def check_golden_series() -> list[OracleReport]:
     reports.append(_report("golden.zeta_coeffs", {"order": 16}, 17, matched))
     p = periodic_counts(GOLDEN, 6)
     for n, expected in enumerate(GOLDEN_P_PREFIX, start=1):
-        reports.append(_report("golden.periodic", {"n": n}, expected, p[n]))
+        reports.append(_report("golden.periodic", {"n": n}, expected, p.coefficient(n)))
     qbar = periodic_orbit_counts(GOLDEN, 9)
     for n, expected in enumerate(GOLDEN_QBAR_PREFIX, start=1):
-        reports.append(_report("golden.orbit_counts", {"n": n}, expected, qbar[n]))
+        reports.append(_report("golden.orbit_counts", {"n": n}, expected, qbar.coefficient(n)))
     f_circ = first_return(GOLDEN, CIRC, 16).series
     matched = sum(f_circ.coefficient(n) == (1 if n in (1, 2) else 0) for n in range(17))
     reports.append(_report("golden.first_return_circ", {"order": 16}, 17, matched))
@@ -370,14 +370,15 @@ def check_arithmetic_identities() -> list[OracleReport]:
     )
     for label, p in (
         ("golden_periodic", periodic_counts(GOLDEN, 24)),
-        ("doubling", ArithSequence(2 ** n for n in range(1, 25))),
+        ("doubling", TruncatedSeries([0] + [2 ** n for n in range(1, 25)], 24)),
     ):
         q = mobius_invert(p)
         matched = sum(
-            sum(q[d] for d in divisors(n)) == p[n] for n in range(1, len(p) + 1)
+            sum(q.coefficient(d) for d in divisors(n)) == p.coefficient(n)
+            for n in range(1, p.order + 1)
         )
         reports.append(
-            _report("numtheory.mobius_round_trip", {"sequence": label}, len(p), matched)
+            _report("numtheory.mobius_round_trip", {"sequence": label}, p.order, matched)
         )
     return reports
 

@@ -368,6 +368,22 @@ def test_sft_block_count_guard(tmp_path, capsys):
     assert "2^21 is too large" in err
 
 
+def test_sft_block_matrix_guard(tmp_path, capsys, monkeypatch):
+    # one 11-letter block over three symbols leaves all 3^10 blocks of 10
+    # letters admissible, under the block count guard; their dense matrix
+    # would hold 59049^2 entries, so it is priced before any row is built
+    def no_rows(*args):
+        raise AssertionError("a block matrix row was built")
+
+    monkeypatch.setattr("scaleshift.shiftspace._block_rows", no_rows)
+    target = tmp_path / "eleven.forb"
+    target.write_text("# alphabet: a b c\nabababababa\n", encoding="utf-8")
+    code, out, err = run(["sft", "scales", "--forbidden", str(target), "--order", "3"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "59049 blocks needs 3486784401 entries" in err
+
+
 def test_subst_scales(capsys):
     code, out, _ = run(["subst", "scales", "--preset", "fibonacci", "--n", "12"], capsys)
     assert code == 0
@@ -604,8 +620,8 @@ def test_snapshot_checks_cover_all_bundled_sequences(capsys):
     q = mobius_invert(periodic_counts(golden, 12))
     fib = RationalFunction([0, 1, -1], [1, -1, -1]).expand(11)
     checks = {
-        "A000358": [qbar[n] for n in range(1, 17)],
-        "A006206": [q[n] // n for n in range(1, 13)],
+        "A000358": list(qbar.coeffs[1:]),
+        "A006206": [q.coefficient(n) // n for n in range(1, 13)],
         "A006490": [(n + 1) * fib.coefficient(n + 1) for n in range(10)],
         "A032190": [int(wheels_gf(bull, 12).coefficient(n)) for n in range(1, 13)],
         "A006367": [int(b_series(bull, one, 12).coefficient(n)) for n in range(1, 13)],

@@ -3,14 +3,13 @@ import math
 import pytest
 
 from scaleshift.numtheory import (
-    ArithSequence,
     burnside,
     divisors,
     mobius,
     mobius_invert,
     totient,
 )
-from scaleshift.series import NonIntegralCoefficientError
+from scaleshift.series import NonIntegralCoefficientError, TruncatedSeries
 
 
 def test_mobius_examples():
@@ -62,18 +61,9 @@ def test_divisors_examples():
         divisors(0)
 
 
-def test_arith_sequence_is_one_indexed():
-    seq = ArithSequence([5, 7, 9])
-    assert len(seq) == 3
-    assert seq[1] == 5
-    assert seq[3] == 9
-    assert list(seq) == [5, 7, 9]
-    with pytest.raises(IndexError):
-        seq[0]
-    with pytest.raises(IndexError):
-        seq[4]
-    with pytest.raises(ValueError):
-        ArithSequence([])
+def _series(values):
+    """The sequence p_1, p_2, ... as the series sum_n p_n z^n."""
+    return TruncatedSeries([0, *values])
 
 
 def _brute_aperiodic_binary_words(n):
@@ -93,24 +83,24 @@ def _brute_aperiodic_binary_words(n):
 
 def test_mobius_invert_golden_mean_periodic_counts():
     # p_n for the golden mean shift; q derived by the direct divisor double loop
-    p = ArithSequence([1, 3, 4, 7, 11, 18])
-    q = mobius_invert(p)
-    assert tuple(q) == (1, 2, 3, 4, 10, 12)
-    assert all(q[n] % n == 0 for n in range(1, 7))
-    assert tuple(q[n] // n for n in range(1, 7)) == (1, 1, 1, 1, 2, 2)
+    q = mobius_invert(_series([1, 3, 4, 7, 11, 18]))
+    assert q.order == 6
+    assert q.coeffs == (0, 1, 2, 3, 4, 10, 12)
+    assert all(q.coefficient(n) % n == 0 for n in range(1, 7))
+    assert tuple(q.coefficient(n) // n for n in range(1, 7)) == (1, 1, 1, 1, 2, 2)
 
 
 def test_mobius_invert_constant_sequence():
-    q = mobius_invert(ArithSequence([1, 1, 1, 1]))
-    assert tuple(q) == (1, 0, 0, 0)
+    q = mobius_invert(_series([1, 1, 1, 1]))
+    assert q.coeffs == (0, 1, 0, 0, 0)
 
 
 def test_mobius_invert_full_binary_shift():
     # independent oracle: count aperiodic binary words directly
     brute = tuple(_brute_aperiodic_binary_words(n) for n in range(1, 5))
     assert brute == (2, 2, 6, 12)
-    q = mobius_invert(ArithSequence([2, 4, 8, 16]))
-    assert tuple(q) == brute
+    q = mobius_invert(_series([2, 4, 8, 16]))
+    assert q.coeffs[1:] == brute
 
 
 def test_mobius_inversion_round_trip():
@@ -120,10 +110,11 @@ def test_mobius_inversion_round_trip():
         [5, 0, -3, 12, 7, 7, 1, 0, 2, 9],
     ]
     for values in sequences:
-        p = ArithSequence(values)
+        p = _series(values)
         q = mobius_invert(p)
-        for n in range(1, len(p) + 1):
-            assert sum(q[k] for k in divisors(n)) == p[n]
+        assert q.order == p.order and q.coefficient(0) == 0
+        for n in range(1, p.order + 1):
+            assert sum(q.coefficient(k) for k in divisors(n)) == p.coefficient(n)
 
 
 def test_burnside_binary_necklaces():

@@ -6,10 +6,12 @@ import pytest
 
 from scaleshift.combinatorics import PartSpec
 from scaleshift.numtheory import divisors, mobius_invert
+from scaleshift.scales import wheels_gf
 from scaleshift.series import RationalFunction, TruncatedSeries
 from scaleshift.shiftspace import (
     SUPPORT_WALK_LIMIT,
     Alphabet,
+    BlockCountError,
     DegenerateShiftError,
     HigherBlock,
     SftPresentation,
@@ -127,25 +129,42 @@ def test_zeta_other_shifts():
 def minimal_orbit_counts(shift, order):
     """q_n / n, with q_n the points of least period n by Mobius inversion of p."""
     q = mobius_invert(periodic_counts(shift, order))
-    assert all(q[n] % n == 0 for n in range(1, order + 1))
-    return tuple(q[n] // n for n in range(1, order + 1))
+    assert all(q.coefficient(n) % n == 0 for n in range(1, order + 1))
+    return tuple(q.coefficient(n) // n for n in range(1, order + 1))
 
 
 def test_periodic_count_family():
     n = len(GOLDEN_P)
-    assert tuple(periodic_counts(GOLDEN, n)) == GOLDEN_P
-    assert tuple(mobius_invert(periodic_counts(GOLDEN, n))) == GOLDEN_Q
+    assert periodic_counts(GOLDEN, n).coeffs == (0, *GOLDEN_P)
+    assert mobius_invert(periodic_counts(GOLDEN, n)).coeffs == (0, *GOLDEN_Q)
     assert minimal_orbit_counts(GOLDEN, n) == GOLDEN_Q_ORBITS
-    assert tuple(periodic_orbit_counts(GOLDEN, n)) == GOLDEN_QBAR
+    assert periodic_orbit_counts(GOLDEN, n).coeffs == (0, *GOLDEN_QBAR)
 
 
 def test_necklaces_match_mobius_route():
-    # Burnside on p against the Mobius route: closed orbits of length k | n
-    for shift in _irreducible_shifts():
+    # Burnside on p against the Mobius route: closed orbits of length k | n;
+    # every 0/1 matrix on two symbols adds reducible and nilpotent shifts,
+    # where det(I - zA) can be 1
+    two = [
+        VertexShift.from_rows("ab", (bits[:2], bits[2:]))
+        for bits in itertools.product((0, 1), repeat=4)
+    ]
+    for shift in (*_irreducible_shifts(), *two):
         per_orbit = minimal_orbit_counts(shift, 24)
         necklaces = periodic_orbit_counts(shift, 24)
+        assert necklaces.coefficient(0) == 0
         for n in range(1, 25):
-            assert necklaces[n] == sum(per_orbit[k - 1] for k in divisors(n))
+            assert necklaces.coefficient(n) == sum(per_orbit[k - 1] for k in divisors(n))
+
+
+def test_binary_necklaces_are_wheels_plus_one():
+    # both are the cycle construction: a binary necklace with a 1 in it is a
+    # wheel, read as the gaps between its 1s; only the all-0 necklace is not
+    necklaces = periodic_orbit_counts(FULL2, 64)
+    wheels = wheels_gf(PartSpec.naturals(), 64)
+    assert necklaces.coefficient(12) - 1 == wheels.coefficient(12) == 351
+    for n in range(1, 65):
+        assert necklaces.coefficient(n) - 1 == wheels.coefficient(n)
 
 
 def test_periodic_counts_match_language_closures():
@@ -154,7 +173,7 @@ def test_periodic_counts_match_language_closures():
         p = periodic_counts(shift, 7)
         for n in range(1, 8):
             closed = sum(1 for word in all_words(shift, n) if shift.matrix[word[-1]][word[0]])
-            assert p[n] == closed
+            assert p.coefficient(n) == closed
 
 
 def test_zeta_log_consistency():
@@ -164,7 +183,7 @@ def test_zeta_log_consistency():
     for shift in WALK_SHIFTS:
         powers = power_table(shift.matrix, order)
         traces = [sum(power[j][j] for j in range(shift.size)) for power in powers[1:]]
-        assert list(periodic_counts(shift, order)) == traces
+        assert periodic_counts(shift, order).coeffs == (0, *traces)
         det = TruncatedSeries(list(zeta_rational(shift).denominator), order)
         minus_z_det_prime = TruncatedSeries([-n * c for n, c in enumerate(det.coeffs)], order)
         assert minus_z_det_prime == series_product(det, TruncatedSeries([0, *traces], order))
@@ -440,6 +459,24 @@ def test_higher_block_one_step():
 
     hb = higher_block(SftPresentation.of((CIRC, BULL), {w("∘•")}))
     assert hb.shift.matrix == ((1, 0), (1, 1))
+
+
+class RowsBuilt(Exception):
+    pass
+
+
+def test_block_matrix_priced_at_entries(monkeypatch):
+    # forbidden •• and ∘ k times: Fibonacci(k + 1) blocks of k - 1 letters;
+    # 2584^2 entries (k = 17) are under 10^7 and reach the row builder,
+    # 4181^2 (k = 18) are over it and never do
+    def rows(blocks, full):
+        raise RowsBuilt(len(blocks))
+
+    monkeypatch.setattr("scaleshift.shiftspace._block_rows", rows)
+    with pytest.raises(RowsBuilt, match="^2584$"):
+        higher_block(SftPresentation.of((CIRC, BULL), {w("••"), (CIRC,) * 17}))
+    with pytest.raises(BlockCountError, match="4181 blocks needs 17480761 entries"):
+        higher_block(SftPresentation.of((CIRC, BULL), {w("••"), (CIRC,) * 18}))
 
 
 def test_forbidden_normalization():

@@ -3,7 +3,6 @@
 import pytest
 
 from scaleshift.combinatorics import PartSpec
-from scaleshift.numtheory import ArithSequence
 from scaleshift.reports import DimReport
 from scaleshift.scales import ScaleClass
 from scaleshift.series import BivariateSeries, RationalFunction, TruncatedSeries
@@ -29,7 +28,6 @@ VALUES = {
         (frozenset({1}), 3, 1, frozenset({0})),
         "start",
     ),
-    ArithSequence: (lambda *f: ArithSequence(f), (1, 2, 3), (1, 2, 4), "_values"),
     TruncatedSeries: (
         lambda order, coeffs: TruncatedSeries(coeffs, order),
         (2, (1, 1, 2)),
