@@ -18,7 +18,7 @@ from .scales import (
     EnumerationCapError,
     _charge,
     global_dims,
-    scale_class,
+    scale_classes,
     symbol_dims,
     wheels_gf,
     wheels_row,
@@ -44,6 +44,8 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
+
+CAPPED = "vertex global, vertex language, sft scales and subst scales"
 
 
 class CommandError(Exception):
@@ -229,20 +231,12 @@ def cmd_sft(args) -> int:
         distinguished = tuple(
             blocks[i] for i in range(len(blocks)) if recoded.label(i) == head
         )
-    # each start gets the whole cap, and all are charged before any is walked
-    for start in distinguished:
-        _charge(word_counts(shift, args.order, [shift.alphabet.index(start)]), args.cap)
-    matrix = first_return_matrix(shift, distinguished, args.order)
-    table = {
-        f"{s}->{t}": list(series.coeffs)
-        for (s, t), series in matrix.items()
-    }
     scales = {
-        start: scale_class(
-            shift, start, args.order, args.cap, distinguished=distinguished
-        ).to_json()
-        for start in distinguished
+        start: found.to_json()
+        for start, found in scale_classes(shift, distinguished, args.order, args.cap)
     }
+    matrix = first_return_matrix(shift, distinguished, args.order)
+    table = {f"{s}->{t}": list(series.coeffs) for (s, t), series in matrix.items()}
     data = {
         "blocks": list(blocks),
         "distinguished": list(distinguished),
@@ -392,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact scale combinatorics over shift spaces.",
     )
     parser.add_argument("--format", choices=("json", "text"), default=None)
-    parser.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP)
+    # the CAPPED commands set takes_cap; main defaults --cap to DEFAULT_CAP, or rejects it
+    parser.add_argument("--cap", type=_positive_int, default=None)
     commands = parser.add_subparsers(dest="command", required=True)
 
     wheels = commands.add_parser("wheels", help="count cyclic composition classes")
@@ -404,11 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     vertex = commands.add_parser("vertex", help="vertex shift computations")
     vertex_commands = vertex.add_subparsers(dest="vertex_command", required=True)
 
-    def vertex_leaf(name, handler, help_text):
+    def vertex_leaf(name, handler, help_text, takes_cap=False):
         leaf = vertex_commands.add_parser(name, help=help_text)
         leaf.add_argument("--matrix", required=True)
         leaf.add_argument("--order", type=_positive_int, default=DEFAULT_ORDER)
-        leaf.set_defaults(handler=handler)
+        leaf.set_defaults(handler=handler, takes_cap=takes_cap)
         return leaf
 
     vertex_leaf("zeta", cmd_vertex_zeta, "zeta function coefficients")
@@ -417,8 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     dims = vertex_leaf("dims", cmd_vertex_dims, "closed-form dimensions at a symbol")
     dims.add_argument("--symbol", required=True)
     dims.add_argument("--bivariate", action="store_true")
-    vertex_leaf("global", cmd_vertex_global, "enumerated dimensions over all symbols")
-    vertex_leaf("language", cmd_vertex_language, "words of one length and their witnesses")
+    vertex_leaf("global", cmd_vertex_global, "enumerated dimensions over all symbols", True)
+    vertex_leaf("language", cmd_vertex_language, "words of one length and their witnesses", True)
 
     sft = commands.add_parser("sft", help="shift of finite type computations")
     sft_commands = sft.add_subparsers(dest="sft_command", required=True)
@@ -426,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     sft_scales.add_argument("--forbidden", required=True)
     sft_scales.add_argument("--set", default=None, help="comma-separated block symbols")
     sft_scales.add_argument("--order", type=_positive_int, required=True)
-    sft_scales.set_defaults(handler=cmd_sft)
+    sft_scales.set_defaults(handler=cmd_sft, takes_cap=True)
 
     subst = commands.add_parser("subst", help="substitution fixed-point computations")
     subst_commands = subst.add_subparsers(dest="subst_command", required=True)
@@ -435,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--preset", choices=sorted(PRESETS))
     source.add_argument("--rules", help="morphism JSON file")
     subst_scales.add_argument("--n", type=_positive_int, required=True)
-    subst_scales.set_defaults(handler=cmd_subst)
+    subst_scales.set_defaults(handler=cmd_subst, takes_cap=True)
 
     suite = commands.add_parser("verify", help="run a regression suite")
     suite.add_argument("--suite", choices=("paper",), required=True)
@@ -463,6 +458,10 @@ def main(argv=None) -> int:
     except SystemExit as exit_request:
         return exit_request.code if isinstance(exit_request.code, int) else EXIT_USAGE
     try:
+        if args.cap is None:
+            args.cap = DEFAULT_CAP
+        elif not getattr(args, "takes_cap", False):
+            raise CommandError(EXIT_USAGE, f"--cap applies only to {CAPPED}")
         return args.handler(args)
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -177,7 +177,7 @@ def _charge(counts, cap: int, first: int = 1) -> None:
     """Charge the counts of the words of lengths first, first + 1, ... against ``cap`` in turn.
 
     The first length that overdraws raises, before any word is built.  ``cli``
-    charges ``vertex language`` and each ``sft scales`` start here too.
+    charges ``vertex language`` here too.
     """
     budget = cap
     for n, count in enumerate(counts, start=first):
@@ -186,22 +186,20 @@ def _charge(counts, cap: int, first: int = 1) -> None:
             raise EnumerationCapError(f"enumerating {count} words of length {n} exceeds the cap")
 
 
-def _scale_levels(shift: VertexShift, walks, order: int, cap: int, keep) -> list:
+def _scale_levels(shift: VertexShift, walks, order: int, keep) -> list:
     """[keep(scales of the length-n words) for n = 1..order], one level at a time.
 
-    ``walks`` pairs each start symbol index with the set of symbol indices
-    whose visits mark the gaps of its words.  The words of every length from
-    those starts are charged against ``cap`` first; the walk then visits gap
-    states and builds no word.  A level maps each key (last symbol, length of
-    the open gap) to the set of closed-gap prefixes that reach it, and the
-    level's scales are those prefixes closed by the open gap.  Merging is
-    exact: two words with the same last symbol, open gap and closed prefix
-    induce the same scale on every extension, since a word's future depends
-    on its last symbol alone.  An unmarked step passes its set on whole, so
-    prefix sets are shared across keys and levels and never changed in place.
+    ``walks`` pairs each start symbol index with the set of symbol indices whose
+    visits mark the gaps of its words.  Callers charge the words against the cap
+    first; the walk visits gap states and builds no word.  A level maps each key
+    (last symbol, length of the open gap) to the set of closed-gap prefixes that
+    reach it, and the level's scales are those prefixes closed by the open gap.
+    Merging is exact: two words with the same last symbol, open gap and closed
+    prefix induce the same scale on every extension, since a word's future
+    depends on its last symbol alone.  An unmarked step passes its set on whole,
+    so prefix sets are shared across keys and levels and never changed in place.
     Only what ``keep`` returns outlives a level.
     """
-    _charge(word_counts(shift, order, [start for start, _ in walks]), cap)
     succ = shift.successors
     levels = [({(start, 1): {()}}, marked) for start, marked in walks]
     kept = []
@@ -243,9 +241,10 @@ def global_dims(
     each word's first symbol, and reduces the resulting scale sets exactly;
     no closed form is attempted.
     """
+    _charge(word_counts(shift, order), cap)
     walks = [(i, {i}) for i in range(shift.size)]
     dims = _scale_levels(
-        shift, walks, order, cap,
+        shift, walks, order,
         lambda scales: (*rotation_dims(scales), len(scales)),
     )
     return DimReport(
@@ -282,24 +281,26 @@ class ScaleClass(Frozen):
         }
 
 
-def scale_class(
-    shift: VertexShift,
-    symbol: str,
-    order: int = DEFAULT_ORDER,
-    cap: int = DEFAULT_CAP,
-    *,
-    distinguished=None,
-) -> ScaleClass:
-    """Enumerated scale sets of the words starting at ``symbol``.
+def scale_classes(shift: VertexShift, distinguished, order: int = DEFAULT_ORDER, cap: int = DEFAULT_CAP):
+    """Yield (symbol, ScaleClass) for each start symbol of ``distinguished``, in turn.
 
-    Gaps are measured between visits to the ``distinguished`` symbols,
-    ``{symbol}`` by default; ``symbol`` must be one of them.
+    Gaps are measured between visits to any distinguished symbol.  Each
+    start's own words are charged against the whole ``cap``, every start
+    before the first is walked; the starts are then walked one at a time,
+    so only the class the caller holds outlives its walk.
     """
-    members = frozenset((symbol,) if distinguished is None else distinguished)
+    members = tuple(distinguished)
     if not members:
         raise ValueError("distinguished set is empty")
-    marked = {shift.alphabet.index(member) for member in members}
-    if symbol not in members:
-        raise ValueError(f"start symbol {symbol!r} is not distinguished")
-    levels = _scale_levels(shift, [(shift.alphabet.index(symbol), marked)], order, cap, frozenset)
-    return ScaleClass(symbol, dict(enumerate(levels, start=1)))
+    starts = [shift.alphabet.index(member) for member in members]
+    for start in starts:
+        _charge(word_counts(shift, order, [start]), cap)
+    marked = set(starts)
+    for member, start in zip(members, starts):
+        levels = _scale_levels(shift, [(start, marked)], order, frozenset)
+        yield member, ScaleClass(member, dict(enumerate(levels, start=1)))
+
+
+def scale_class(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER, cap: int = DEFAULT_CAP) -> ScaleClass:
+    """Enumerated scale sets of the words starting at ``symbol``, gaps between its visits."""
+    return next(scale_classes(shift, (symbol,), order, cap))[1]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import islice, product
-from operator import mul, or_
+from operator import or_
 
 from .combinatorics import PartSpec, transversal_of
 from .numtheory import cyclic_counts
@@ -109,7 +109,8 @@ class VertexShift(Value):
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Column j: the symbols i with A[i, j] = 1, the input of ``_walks``."""
-        return _columns(self.matrix)
+        a = self.matrix
+        return tuple(tuple(i for i, row in enumerate(a) if row[j]) for j in range(len(a)))
 
 
 class SftPresentation(Frozen):
@@ -280,10 +281,6 @@ def _reach(lists, starts) -> set[int]:
     return seen
 
 
-def _columns(matrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(i for i, row in enumerate(matrix) if row[j]) for j in range(len(matrix)))
-
-
 def _walks(cols, start):
     """start·A^n for n = 0, 1, 2, ...: the vector recurrence v -> vA.
 
@@ -296,14 +293,13 @@ def _walks(cols, start):
         vector = [sum([vector[i] for i in col]) for col in cols]
 
 
-def _char_det(matrix) -> list[int]:
+def _char_det(shift: VertexShift) -> list[int]:
     """Coefficients of det(I - zA), by Newton's identities on trace powers."""
-    k = len(matrix)
-    cols = _columns(matrix)
+    k = shift.size
     traces = [0] * (k + 1)
     for i in range(k):
         unit = [int(j == i) for j in range(k)]
-        for n, vector in enumerate(islice(_walks(cols, unit), k + 1)):
+        for n, vector in enumerate(islice(_walks(shift.columns, unit), k + 1)):
             traces[n] += vector[i]
     elem = [1]
     for i in range(1, k + 1):
@@ -327,7 +323,7 @@ def word_counts(shift: VertexShift, order: int, starts=None) -> list[int]:
 
 
 def zeta_rational(shift: VertexShift) -> RationalFunction:
-    return RationalFunction([1], _char_det(shift.matrix))
+    return RationalFunction([1], _char_det(shift))
 
 
 def zeta(shift: VertexShift, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -340,7 +336,7 @@ def periodic_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> Truncated
     With D = det(I - zA) = 1/zeta, log zeta = sum_n p_n z^n / n, so
     sum_n p_n z^n = -z D'/D.
     """
-    return log_derivative(_char_det(shift.matrix), order)
+    return log_derivative(_char_det(shift), order)
 
 
 def periodic_orbit_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -396,24 +392,21 @@ def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) ->
 def first_return_matrix(shift: VertexShift, distinguished, order: int = DEFAULT_ORDER):
     """Return series table {(s, t): f}: first passages from s to t outside D.
 
-    The z^n coefficient, n >= 2, is A[s, R]·B^(n-2)·A[R, t] with R the
-    non-distinguished symbols and B = A[R, R]: one walk inside B from each
-    start s, dotted with the closing column of each t.
+    The z^n coefficient counts the walks of n edges from s that meet D first
+    at their end, t: one walk v -> vA from the row A[s] over the columns
+    with D struck, so a symbol of D absorbs and feeds no further step.
     """
     dset = tuple(distinguished)
     if not dset:
         raise ValueError("distinguished set is empty")
     idx = [shift.alphabet.index(s) for s in dset]
-    a = shift.matrix
-    rest = [v for v in range(shift.size) if v not in idx]
-    cols = _columns([[a[u][v] for v in rest] for u in rest])
+    marked = set(idx)
+    cols = tuple(tuple(u for u in col if u not in marked) for col in shift.columns)
     table = {}
     for s, si in zip(dset, idx):
-        walks = list(islice(_walks(cols, [a[si][v] for v in rest]), max(order - 1, 0)))
+        walks = list(islice(_walks(cols, shift.matrix[si]), order))
         for t, ti in zip(dset, idx):
-            close = [a[v][ti] for v in rest]
-            coeffs = [0, a[si][ti]] + [sum(map(mul, v, close)) for v in walks]
-            table[(s, t)] = TruncatedSeries(coeffs, order)
+            table[(s, t)] = TruncatedSeries([0] + [v[ti] for v in walks], order)
     return table
 
 

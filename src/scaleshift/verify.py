@@ -22,6 +22,7 @@ from .scales import (
     composition_gf,
     global_dims,
     scale_class,
+    scale_classes,
     symbol_dims,
     wheels_bgf,
     wheels_gf,
@@ -284,8 +285,9 @@ def check_two_step_sft() -> list[OracleReport]:
             _report("sft.first_return_entry", {"from": pair[0], "to": pair[1], "order": 16}, 17, matched)
         )
     rules = {double[0]: 1, double[1]: 2}
+    studies = dict(scale_classes(shift, distinguished, 12))
     for start, first in rules.items():
-        study = scale_class(shift, start, 12, distinguished=distinguished)
+        study = studies[start]
         reports.append(_equals("sft.scales_n1", {"start": start}, frozenset({(1,)}), study.at(1)))
         checked = 0
         passing = 0

@@ -6,8 +6,12 @@ the golden mean shift, the two-step SFT with forbidden blocks
 Words are spelled as strings over the two-symbol alphabet and turned
 into letter tuples with `w`; `rotate` and `orbit` are the brute-force
 rotation helpers the tests compare the library's rotation counts against,
-and `series_product` the schoolbook product they check closed forms against.
+`series_product` the schoolbook product they check closed forms against,
+and `dense_first_return_matrix` the dense first-passage walk they check the
+absorbing walk against.
 """
+
+from operator import mul
 
 from scaleshift.series import TruncatedSeries
 
@@ -62,6 +66,30 @@ def series_product(f, g):
             for j in range(n + 1 - i):
                 out[i + j] += a * g.coeffs[j]
     return TruncatedSeries(out, n)
+
+
+def dense_first_return_matrix(shift, distinguished, order):
+    """The first-passage table {(s, t): f} by the dense walk inside the minor.
+
+    The z^n coefficient, n >= 2, is A[s, R]·B^(n-2)·A[R, t] with R the
+    non-distinguished symbols and B = A[R, R]: one walk inside B from each
+    start s, dotted with the closing column of each t.
+    """
+    idx = [shift.alphabet.index(s) for s in distinguished]
+    a = shift.matrix
+    rest = [v for v in range(shift.size) if v not in idx]
+    table = {}
+    for s, si in zip(distinguished, idx):
+        walks = []
+        vector = [a[si][v] for v in rest]
+        for _ in range(order - 1):
+            walks.append(vector)
+            vector = [sum(vector[i] * a[u][v] for i, u in enumerate(rest)) for v in rest]
+        for t, ti in zip(distinguished, idx):
+            close = [a[v][ti] for v in rest]
+            coeffs = [0, a[si][ti]] + [sum(map(mul, v, close)) for v in walks]
+            table[(s, t)] = TruncatedSeries(coeffs, order)
+    return table
 
 
 # Golden mean shift: matrix rows over alphabet (CIRC, BULL).

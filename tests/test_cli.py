@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import scaleshift
+from scaleshift import cli, scales
 from scaleshift.cli import main
 from scaleshift.combinatorics import rotation_dims
 from scaleshift.scales import scale_class
@@ -307,6 +309,27 @@ def test_sft_scales_charges_every_start_first(capsys, monkeypatch):
     )
 
 
+def test_sft_scales_charges_each_start_once(capsys, monkeypatch):
+    # cli counts the words once, for the cycle check; scales charges each of
+    # the two distinguished starts once, before it walks the first
+    calls = Counter()
+
+    def counting(module):
+        inner = module.word_counts
+
+        def counted(*args, **kwargs):
+            calls[module.__name__] += 1
+            return inner(*args, **kwargs)
+
+        return counted
+
+    for module in (cli, scales):
+        monkeypatch.setattr(module, "word_counts", counting(module))
+    code, _, _ = run(["sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "16"], capsys)
+    assert code == 0
+    assert calls == {"scaleshift.cli": 1, "scaleshift.scales": 2}
+
+
 def test_sft_scales_explicit_set(capsys):
     code, out, _ = run(
         ["sft", "scales", "--forbidden", TWOSTEP_FORB, "--set", "∘∘", "--order", "6"], capsys
@@ -452,6 +475,25 @@ def test_subst_scales_honours_cap(capsys):
     code, _, err = run(["--cap", "5", "vertex", "global", "--matrix", GOLDEN_MAT, "--order", "10"], capsys)
     assert code == 3
     assert "lower --order or raise --cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wheels", "--n", "12"],
+        ["vertex", "zeta", "--matrix", GOLDEN_MAT],
+        ["vertex", "loops", "--matrix", GOLDEN_MAT, "--symbol", "∘"],
+        ["vertex", "dims", "--matrix", GOLDEN_MAT, "--symbol", "∘"],
+        ["verify", "--suite", "paper", "--max-n", "2"],
+        ["oeis", "check", "--id", "A000358", "--coeffs", "1,2,2"],
+    ],
+    ids=["wheels", "vertex zeta", "vertex loops", "vertex dims", "verify", "oeis check"],
+)
+def test_cap_rejected_where_nothing_is_enumerated(argv, capsys):
+    # a command that would ignore --cap refuses it, and names the ones that honour it
+    code, out, err = run(["--cap", "5", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert "--cap applies only to vertex global, vertex language, sft scales and subst scales" in err
 
 
 def test_verify_small_grid(capsys):

@@ -16,7 +16,7 @@ from scaleshift.oracle import (
     oracle_levels,
     oracle_scale_dims,
 )
-from scaleshift.scales import global_dims, scale_class, symbol_dims
+from scaleshift.scales import global_dims, scale_class, scale_classes, symbol_dims
 from scaleshift.shiftspace import (
     DegenerateShiftError,
     SftPresentation,
@@ -281,13 +281,10 @@ def test_sft_words_match_higher_block():
         counts = word_counts(recoded.shift, top)
         tokens = dict(zip(recoded.blocks, recoded.shift.alphabet.symbols))
         # scales from each block, marking the blocks that share its first letter
-        studies = {
-            block: scale_class(
-                recoded.shift, token, top - step + 1,
-                distinguished=[t for b, t in tokens.items() if b[0] == block[0]],
-            )
-            for block, token in tokens.items()
-        }
+        studies = {}
+        for letter in {block[0] for block in tokens}:
+            marked = [t for b, t in tokens.items() if b[0] == letter]
+            studies.update(scale_classes(recoded.shift, marked, top - step + 1))
         for n in range(step, top + 1):
             assert len(levels[n]) == counts[n - step]
             length = n - step + 1
@@ -296,8 +293,8 @@ def test_sft_words_match_higher_block():
                 visits = [i for i in range(length) if word[i] == word[0]]
                 gaps = [b - a for a, b in zip(visits, visits[1:])] + [length - visits[-1]]
                 scales[word[:step]].add(tuple(gaps))
-            for block, study in studies.items():
-                assert study.at(length) == scales[block]
+            for block, token in tokens.items():
+                assert studies[token].at(length) == scales[block]
 
 
 def test_series_coeff():

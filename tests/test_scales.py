@@ -18,6 +18,7 @@ from scaleshift.scales import (
     global_dims,
     induced_scale,
     scale_class,
+    scale_classes,
     symbol_dims,
     wheels_bgf,
     wheels_gf,
@@ -447,13 +448,14 @@ def test_distinguished_set_scales_sft():
             not (comp[i] == 1 and comp[i + 1] == 1) for i in range(len(comp) - 2)
         )
 
-    circ_start = scale_class(SFT2, double[0], 12, distinguished=double[:2])
+    classes = dict(scale_classes(SFT2, double[:2], 12))
+    circ_start = classes[double[0]]
     for n in range(2, 13):
         for comp in circ_start.at(n):
             assert set(comp) <= {1, 2}
             assert comp[0] == 1
             assert body_has_no_adjacent_ones(comp)
-    bull_start = scale_class(SFT2, double[1], 12, distinguished=double[:2])
+    bull_start = classes[double[1]]
     assert bull_start.at(1) == {(1,)}
     for n in range(2, 13):
         for comp in bull_start.at(n):
@@ -463,8 +465,9 @@ def test_distinguished_set_scales_sft():
 
 
 def test_distinguished_singleton_matches_scale_class():
-    # the distinguished set defaults to the start symbol alone
-    via_set = scale_class(GOLDEN, CIRC, 6, distinguished={CIRC})
+    # scale_class is the case of a distinguished set holding the start alone
+    [(symbol, via_set)] = scale_classes(GOLDEN, {CIRC}, 6)
+    assert symbol == CIRC
     direct = scale_class(GOLDEN, CIRC, 6)
     for n in range(1, 7):
         assert via_set.at(n) == direct.at(n)
@@ -472,19 +475,15 @@ def test_distinguished_singleton_matches_scale_class():
 
 def test_distinguished_set_scales_errors():
     with pytest.raises(ValueError):
-        scale_class(GOLDEN, CIRC, 4, distinguished=())
+        dict(scale_classes(GOLDEN, (), 4))
     with pytest.raises(ValueError):
-        scale_class(GOLDEN, BULL, 4, distinguished={CIRC})
-    with pytest.raises(ValueError):
-        scale_class(GOLDEN, CIRC, 4, distinguished={CIRC, "x"})
+        dict(scale_classes(GOLDEN, {CIRC, "x"}, 4))
 
 
-def _with_start(size, start):
-    """Every set of symbol indices below ``size`` that contains ``start``."""
-    rest = [i for i in range(size) if i != start]
-    for r in range(size):
-        for extra in itertools.combinations(rest, r):
-            yield {start, *extra}
+def _marked_sets(size):
+    """Every non-empty set of symbol indices below ``size``, as a sorted tuple."""
+    for r in range(1, size + 1):
+        yield from itertools.combinations(range(size), r)
 
 
 def test_enumerated_scales_match_word_rule():
@@ -497,15 +496,14 @@ def test_enumerated_scales_match_word_rule():
             rows = tuple(bits[i * size:(i + 1) * size] for i in range(size))
             shift = VertexShift.from_rows(symbols, rows)
             union = [set() for _ in range(8)]
-            for start in range(size):
-                levels = word_levels(shift, start, 8)
-                for marked in _with_start(size, start):
-                    expected = word_scale_sets(levels, marked)
-                    got = scale_class(
-                        shift, symbols[start], 8, distinguished=[symbols[i] for i in marked]
-                    )
+            levels = [word_levels(shift, start, 8) for start in range(size)]
+            for marked in _marked_sets(size):
+                classes = dict(scale_classes(shift, [symbols[i] for i in marked], 8))
+                for start in marked:
+                    expected = word_scale_sets(levels[start], set(marked))
+                    got = classes[symbols[start]]
                     assert [got.at(n) for n in range(1, 9)] == expected, (rows, start, marked)
-                    if marked == {start}:
+                    if marked == (start,):
                         for scales, new in zip(union, expected):
                             scales |= new
             report = global_dims(shift, 8)
@@ -521,11 +519,12 @@ def test_sft_scales_match_word_rule(forbidden):
     # distinguished set of blocks containing it, n <= 14, set for set
     shift = higher_block(SftPresentation.of((CIRC, BULL), forbidden)).shift
     blocks = shift.alphabet.symbols
-    for start in range(shift.size):
-        levels = word_levels(shift, start, 14)
-        for marked in _with_start(shift.size, start):
-            got = scale_class(shift, blocks[start], 14, distinguished=[blocks[i] for i in marked])
-            assert [got.at(n) for n in range(1, 15)] == word_scale_sets(levels, marked), marked
+    levels = [word_levels(shift, start, 14) for start in range(shift.size)]
+    for marked in _marked_sets(shift.size):
+        for block, got in scale_classes(shift, [blocks[i] for i in marked], 14):
+            start = blocks.index(block)
+            expected = word_scale_sets(levels[start], set(marked))
+            assert [got.at(n) for n in range(1, 15)] == expected, (start, marked)
 
 
 def test_scale_class_json():

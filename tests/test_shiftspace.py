@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,7 @@ from refsets import (
     SFT2_BLOCKS,
     SFT2_FORBIDDEN,
     SFT2_ROWS,
+    dense_first_return_matrix,
     orbit,
     series_product,
     w,
@@ -443,6 +445,30 @@ def test_first_return_matrix_matches_first_passages():
             for s in marked:
                 for t in marked:
                     assert table[symbols[s], symbols[t]].coefficient(n) == passages[s, t]
+
+
+def test_first_return_matrix_matches_dense_walk():
+    # the absorbing walk against the dense walk inside the minor: every 0/1
+    # matrix on up to 3 symbols, every non-empty distinguished set, orders 0, 1, 2, 8
+    for size in (1, 2, 3):
+        symbols = "abc"[:size]
+        for bits in itertools.product((0, 1), repeat=size * size):
+            shift = VertexShift.from_rows(symbols, [bits[i * size:(i + 1) * size] for i in range(size)])
+            for r in range(1, size + 1):
+                for marked in itertools.combinations(symbols, r):
+                    for order in (0, 1, 2, 8):
+                        expected = dense_first_return_matrix(shift, marked, order)
+                        assert first_return_matrix(shift, marked, order) == expected, (bits, marked)
+    # the block graphs sft scales builds, with its default distinguished sets
+    root = Path(__file__).resolve().parents[1]
+    for path in ("src/scaleshift/fixtures/twostep.forb", "perfbench/inputs/threestep.forb"):
+        presentation = parse_forbidden((root / path).read_text(encoding="utf-8"))
+        recoded = higher_block(presentation)
+        blocks = recoded.shift.alphabet.symbols
+        head = presentation.alphabet.symbols[0]
+        marked = tuple(b for i, b in enumerate(blocks) if recoded.label(i) == head)
+        expected = dense_first_return_matrix(recoded.shift, marked, 16)
+        assert first_return_matrix(recoded.shift, marked, 16) == expected, path
 
 
 def test_higher_block_two_step():

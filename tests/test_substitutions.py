@@ -92,6 +92,42 @@ def test_block_language_small():
     assert len(block_language(FIB, 12)) == FIB_BLOCK_COUNT_12
 
 
+# the lengths the factor complexities are checked at: 1..64 and either side of 256 and 512
+COMPLEXITY_LENGTHS = (*range(1, 65), 255, 256, 257, 511, 512, 513)
+
+
+def thue_morse_complexity(n):
+    """Brlek 1989; de Luca & Varricchio 1989: p(1) = 2, p(2) = 4, and for
+    n = 2^r + q + 1 with 0 < q <= 2^r, p(n) = 3·2^r + 4q when q <= 2^(r-1),
+    else 4·2^r + 2q."""
+    if n <= 2:
+        return 2 * n
+    r = (n - 2).bit_length() - 1
+    q = n - 1 - 2**r
+    return 3 * 2**r + 4 * q if 2 * q <= 2**r else 4 * 2**r + 2 * q
+
+
+def test_thue_morse_factor_complexity():
+    for n in COMPLEXITY_LENGTHS:
+        assert len(block_language(TM, n)) == thue_morse_complexity(n), n
+
+
+def test_fibonacci_factor_complexity():
+    # Sturmian: p(n) = n + 1 (Morse & Hedlund 1940)
+    for n in COMPLEXITY_LENGTHS:
+        assert len(block_language(FIB, n)) == n + 1, n
+
+
+def test_binary_scales_biject_with_blocks():
+    # over two letters a block is spelled by its first letter and the gaps
+    # between that letter's visits, so the scales from s count the blocks from s
+    for morphism in (TM, FIB, FEIG):
+        study = substitution_scales(morphism, 200)
+        blocks = block_language(morphism, 200)
+        for symbol in morphism.alphabet:
+            assert len(study.per_symbol[symbol]) == sum(block[0] == symbol for block in blocks)
+
+
 def test_stabilization_cap():
     # each iterate of the crawler adds one block, so no iterate count bounds its language
     crawler = Morphism.of({CIRC: "∘•", BULL: "•"}, CIRC)
