@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -475,6 +476,12 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_DATA
+    except BrokenPipeError:
+        # the reader closed stdout early: point its descriptor at the null
+        # device, so the interpreter's final flush of what is still buffered
+        # fails silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_DATA
 
 

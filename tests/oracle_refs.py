@@ -1,9 +1,10 @@
 """Brute-force references that only the tests use: language dimensions,
 composition and wheel counts by part set, first return path counts, and the
-scale sets of literal words.  The language dimensions strike each class's
-rotation windows, so they check the oracle's rank-indexed class tables by an
-independent path; the scale sets cut every word from ``language_from``, so
-they check the gap-state walk of ``scaleshift.scales`` word by word.
+scale sets of literal words.  The language dimensions spell each of the
+oracle's ranks out as its digits and strike each class's rotation windows,
+so they check the oracle's rank-indexed class tables by an independent path;
+the scale sets cut every word from ``language_from``, so they check the
+gap-state walk of ``scaleshift.scales`` word by word.
 
 Like ``scaleshift.oracle``, whose word levels, successor lists and orbit
 counter they reuse, they work by exhaustive generation and read nothing
@@ -30,7 +31,18 @@ KINDS = ("compositions", "wheels")
 def oracle_language_dims(shift: VertexShift, n: int) -> tuple[int, int]:
     for level in _word_levels(shift, n):
         pass
-    return _orbit_dims(chain.from_iterable(level))
+    base = max(shift.size, 2)
+    ranks = chain.from_iterable(chain.from_iterable(level))
+    return _orbit_dims(word_of(rank, base, n) for rank in ranks)
+
+
+def word_of(rank: int, base: int, n: int) -> tuple[int, ...]:
+    """The n base-``base`` digits of rank, most significant first: the word it ranks."""
+    digits = []
+    for _ in range(n):
+        rank, digit = divmod(rank, base)
+        digits.append(digit)
+    return tuple(reversed(digits))
 
 
 def _allowed_parts(parts: PartSpec | Iterable[int] | None, n: int) -> tuple[int, ...]:

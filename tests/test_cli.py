@@ -648,6 +648,24 @@ def test_oracle_imported_before_cli_is_one_module():
     assert lines[-1] == "0" and len([line for line in lines if ": PASS (" in line]) == 10
 
 
+def test_closed_stdout_exits_1_without_traceback():
+    # 0.9 MB of JSON overfills the pipe, so the writer meets the closed end
+    src = str(Path(scaleshift.__file__).resolve().parents[1])
+    argv = ["sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "30"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scaleshift.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.read(10) == b'{"blocks":'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
 def test_snapshot_checks_cover_all_bundled_sequences(capsys):
     from scaleshift.combinatorics import PartSpec
     from scaleshift.numtheory import mobius_invert

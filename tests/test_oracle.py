@@ -13,6 +13,8 @@ from scaleshift.oracle import (
     _class_table,
     _orbit_dims,
     _pattern_gaps,
+    _pattern_table,
+    _word_levels,
     oracle_levels,
     oracle_scale_dims,
 )
@@ -28,7 +30,14 @@ from scaleshift.shiftspace import (
 )
 from scaleshift.verify import _irreducible_shifts, check_oracle_grid
 
-from oracle_refs import oracle_first_return, oracle_language_dims, oracle_series_coeff
+from oracle_refs import (
+    _cut,
+    oracle_first_return,
+    oracle_language_dims,
+    oracle_series_coeff,
+    word_levels,
+    word_of,
+)
 from refsets import BULL, CIRC, GOLDEN_ROWS, WHEELS_PREFIX, w
 
 GOLDEN = VertexShift.from_rows((CIRC, BULL), GOLDEN_ROWS)
@@ -95,16 +104,48 @@ def test_class_table_classes_are_rotation_orbits():
 
 
 def test_one_symbol_shift_language_dims():
-    # one symbol spells its words in base 2, the smallest base int() reads
+    # one symbol ranks its words in base 2, in the two-symbol tables
     loop = VertexShift.from_rows("a", ((1,),))
     levels = oracle_levels(loop, MAX_WORD_LENGTH)
     assert [dims for dims, _ in levels] == [(1, 1)] * MAX_WORD_LENGTH
 
 
+def test_word_levels_spell_the_language_and_patterns_cut_its_scales():
+    # every 0/1 matrix on up to 3 symbols: each (start, n) group of ranks,
+    # spelt out, is the language from that start, each rank sits in the list
+    # of its last symbol, and its pattern-table entry, cut before each 1, is
+    # the scale of its word; each (base, n, rank) pattern is cut once
+    top = 8
+    cut = set()
+    for size in range(1, 4):
+        base = max(size, 2)
+        for bits in itertools.product((0, 1), repeat=size * size):
+            rows = [bits[i * size:(i + 1) * size] for i in range(size)]
+            shift = VertexShift.from_rows("abc"[:size], rows)
+            expected = [word_levels(shift, start, top) for start in range(size)]
+            for n, level in enumerate(_word_levels(shift, top), start=1):
+                patterns = _pattern_table(base, n)
+                for start, by_last in enumerate(level):
+                    words = []
+                    for last, ranks in enumerate(by_last):
+                        for rank in ranks:
+                            word = word_of(rank, base, n)
+                            assert word[-1] == last
+                            words.append(word)
+                            if (base, n, rank) not in cut:
+                                cut.add((base, n, rank))
+                                visits = [i for i, s in enumerate(word) if s == word[0]]
+                                gaps = tuple(b - a for a, b in zip(visits, visits[1:] + [n]))
+                                assert _cut(f"{patterns[rank]:0{n}b}".encode()) == gaps
+                    assert sorted(words) == sorted(expected[start][n - 1])
+    # the full shifts reach every rank of every length
+    assert len(cut) == sum(2 ** n + 3 ** n for n in range(1, top + 1))
+
+
 def test_class_table_guard_before_allocation(monkeypatch):
-    # limit 3^4: n = 4 on three symbols is accepted, n = 5 refused before any
-    # table array or word level is built
-    monkeypatch.setattr(scaleshift.oracle, "MAX_CLASS_TABLE", 3 ** 4)
+    # at the limits 3^4 and 2^6, the longest fitting length on two and on
+    # three symbols builds every kind of table, and one more is refused
+    # before any class table, pattern table, table array or word level is built
     built = []
 
     def recording(factory, label):
@@ -113,26 +154,36 @@ def test_class_table_guard_before_allocation(monkeypatch):
             return factory(*args)
         return record
 
-    monkeypatch.setattr(scaleshift.oracle, "array", recording(scaleshift.oracle.array, "array"))
-    monkeypatch.setattr(
-        scaleshift.oracle, "_word_levels", recording(scaleshift.oracle._word_levels, "words")
-    )
-    _class_table.cache_clear()
+    labels = {
+        "array": "array",
+        "_class_table": "classes",
+        "_pattern_table": "patterns",
+        "_word_levels": "words",
+    }
+    for name, label in labels.items():
+        monkeypatch.setattr(
+            scaleshift.oracle, name, recording(getattr(scaleshift.oracle, name), label)
+        )
+    # 3^4 = 81 entries fit 2^6 but not 3^5 or 2^7; 2^6 = 64 fit 3^3 but not 3^4
+    fitting = {3 ** 4: ((FULL3, 4), (FULL2, 6)), 2 ** 6: ((FULL3, 3), (FULL2, 6))}
     try:
+        for limit, cases in fitting.items():
+            monkeypatch.setattr(scaleshift.oracle, "MAX_CLASS_TABLE", limit)
+            for shift, n in cases:
+                _class_table.cache_clear()
+                _pattern_table.cache_clear()
+                built.clear()
+                oracle_levels(shift, n)
+                assert set(built) == set(labels.values())
+                built.clear()
+                with pytest.raises(ValueError, match=f"\\^{n + 1} entries"):
+                    oracle_levels(shift, n + 1)
+                assert built == []
+        monkeypatch.setattr(scaleshift.oracle, "MAX_CLASS_TABLE", 3 ** 4)
         assert [dims for dims, _ in oracle_levels(FULL3, 4)] == [(3, 3), (6, 9), (11, 27), (24, 81)]
-        assert "array" in built and "words" in built
-        built.clear()
-        with pytest.raises(ValueError, match="3\\^5"):
-            oracle_levels(FULL3, 5)
-        assert built == []
-        # two symbols fit up to the same 81 entries: 2^6 = 64, but not 2^7
-        oracle_levels(FULL2, 6)
-        built.clear()
-        with pytest.raises(ValueError):
-            oracle_levels(FULL2, 7)
-        assert built == []
     finally:
         _class_table.cache_clear()
+        _pattern_table.cache_clear()
 
 
 def test_oracle_imports_no_closed_form_module():
