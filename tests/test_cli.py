@@ -660,9 +660,8 @@ def test_closed_stdout_exits_1_without_traceback():
     )
     assert proc.stdout.read(10) == b'{"blocks":'
     proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
     assert b"Traceback" not in err and b"Exception ignored" not in err, err
 
 
