@@ -13,9 +13,8 @@ Three carriers:
 
 Every series here counts something, so coefficients are plain ``int`` and a
 constructor given anything else raises ``NonIntegralCoefficientError``. No
-operation here divides; the closed forms that do (the Burnside orbit
-count in ``numtheory``, Newton's identities) check the remainder where they
-divide.
+operation here divides; the one closed form that does, the Burnside orbit
+count in ``numtheory``, checks the remainder where it divides.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from operator import or_
 from .combinatorics import PartSpec, transversal_of
 from .numtheory import cyclic_counts
 from .reports import CLOSED_FORM, DimReport
-from .series import DEFAULT_ORDER, RationalFunction, TruncatedSeries, log_derivative
+from .series import DEFAULT_ORDER, RationalFunction, TruncatedSeries, _poly_mul, log_derivative
 from .values import Frozen, Value
 
 Word = tuple[str, ...]
@@ -294,21 +294,20 @@ def _walks(cols, start):
 
 
 def _char_det(shift: VertexShift) -> list[int]:
-    """Coefficients of det(I - zA), by Newton's identities on trace powers."""
+    """Coefficients of det(I - zA), as a product of nested first returns.
+
+    With A_i the matrix on the symbols from i on and F_i the first returns to i
+    inside A_i, the Schur complement of i gives det(I - zA_i) = (1 - F_i) det(I - zA_(i+1)).
+    That det has degree at most k - i, so F_i is cut there.
+    """
     k = shift.size
-    traces = [0] * (k + 1)
-    for i in range(k):
-        unit = [int(j == i) for j in range(k)]
-        for n, vector in enumerate(islice(_walks(shift.columns, unit), k + 1)):
-            traces[n] += vector[i]
-    elem = [1]
-    for i in range(1, k + 1):
-        acc = sum((-1) ** (j - 1) * elem[i - j] * traces[j] for j in range(1, i + 1))
-        quot, rem = divmod(acc, i)
-        if rem:
-            raise ArithmeticError(f"non-integer elementary symmetric value {acc}/{i}")
-        elem.append(quot)
-    return [(-1) ** i * e for i, e in enumerate(elem)]
+    det = [1]
+    for i in reversed(range(k)):
+        # the symbols from i on, renumbered from 0; i absorbs
+        cols = tuple(tuple(u - i for u in col if u > i) for col in shift.columns[i:])
+        returns = [-v[0] for v in islice(_walks(cols, shift.matrix[i][i:]), k - i)]
+        det = _poly_mul([1, *returns], det)[:k - i + 1]
+    return det
 
 
 def word_counts(shift: VertexShift, order: int, starts=None) -> list[int]:

@@ -75,6 +75,16 @@ def all_words(shift, n):
     return set(language_from(shift, range(shift.size), n))
 
 
+def permutation_shift(cycles):
+    """The permutation matrix with one cycle per entry of ``cycles``, of that length."""
+    k = sum(cycles)
+    image = []
+    for start, n in zip(itertools.accumulate(cycles, initial=0), cycles):
+        image += [start + (j + 1) % n for j in range(n)]
+    rows = [[int(j == t) for j in range(k)] for t in image]
+    return VertexShift.from_rows([f"s{i}" for i in range(k)], rows)
+
+
 def random_shifts(count, sizes, seed, density=0.5):
     rng = random.Random(seed)
     shifts = []
@@ -126,6 +136,18 @@ def test_zeta_other_shifts():
     loop = VertexShift.from_rows(("a",), ((1,),))
     assert zeta_rational(loop) == RationalFunction([1], [1, -1])
     assert zeta_rational(SFT2.shift) == RationalFunction([1], [1, 0, -1, -1])
+    # at full degree, against closed forms that no walk computes: a permutation
+    # matrix has det(I - zA) = prod over its cycles of 1 - z^length
+    perm = permutation_shift((2, 3, 5))
+    cycles = [RationalFunction([1], [1, *[0] * (n - 1), -1]) for n in (2, 3, 5)]
+    assert zeta_rational(perm) == cycles[0] * cycles[1] * cycles[2]
+    assert len(zeta_rational(perm).denominator) == perm.size + 1
+    full17 = VertexShift.from_rows([f"s{i}" for i in range(17)], [[1] * 17] * 17)
+    assert zeta_rational(full17) == RationalFunction([1], [1, -17])
+    chain = VertexShift.from_rows(
+        [f"s{i}" for i in range(9)], [[int(j == i + 1) for j in range(9)] for i in range(9)]
+    )
+    assert zeta_rational(chain) == RationalFunction([1], [1])
 
 
 def minimal_orbit_counts(shift, order):
@@ -399,9 +421,10 @@ def test_first_return_matrix_two_symbol_hole():
 
 def test_first_return_matches_zeta_quotient():
     # the paper's route: 1 - f = det(I - zA) / det(I - zB), with B the matrix
-    # A with the distinguished symbol's row and column removed
+    # A with the distinguished symbol's row and column removed; f walks from
+    # the start row to the order, each det strikes one symbol at a time
     order = 16
-    for shift in _irreducible_shifts():
+    for shift in WALK_SHIFTS:
         det_a = TruncatedSeries(list(zeta_rational(shift).denominator), order)
         for s, symbol in enumerate(shift.alphabet):
             rest = [i for i in range(shift.size) if i != s]
