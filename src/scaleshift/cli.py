@@ -31,6 +31,7 @@ from .shiftspace import (
     VertexShift,
     first_return,
     first_return_matrix,
+    has_cycle,
     higher_block,
     language_from,
     parse_forbidden,
@@ -211,8 +212,7 @@ def cmd_sft(args) -> int:
     except DegenerateShiftError as err:
         raise CommandError(EXIT_DATA, f"degenerate shift: {err}") from err
     shift = recoded.shift
-    # a graph with no cycle has no path of k edges through its k vertices
-    if word_counts(shift, shift.size + 1)[-1] == 0:
+    if not has_cycle(shift):
         raise CommandError(
             EXIT_DATA,
             "degenerate shift: the block graph has no cycles, so no bi-infinite sequences remain",

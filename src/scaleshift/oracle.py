@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 from itertools import chain, filterfalse
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator
 
 from .combinatorics import Composition
 from .shiftspace import VertexShift
@@ -207,50 +207,3 @@ def oracle_levels(
 
 def oracle_scale_dims(scales: Collection[Composition]) -> tuple[int, int]:
     return _orbit_dims(scales)
-
-
-def _jsonable(value):
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-class OracleReport:
-    """One checked row; compared by value, and unhashable, as ``parameters`` is a dict."""
-
-    __slots__ = ("quantity", "parameters", "expected", "actual", "match")
-
-    def __init__(self, quantity: str, parameters: Mapping, expected: int, actual: int, match: bool):
-        if match != (expected == actual):
-            raise ValueError("match flag inconsistent with expected/actual")
-        object.__setattr__(self, "quantity", quantity)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "match", match)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OracleReport is immutable")
-
-    def _key(self) -> tuple:
-        return self.quantity, self.parameters, self.expected, self.actual, self.match
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OracleReport):
-            return NotImplemented
-        return self._key() == other._key()
-
-    @classmethod
-    def of(cls, quantity: str, parameters: Mapping, expected: int, actual: int) -> "OracleReport":
-        return cls(quantity, dict(parameters), int(expected), int(actual), expected == actual)
-
-    def to_json(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "parameters": {key: _jsonable(value) for key, value in self.parameters.items()},
-            "expected": self.expected,
-            "actual": self.actual,
-            "match": self.match,
-        }

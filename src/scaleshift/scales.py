@@ -150,11 +150,9 @@ def symbol_dims(
     """
     loops = first_return(shift, symbol, order)
     spec, tails = loops.parts, loops.tails
-    form = _composition_form(spec, order)
-    tailed = RationalFunction(*tails.indicator_gf(order)) * form
-    comp, a, b = (f.expand(order) for f in (form, tailed, tailed * form))
-    transversal = (cyclic_counts(form, order) + a).coeffs[1:]
-    orbital = (comp + b).coeffs[1:]
+    comp, a = composition_gf(spec, order), a_series(spec, tails, order)
+    transversal = (wheels_gf(spec, order) + a).coeffs[1:]
+    orbital = (comp + b_series(spec, tails, order)).coeffs[1:]
     sizes = (comp + a).coeffs[1:]
     table_t = table_o = None
     if bivariate:
@@ -219,7 +217,7 @@ def _step(level: dict, succ, marked) -> dict:
     out = {}
     for (last, gap), closed in level.items():
         shut = None
-        for (t,) in succ[last]:
+        for t in succ[last]:
             if t in marked:
                 key = (t, 1)
                 if shut is None:

@@ -102,9 +102,9 @@ class VertexShift(Value):
         return self.matrix[self.alphabet.index(s)][self.alphabet.index(t)]
 
     @cached_property
-    def successors(self) -> tuple[tuple[tuple[int], ...], ...]:
-        """Row i: the one-step extensions ``(j,)`` of a word ending at symbol i."""
-        return tuple(tuple((j,) for j, e in enumerate(row) if e) for row in self.matrix)
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Row i: the symbols j with A[i, j] = 1, the one-step extensions of a word ending at i."""
+        return tuple(tuple(j for j, e in enumerate(row) if e) for row in self.matrix)
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
@@ -128,12 +128,10 @@ class SftPresentation(Frozen):
 
     @classmethod
     def of(cls, symbols, blocks) -> "SftPresentation":
-        """Normalize: drop any forbidden block containing another as a subword."""
+        """Normalize: drop any forbidden block containing another as a proper window."""
         words = {tuple(b) for b in blocks}
-        kept = {
-            b for b in words
-            if not any(o != b and _is_subword(o, b) for o in words)
-        }
+        lengths = {len(b) for b in words}
+        kept = {b for b in words if not _has_window_in(b, words, lengths - {len(b)})}
         return cls(Alphabet.of(symbols), frozenset(kept))
 
     @property
@@ -142,9 +140,9 @@ class SftPresentation(Frozen):
         return max((len(b) for b in self.forbidden), default=2) - 1
 
 
-def _is_subword(needle: Word, haystack: Word) -> bool:
-    k = len(needle)
-    return any(haystack[i:i + k] == needle for i in range(len(haystack) - k + 1))
+def _has_window_in(word: Word, blocks, lengths) -> bool:
+    """True when a window of ``word`` whose length is in ``lengths`` is in the set ``blocks``."""
+    return any(word[i:i + k] in blocks for k in lengths for i in range(len(word) - k + 1))
 
 
 class HigherBlock(Frozen):
@@ -195,9 +193,9 @@ def higher_block(sft: SftPresentation) -> HigherBlock:
     symbols = tuple(sft.alphabet)
     if len(symbols) ** m > 2_000_000:
         raise BlockCountError(f"block enumeration over {len(symbols)}^{m} is too large")
+    lengths = {len(f) for f in sft.forbidden}
     blocks = tuple(
-        b for b in product(symbols, repeat=m)
-        if not any(_is_subword(f, b) for f in sft.forbidden)
+        b for b in product(symbols, repeat=m) if not _has_window_in(b, sft.forbidden, lengths)
     )
     if not blocks:
         raise DegenerateShiftError("no admissible blocks")
@@ -257,7 +255,7 @@ def language_from(shift: VertexShift, starts, n: int) -> list[tuple[int, ...]]:
     succ = shift.successors
     words = [(i,) for i in starts]
     for _ in range(n - 1):
-        words = [word + step for word in words for step in succ[word[-1]]]
+        words = [word + (j,) for word in words for j in succ[word[-1]]]
     return words
 
 
@@ -266,8 +264,23 @@ def is_irreducible(shift: VertexShift) -> bool:
     k = shift.size
     if k == 1:
         return shift.matrix[0][0] == 1
-    forward = [[j for j, e in enumerate(row) if e] for row in shift.matrix]
-    return len(_reach(forward, [0])) == k and len(_reach(shift.columns, [0])) == k
+    return len(_reach(shift.successors, [0])) == k and len(_reach(shift.columns, [0])) == k
+
+
+def has_cycle(shift: VertexShift) -> bool:
+    """True iff the graph of ``shift`` has a cycle: stripping, in turn, every symbol
+    that leads into no remaining symbol leaves some symbol.  Reads each column once."""
+    outdegree = [0] * shift.size
+    for col in shift.columns:
+        for i in col:
+            outdegree[i] += 1
+    stripped = [j for j, count in enumerate(outdegree) if count == 0]
+    for j in stripped:  # grows as stripping frees more symbols
+        for i in shift.columns[j]:
+            outdegree[i] -= 1
+            if outdegree[i] == 0:
+                stripped.append(i)
+    return len(stripped) < shift.size
 
 
 def _reach(lists, starts) -> set[int]:

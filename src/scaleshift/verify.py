@@ -1,9 +1,10 @@
 """Full regression grid: reference numbers plus oracle cross-checks.
 
 Each check function returns a list of OracleReport rows; a check passes
-when every row matches.  The CLI ``verify`` command prints the rows and
-the acceptance tests gate on them, so this module is the single place
-where the expected numbers live.
+when every row matches.  Rows call the public functions the CLI runs, not
+copies of them.  The CLI ``verify`` command prints the rows and the
+acceptance tests gate on them, so this module is the single place where
+the expected numbers live.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import gcd
 
 from .combinatorics import PartSpec, mutually_independent
 from .numtheory import divisors, mobius, mobius_invert, totient
-from .oracle import OracleReport, oracle_levels, oracle_scale_dims
+from .oracle import oracle_levels, oracle_scale_dims
 from .scales import (
     a_series,
     b_series,
@@ -26,6 +27,7 @@ from .scales import (
     symbol_dims,
     wheels_bgf,
     wheels_gf,
+    wheels_row,
 )
 from .series import RationalFunction, TruncatedSeries
 from .shiftspace import (
@@ -93,32 +95,59 @@ TWO_STEP_FORBIDDEN = {(BULL, BULL), (CIRC, CIRC, CIRC)}
 TWO_STEP_ROWS = ((0, 1, 0), (0, 0, 1), (1, 1, 0))
 
 
-def _report(quantity: str, parameters: dict, expected, actual) -> OracleReport:
-    return OracleReport.of(quantity, parameters, expected, actual)
+def _jsonable(value):
+    if isinstance(value, (frozenset, set)):
+        return sorted(_jsonable(v) for v in value)
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value
+
+
+class OracleReport(Frozen):
+    """One checked row: a quantity, its parameters, and the expected and actual counts."""
+
+    __slots__ = ("quantity", "parameters", "expected", "actual")
+
+    def __init__(self, quantity: str, parameters, expected: int, actual: int):
+        object.__setattr__(self, "quantity", quantity)
+        object.__setattr__(self, "parameters", dict(parameters))
+        object.__setattr__(self, "expected", int(expected))
+        object.__setattr__(self, "actual", int(actual))
+
+    @property
+    def match(self) -> bool:
+        return self.expected == self.actual
+
+    def to_json(self) -> dict:
+        return {
+            "quantity": self.quantity,
+            "parameters": {key: _jsonable(value) for key, value in self.parameters.items()},
+            "expected": self.expected,
+            "actual": self.actual,
+            "match": self.match,
+        }
 
 
 def _equals(quantity: str, parameters: dict, expected_obj, actual_obj) -> OracleReport:
-    return OracleReport.of(quantity, parameters, 1, int(expected_obj == actual_obj))
+    return OracleReport(quantity, parameters, 1, expected_obj == actual_obj)
 
 
 def check_wheel_counts() -> list[OracleReport]:
     reports = []
     totals = wheels_gf(PartSpec.naturals(), 12)
-    reports.append(_report("wheels.total", {"n": 12}, WHEELS_12, totals.coefficient(12)))
+    reports.append(OracleReport("wheels.total", {"n": 12}, WHEELS_12, totals.coefficient(12)))
     for n, expected in enumerate(WHEELS_PREFIX, start=1):
-        reports.append(_report("wheels.prefix", {"n": n}, expected, totals.coefficient(n)))
-    table = wheels_bgf(PartSpec.naturals(), 12)
+        reports.append(OracleReport("wheels.prefix", {"n": n}, expected, totals.coefficient(n)))
+    row = wheels_row(PartSpec.naturals(), 12)
     for m, expected in enumerate(WHEELS_12_BY_LENGTH, start=1):
-        reports.append(
-            _report("wheels.by_length", {"n": 12, "m": m}, expected, table.coefficient(12, m))
-        )
+        reports.append(OracleReport("wheels.by_length", {"n": 12, "m": m}, expected, row[m]))
     return reports
 
 
 def check_composition_counts() -> list[OracleReport]:
     series = composition_gf(PartSpec.naturals(), 20)
     return [
-        _report("compositions.total", {"n": n}, 2 ** (n - 1), series.coefficient(n))
+        OracleReport("compositions.total", {"n": n}, 2 ** (n - 1), series.coefficient(n))
         for n in range(1, 21)
     ]
 
@@ -138,19 +167,19 @@ def check_golden_series() -> list[OracleReport]:
         fib.append(fib[-1] + fib[-2])
     expansion = zeta(GOLDEN, 16)
     matched = sum(expansion.coefficient(n) == fib[n] for n in range(17))
-    reports.append(_report("golden.zeta_coeffs", {"order": 16}, 17, matched))
+    reports.append(OracleReport("golden.zeta_coeffs", {"order": 16}, 17, matched))
     p = periodic_counts(GOLDEN, 6)
     for n, expected in enumerate(GOLDEN_P_PREFIX, start=1):
-        reports.append(_report("golden.periodic", {"n": n}, expected, p.coefficient(n)))
+        reports.append(OracleReport("golden.periodic", {"n": n}, expected, p.coefficient(n)))
     qbar = periodic_orbit_counts(GOLDEN, 9)
     for n, expected in enumerate(GOLDEN_QBAR_PREFIX, start=1):
-        reports.append(_report("golden.orbit_counts", {"n": n}, expected, qbar.coefficient(n)))
+        reports.append(OracleReport("golden.orbit_counts", {"n": n}, expected, qbar.coefficient(n)))
     f_circ = first_return(GOLDEN, CIRC, 16).series
     matched = sum(f_circ.coefficient(n) == (1 if n in (1, 2) else 0) for n in range(17))
-    reports.append(_report("golden.first_return_circ", {"order": 16}, 17, matched))
+    reports.append(OracleReport("golden.first_return_circ", {"order": 16}, 17, matched))
     f_bull = first_return(GOLDEN, BULL, 16).series
     matched = sum(f_bull.coefficient(n) == (1 if n >= 2 else 0) for n in range(17))
-    reports.append(_report("golden.first_return_bull", {"order": 16}, 17, matched))
+    reports.append(OracleReport("golden.first_return_bull", {"order": 16}, 17, matched))
     return reports
 
 
@@ -159,11 +188,11 @@ def check_golden_language() -> list[OracleReport]:
     report = language_dims(GOLDEN, 9)
     for n, expected in enumerate(GOLDEN_LANG_T, start=1):
         reports.append(
-            _report("golden.language_transversal", {"n": n}, expected, report.transversal_at(n))
+            OracleReport("golden.language_transversal", {"n": n}, expected, report.transversal_at(n))
         )
     for n, expected in enumerate(GOLDEN_LANG_O, start=1):
         reports.append(
-            _report("golden.language_orbital", {"n": n}, expected, report.orbital_at(n))
+            OracleReport("golden.language_orbital", {"n": n}, expected, report.orbital_at(n))
         )
     for n, expected in GOLDEN_LANG_WITNESSES.items():
         computed = language_witnesses(GOLDEN, n)
@@ -185,10 +214,10 @@ def check_golden_scale_sets() -> list[OracleReport]:
     reports = []
     circ = scale_class(GOLDEN, CIRC, 12)
     bull = scale_class(GOLDEN, BULL, 12)
-    reports.append(_report("scale_class.size", {"symbol": CIRC, "n": 12}, 233, len(circ.at(12))))
-    reports.append(_report("scale_class.size", {"symbol": BULL, "n": 12}, 144, len(bull.at(12))))
+    reports.append(OracleReport("scale_class.size", {"symbol": CIRC, "n": 12}, 233, len(circ.at(12))))
+    reports.append(OracleReport("scale_class.size", {"symbol": BULL, "n": 12}, 144, len(bull.at(12))))
     reports.append(
-        _report(
+        OracleReport(
             "scale_class.size",
             {"symbol": "all", "n": 12},
             376,
@@ -196,7 +225,7 @@ def check_golden_scale_sets() -> list[OracleReport]:
         )
     )
     combined5 = circ.at(5) | bull.at(5)
-    reports.append(_report("scale_class.size", {"symbol": "all", "n": 5}, 12, len(combined5)))
+    reports.append(OracleReport("scale_class.size", {"symbol": "all", "n": 5}, 12, len(combined5)))
     reports.append(
         _equals("scale_class.set", {"symbol": "all", "n": 5}, frozenset(GOLDEN_C5), combined5)
     )
@@ -206,21 +235,21 @@ def check_golden_scale_sets() -> list[OracleReport]:
 def check_golden_dims() -> list[OracleReport]:
     reports = []
     circ = symbol_dims(GOLDEN, CIRC, 12, bivariate=True)
-    reports.append(_report("dims.transversal", {"symbol": CIRC, "n": 12}, 31, circ.transversal_at(12)))
-    reports.append(_report("dims.orbital", {"symbol": CIRC, "n": 12}, 233, circ.orbital_at(12)))
+    reports.append(OracleReport("dims.transversal", {"symbol": CIRC, "n": 12}, 31, circ.transversal_at(12)))
+    reports.append(OracleReport("dims.orbital", {"symbol": CIRC, "n": 12}, 233, circ.orbital_at(12)))
     bull = symbol_dims(GOLDEN, BULL, 12, bivariate=True)
-    reports.append(_report("dims.transversal", {"symbol": BULL, "n": 12}, 85, bull.transversal_at(12)))
-    reports.append(_report("dims.orbital", {"symbol": BULL, "n": 12}, 329, bull.orbital_at(12)))
+    reports.append(OracleReport("dims.transversal", {"symbol": BULL, "n": 12}, 85, bull.transversal_at(12)))
+    reports.append(OracleReport("dims.orbital", {"symbol": BULL, "n": 12}, 329, bull.orbital_at(12)))
     loops = first_return(GOLDEN, BULL, 12)
     tailed = a_series(loops.parts, loops.tails, 12)
-    reports.append(_report("dims.tail_classes", {"symbol": BULL, "n": 12}, 55, tailed.coefficient(12)))
+    reports.append(OracleReport("dims.tail_classes", {"symbol": BULL, "n": 12}, 55, tailed.coefficient(12)))
     modes = b_series(loops.parts, loops.tails, 12)
-    reports.append(_report("dims.tail_modes", {"symbol": BULL, "n": 12}, 240, modes.coefficient(12)))
+    reports.append(OracleReport("dims.tail_modes", {"symbol": BULL, "n": 12}, 240, modes.coefficient(12)))
     top = global_dims(GOLDEN, 12)
-    reports.append(_report("dims.global_transversal", {"n": 12}, 115, top.transversal_at(12)))
-    reports.append(_report("dims.global_orbital", {"n": 12}, 561, top.orbital_at(12)))
-    reports.append(_report("dims.global_transversal", {"n": 5}, 6, top.transversal_at(5)))
-    reports.append(_report("dims.global_orbital", {"n": 5}, 13, top.orbital_at(5)))
+    reports.append(OracleReport("dims.global_transversal", {"n": 12}, 115, top.transversal_at(12)))
+    reports.append(OracleReport("dims.global_orbital", {"n": 12}, 561, top.orbital_at(12)))
+    reports.append(OracleReport("dims.global_transversal", {"n": 5}, 6, top.transversal_at(5)))
+    reports.append(OracleReport("dims.global_orbital", {"n": 5}, 13, top.orbital_at(5)))
     return reports
 
 
@@ -235,11 +264,11 @@ def check_substitution_studies() -> list[OracleReport]:
     for name, (size, dim_t, dim_o) in expected.items():
         study = substitution_scales(PRESETS[name], 12)
         studies[name] = study
-        reports.append(_report("subst.scale_count", {"preset": name, "n": 12}, size, len(study.combined)))
-        reports.append(_report("subst.transversal", {"preset": name, "n": 12}, dim_t, study.transversal_dim))
-        reports.append(_report("subst.orbital", {"preset": name, "n": 12}, dim_o, study.orbital_dim))
+        reports.append(OracleReport("subst.scale_count", {"preset": name, "n": 12}, size, len(study.combined)))
+        reports.append(OracleReport("subst.transversal", {"preset": name, "n": 12}, dim_t, study.transversal_dim))
+        reports.append(OracleReport("subst.orbital", {"preset": name, "n": 12}, dim_o, study.orbital_dim))
     reports.append(
-        _report(
+        OracleReport(
             "subst.block_count",
             {"preset": "fibonacci", "n": 12},
             13,
@@ -250,7 +279,7 @@ def check_substitution_studies() -> list[OracleReport]:
     for i in range(len(names)):
         for j in range(i + 1, len(names)):
             reports.append(
-                _report(
+                OracleReport(
                     "subst.mutually_independent",
                     {"presets": (names[i], names[j]), "n": 12},
                     1,
@@ -282,7 +311,7 @@ def check_two_step_sft() -> list[OracleReport]:
         entry = matrix[pair]
         matched = sum(entry.coefficient(n) == poly.get(n, 0) for n in range(17))
         reports.append(
-            _report("sft.first_return_entry", {"from": pair[0], "to": pair[1], "order": 16}, 17, matched)
+            OracleReport("sft.first_return_entry", {"from": pair[0], "to": pair[1], "order": 16}, 17, matched)
         )
     rules = {double[0]: 1, double[1]: 2}
     studies = dict(scale_classes(shift, distinguished, 12))
@@ -300,7 +329,7 @@ def check_two_step_sft() -> list[OracleReport]:
                     and _no_adjacent_ones_in_body(comp)
                 )
         reports.append(
-            _report("sft.scale_rule", {"start": start, "first_part": first}, checked, passing)
+            OracleReport("sft.scale_rule", {"start": start, "first_part": first}, checked, passing)
         )
     return reports
 
@@ -322,7 +351,7 @@ def check_oracle_grid(max_n: int = MAX_GRID_N) -> list[OracleReport]:
         raise ValueError(f"oracle grid needs 1 <= max_n <= {MAX_GRID_N}, got {max_n}")
     reports = []
     shifts = _irreducible_shifts()
-    reports.append(_report("oracle.grid_size", {"max_symbols": 3}, 149, len(shifts)))
+    reports.append(OracleReport("oracle.grid_size", {"max_symbols": 3}, 149, len(shifts)))
     for shift in shifts:
         expected = max_n * (1 + shift.size)
         matched = 0
@@ -335,7 +364,7 @@ def check_oracle_grid(max_n: int = MAX_GRID_N) -> list[OracleReport]:
                     oracle_scale_dims(sets) == (dims.transversal_at(n), dims.orbital_at(n))
                 )
         reports.append(
-            _report(
+            OracleReport(
                 "oracle.dims_grid",
                 {"rows": shift.matrix, "max_n": max_n},
                 expected,
@@ -358,17 +387,17 @@ def check_wheel_integrality(draws: int = 200, seed: int = 93) -> list[OracleRepo
             good += 1
         except ValueError:
             pass
-    return [_report("wheels.integrality", {"draws": draws, "seed": seed}, draws, good)]
+    return [OracleReport("wheels.integrality", {"draws": draws, "seed": seed}, draws, good)]
 
 
 def check_arithmetic_identities() -> list[OracleReport]:
     reports = []
     matched = sum(sum(totient(d) for d in divisors(n)) == n for n in range(1, 201))
-    reports.append(_report("numtheory.totient_divisor_sum", {"max_n": 200}, 200, matched))
+    reports.append(OracleReport("numtheory.totient_divisor_sum", {"max_n": 200}, 200, matched))
     pairs = [(m, n) for m in range(1, 101) for n in range(1, 101) if gcd(m, n) == 1]
     matched = sum(mobius(m * n) == mobius(m) * mobius(n) for m, n in pairs)
     reports.append(
-        _report("numtheory.mobius_multiplicative", {"max_arg": 100}, len(pairs), matched)
+        OracleReport("numtheory.mobius_multiplicative", {"max_arg": 100}, len(pairs), matched)
     )
     for label, p in (
         ("golden_periodic", periodic_counts(GOLDEN, 24)),
@@ -380,7 +409,7 @@ def check_arithmetic_identities() -> list[OracleReport]:
             for n in range(1, p.order + 1)
         )
         reports.append(
-            _report("numtheory.mobius_round_trip", {"sequence": label}, p.order, matched)
+            OracleReport("numtheory.mobius_round_trip", {"sequence": label}, p.order, matched)
         )
     return reports
 
@@ -415,7 +444,7 @@ def check_property_suites(max_n: int = MAX_GRID_N) -> list[OracleReport]:
 
 def check_exclusions() -> list[OracleReport]:
     note = "limit-law and growth-rate statements are out of scope at desk scale"
-    return [_report("asymptotics.excluded", {"note": note}, 1, 1)]
+    return [OracleReport("asymptotics.excluded", {"note": note}, 1, 1)]
 
 
 class CheckResult(Frozen):

@@ -7,10 +7,12 @@ Words are spelled as strings over the two-symbol alphabet and turned
 into letter tuples with `w`; `rotate` and `orbit` are the brute-force
 rotation helpers the tests compare the library's rotation counts against,
 `series_product` the schoolbook product they check closed forms against,
-and `dense_first_return_matrix` the dense first-passage walk they check the
-absorbing walk against.
+`dense_first_return_matrix` the dense first-passage walk they check the
+absorbing walk against, and `pairwise_normalized` and `pairwise_blocks` the
+every-pair subword tests they check the forbidden-window lookups against.
 """
 
+from itertools import product
 from operator import mul
 
 from scaleshift.series import TruncatedSeries
@@ -90,6 +92,25 @@ def dense_first_return_matrix(shift, distinguished, order):
             coeffs = [0, a[si][ti]] + [sum(map(mul, v, close)) for v in walks]
             table[(s, t)] = TruncatedSeries(coeffs, order)
     return table
+
+
+def is_subword(needle, haystack):
+    """True when ``needle`` occurs in ``haystack`` as a run of consecutive letters."""
+    k = len(needle)
+    return any(haystack[i:i + k] == needle for i in range(len(haystack) - k + 1))
+
+
+def pairwise_normalized(blocks):
+    """The forbidden blocks that contain no other one, each pair tested in turn."""
+    words = {tuple(b) for b in blocks}
+    return frozenset(b for b in words if not any(o != b and is_subword(o, b) for o in words))
+
+
+def pairwise_blocks(symbols, forbidden, m):
+    """The m-blocks over ``symbols`` that contain no forbidden block, each pair tested in turn."""
+    return tuple(
+        b for b in product(symbols, repeat=m) if not any(is_subword(f, b) for f in forbidden)
+    )
 
 
 # Golden mean shift: matrix rows over alphabet (CIRC, BULL).

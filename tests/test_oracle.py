@@ -9,7 +9,6 @@ import scaleshift.oracle
 from scaleshift.combinatorics import PartSpec
 from scaleshift.oracle import (
     MAX_WORD_LENGTH,
-    OracleReport,
     _class_table,
     _orbit_dims,
     _pattern_gaps,
@@ -38,7 +37,7 @@ from oracle_refs import (
     word_levels,
     word_of,
 )
-from refsets import BULL, CIRC, GOLDEN_ROWS, WHEELS_PREFIX, w
+from refsets import BULL, CIRC, GOLDEN_ROWS, WHEELS_PREFIX
 
 GOLDEN = VertexShift.from_rows((CIRC, BULL), GOLDEN_ROWS)
 FULL2 = VertexShift.from_rows((CIRC, BULL), ((1, 1), (1, 1)))
@@ -416,14 +415,3 @@ def test_loop_support_matches_oracle():
             assert parts.members_up_to(40) == tuple(k for k in range(1, 41) if series.coefficient(k))
     assert first_return(period3, "a", 1).parts.period == 3
 
-
-def test_oracle_report():
-    report = OracleReport.of("wheels", {"n": 12, "parts": w("∘•")}, 351, 351)
-    assert report.match
-    data = report.to_json()
-    assert data["parameters"]["parts"] == [CIRC, BULL]
-    assert data["expected"] == data["actual"] == 351
-    bad = OracleReport.of("wheels", {"n": 12}, 351, 350)
-    assert not bad.match
-    with pytest.raises(ValueError):
-        OracleReport("wheels", {}, 1, 2, True)

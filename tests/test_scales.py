@@ -1,6 +1,9 @@
 import itertools
+from collections import Counter
 
 import pytest
+
+import scaleshift.scales
 
 from scaleshift.combinatorics import (
     PartSpec,
@@ -317,6 +320,28 @@ def test_symbol_dims_golden_bull():
     # refinement by note count at n=5: classes {(2,3)} and {(4,1)}
     assert report.bivariate_transversal.coefficient(5, 2) == 2
     assert report.bivariate_transversal.coefficient(5, 3) == 1
+
+
+def test_symbol_dims_runs_the_closed_forms_verify_checks(monkeypatch):
+    # vertex dims reads its rows off the public series that verify check 6
+    # compares with enumeration, once each, and keeps no copy of them
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(scaleshift.scales, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return counted
+
+    names = ("composition_gf", "wheels_gf", "a_series", "b_series")
+    for name in names:
+        monkeypatch.setattr(scaleshift.scales, name, counting(name))
+    report = symbol_dims(GOLDEN, BULL, 12)
+    assert calls == dict.fromkeys(names, 1)
+    assert (report.transversal_at(12), report.orbital_at(12)) == (85, 329)
 
 
 def test_symbol_dims_match_enumeration_on_reducible_matrices():

@@ -19,6 +19,7 @@ from scaleshift.shiftspace import (
     VertexShift,
     first_return,
     first_return_matrix,
+    has_cycle,
     higher_block,
     is_irreducible,
     language_dims,
@@ -49,6 +50,8 @@ from refsets import (
     SFT2_ROWS,
     dense_first_return_matrix,
     orbit,
+    pairwise_blocks,
+    pairwise_normalized,
     series_product,
     w,
 )
@@ -269,7 +272,7 @@ def test_cached_walk_tables_keep_equality_and_hash():
             cached.matrix = plain.matrix
         k = cached.size
         assert cached.successors == tuple(
-            tuple((j,) for j in range(k) if cached.matrix[i][j]) for i in range(k)
+            tuple(j for j in range(k) if cached.matrix[i][j]) for i in range(k)
         )
         assert cached.columns == tuple(
             tuple(i for i in range(k) if cached.matrix[i][j]) for j in range(k)
@@ -535,6 +538,47 @@ def test_forbidden_normalization():
         SftPresentation.of((CIRC, BULL), {w("•")})
     with pytest.raises(ValueError):
         SftPresentation.of((CIRC,), {w("•∘")})
+
+
+def test_forbidden_windows_match_pairwise_subwords():
+    # the window lookups of the normalization and of higher_block, against
+    # testing every pair of blocks, on seeded presentations
+    rng = random.Random(24)
+    for _ in range(3000):
+        symbols = "abc"[: rng.randint(1, 3)]
+        blocks = {
+            tuple(rng.choice(symbols) for _ in range(rng.randint(2, 5)))
+            for _ in range(rng.randint(1, 8))
+        }
+        sft = SftPresentation.of(symbols, blocks)
+        assert sft.forbidden == pairwise_normalized(blocks), blocks
+        assert higher_block(sft).blocks == pairwise_blocks(symbols, blocks, sft.step), blocks
+    # one long block has no proper window of a forbidden length to look up
+    long = w(CIRC * 5000 + BULL * 5000)
+    assert SftPresentation.of((CIRC, BULL), [long, w(BULL * 3)]).forbidden == {w(BULL * 3)}
+
+
+def test_has_cycle_matches_walk_counts():
+    # a graph on k symbols has a cycle iff it has a walk of k edges
+    shifts = [
+        VertexShift.from_rows("abc"[:k], [bits[i * k:i * k + k] for i in range(k)])
+        for k in (1, 2, 3)
+        for bits in itertools.product((0, 1), repeat=k * k)
+    ]
+    rng = random.Random(9)
+    for _ in range(300):
+        k, density = rng.randint(1, 9), rng.random() / 2
+        rows = [[int(rng.random() < density) for _ in range(k)] for _ in range(k)]
+        shifts.append(VertexShift.from_rows([f"s{i}" for i in range(k)], rows))
+    root = Path(__file__).resolve().parents[1]
+    for path in ("src/scaleshift/fixtures/twostep.forb", "perfbench/inputs/threestep.forb"):
+        shifts.append(higher_block(parse_forbidden((root / path).read_text(encoding="utf-8"))).shift)
+    found = Counter()
+    for shift in shifts:
+        cyclic = has_cycle(shift)
+        assert cyclic == (word_counts(shift, shift.size + 1)[-1] > 0), shift.matrix
+        found[cyclic] += 1
+    assert found[True] > 100 and found[False] > 100
 
 
 def test_higher_block_dead_end():

@@ -15,7 +15,7 @@ from scaleshift.shiftspace import (
 )
 from scaleshift.substitutions import Morphism, ScaleStudy
 from scaleshift.values import Frozen, Value
-from scaleshift.verify import CheckResult
+from scaleshift.verify import CheckResult, OracleReport
 
 AB = Alphabet(("a", "b"))
 GOLDEN_ROWS = ((1, 1), (1, 0))
@@ -68,6 +68,7 @@ FROZEN = {
         "n",
     ),
     CheckResult: (lambda: CheckResult(1, "wheel counts", ()), "reports"),
+    OracleReport: (lambda: OracleReport("wheels.total", {"n": 12}, 351, 351), "actual"),
 }
 
 

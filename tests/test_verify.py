@@ -1,9 +1,9 @@
 import pytest
 
-from scaleshift.oracle import OracleReport
 from scaleshift.shiftspace import VertexShift, language_witnesses
 from scaleshift.verify import (
     CheckResult,
+    OracleReport,
     check_exclusions,
     check_oracle_grid,
     check_wheel_integrality,
@@ -11,7 +11,7 @@ from scaleshift.verify import (
     run_reference_suite,
 )
 
-from refsets import GOLDEN_LANG_WITNESSES, GOLDEN_ROWS
+from refsets import BULL, CIRC, GOLDEN_LANG_WITNESSES, GOLDEN_ROWS, w
 
 
 def test_irreducible_grid_size():
@@ -28,9 +28,20 @@ def test_language_witnesses_match_reference():
         assert language_witnesses(golden, n) == expected
 
 
+def test_oracle_report():
+    report = OracleReport("wheels", {"n": 12, "parts": w("∘•")}, 351, 351)
+    assert report.match
+    data = report.to_json()
+    assert data["parameters"]["parts"] == [CIRC, BULL]
+    assert data["expected"] == data["actual"] == 351
+    bad = OracleReport("wheels", {"n": 12}, 351, 350)
+    assert not bad.match
+    assert not bad.to_json()["match"]
+
+
 def test_check_result_failures():
-    good = OracleReport.of("x", {}, 1, 1)
-    bad = OracleReport.of("x", {"n": 2}, 1, 2)
+    good = OracleReport("x", {}, 1, 1)
+    bad = OracleReport("x", {"n": 2}, 1, 2)
     result = CheckResult(1, "demo", (good, bad))
     assert not result.passed
     assert result.failures() == (bad,)
@@ -40,7 +51,7 @@ def test_check_result_failures():
 def test_wheel_integrality_deterministic():
     first = check_wheel_integrality(draws=25, seed=7)
     second = check_wheel_integrality(draws=25, seed=7)
-    assert first == second
+    assert [row.to_json() for row in first] == [row.to_json() for row in second]
     assert first[0].match
 
 
