@@ -13,18 +13,21 @@ tables per (b, n), built once per process and indexed by rank, give every
 word of length n its facts.  The class table, built by striking the
 rotations of every one of the b^n words, gives each rank its rotation class
 and each class its size.  The pattern table gives each rank its visit
-pattern, an n-bit int with a 1 wherever the word repeats its first symbol;
-each distinct pattern is decoded into its gaps once per process.  The tests'
+pattern, an n-bit int with a 1 wherever the word repeats its first symbol.
+A scale is its visit pattern, so the scale dimensions come off patterns
+and no pattern is decoded into gaps: one mode table per n, built once per
+process off the base-2 class table, gives each pattern its rotation class
+and each class its modes, the members with a leading 1.  The tests'
 brute-force counts of compositions, wheels, first return paths and language
-classes live in ``tests/oracle_refs.py`` and reuse the word levels and orbit
-counter here.
+classes, and the window-striking orbit counter they check these tables
+against, live in ``tests/oracle_refs.py`` and reuse the word levels here.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import chain, filterfalse
+from itertools import chain
 from typing import Collection, Iterable, Iterator
 
 from .combinatorics import Composition
@@ -33,34 +36,11 @@ from .shiftspace import VertexShift
 MAX_SYMBOLS = 4
 MAX_WORD_LENGTH = 14
 MAX_SUM = 20
-#: Most entries of one rotation-class or visit-pattern table: 4^10, where the
-#: grid needs 3^10
+#: Most entries of one rotation-class, visit-pattern or mode table: 4^10, where
+#: the grid needs 3^10 and the mode table of total MAX_SUM 2^20
 MAX_CLASS_TABLE = 4 ** 10
 
-
-@lru_cache(maxsize=MAX_SUM + 1)
-def _windows(n: int) -> tuple[slice, ...]:
-    """The slices of the n length-n windows of an item written twice; one for n = 0.
-
-    The oracle's own words and compositions are at most ``MAX_SUM`` long, so
-    the cache holds every length they reach.
-    """
-    return tuple(slice(i, i + n) for i in range(n or 1))
-
-
-def _orbit_dims(items: Iterable) -> tuple[int, int]:
-    """Rotation classes of the distinct items, and the size of their union.
-
-    An item already in the union is a rotation of one counted before, so one
-    rotation set is built per class: the length-n windows of the item written
-    twice.  The empty item is its own rotation.
-    """
-    classes = 0
-    union: set = set()
-    for item in filterfalse(union.__contains__, items):
-        classes += 1
-        union.update(map((item + item).__getitem__, _windows(len(item))))
-    return classes, len(union)
+Dims = tuple[int, int]  # (transversal, orbital): rotation classes and the size of their union
 
 
 def _successors(shift: VertexShift) -> list[list[int]]:
@@ -74,8 +54,9 @@ def _word_levels(shift: VertexShift, max_n: int) -> Iterator[list[list[list[int]
 
     Each level holds, per first symbol in alphabet order, one list of ranks
     per last symbol.  Appending successor j to a word of rank r gives rank
-    r·b + j, so the next level is built list by list, and a level is dropped
-    as soon as the next one is built.
+    r·b + j, so the next level is built list by list, each list multiplied
+    by b once whatever its successors, and a level is dropped as soon as the
+    next one is built.
     """
     if shift.size > MAX_SYMBOLS:
         raise ValueError(f"cost guard: at most {MAX_SYMBOLS} symbols, got {shift.size}")
@@ -90,14 +71,16 @@ def _word_levels(shift: VertexShift, max_n: int) -> Iterator[list[list[list[int]
         for by_last in level:
             by_next: list[list[int]] = [[] for _ in succ]
             for ranks, targets in zip(by_last, succ):
+                shifted = list(map(base.__mul__, ranks))
                 for j in targets:
-                    by_next[j] += map(j.__add__, map(base.__mul__, ranks))
+                    by_next[j] += map(j.__add__, shifted)
             grown.append(by_next)
         level = grown
         yield level
 
 
-@lru_cache(maxsize=(MAX_SYMBOLS - 1) * MAX_WORD_LENGTH)
+# the word lengths of bases 2..MAX_SYMBOLS, and the base-2 totals of the mode tables past them
+@lru_cache(maxsize=(MAX_SYMBOLS - 1) * MAX_WORD_LENGTH + MAX_SUM - MAX_WORD_LENGTH)
 def _class_table(base: int, n: int) -> tuple[list[int], array]:
     """(class id of each rank, size of each class) for the base^n words of length n.
 
@@ -145,51 +128,54 @@ def _pattern_table(base: int, n: int) -> array:
     return table
 
 
-@lru_cache(maxsize=2 ** MAX_WORD_LENGTH)
-def _pattern_gaps(pattern: int) -> Composition:
-    """The gaps of a visit pattern: each 1 and the run of 0s after it.
+@lru_cache(maxsize=MAX_SUM)
+def _mode_table(n: int) -> tuple[list[int], array]:
+    """(base-2 class id of each rank, modes of each class) for the patterns of length n.
 
-    Read from the leading bit, each 1 is followed by a run of 0s, and its
-    gap is that run's length plus one; the run split off before the leading
-    1 is empty.  A pattern of length n has its leading bit set, so at most
-    2^(n-1) of them exist per length.
+    A scale of total n is its visit pattern, and its rotations are the
+    rotations of that bit string that start with a 1: two scales share a
+    rotation class exactly when their patterns share a class of
+    ``_class_table(2, n)``.  A class's modes are its members with a leading
+    1, the ranks from 2^(n-1) on, and each is counted there.
     """
-    return tuple(len(run) + 1 for run in f"{pattern:b}".split("1")[1:])
+    ids, sizes = _class_table(2, n)
+    modes = array("b", bytes(len(sizes)))
+    for cls in ids[2 ** (n - 1):]:
+        modes[cls] += 1
+    return ids, modes
 
 
-def _scale_sets(level: list[list[list[int]]], base: int, n: int) -> tuple[set[Composition], ...]:
-    """The scales of the words, one set per first symbol.
+def _class_dims(table: tuple[list[int], array], keys: Iterable[int]) -> Dims:
+    """The number of classes the keys fall in, and the sum of those classes' weights."""
+    ids, weights = table
+    classes = set(map(ids.__getitem__, keys))
+    return len(classes), sum(map(weights.__getitem__, classes))
 
-    A word induces the gaps between consecutive visits to its first symbol,
-    the last gap wrapping past the end.  Only the visits matter, so each
-    rank is looked up in the pattern table, and each distinct pattern is
-    decoded into its gaps once per process.
+
+def _level_dims(level: list[list[list[int]]], base: int, n: int) -> tuple[Dims, tuple[Dims, ...]]:
+    """The language dimensions of the words, and the scale dimensions per first symbol.
+
+    The words' rotation classes come off the class table; the scales of the
+    words from one symbol are their distinct patterns, and those patterns'
+    classes and modes come off the mode table.
     """
     patterns = _pattern_table(base, n)
-    return tuple(
-        set(map(_pattern_gaps, set(map(patterns.__getitem__, chain.from_iterable(by_last)))))
+    modes = _mode_table(n)
+    language = _class_dims(_class_table(base, n), chain.from_iterable(chain.from_iterable(level)))
+    return language, tuple(
+        _class_dims(modes, set(map(patterns.__getitem__, chain.from_iterable(by_last))))
         for by_last in level
     )
 
 
-def _language_dims(level: list[list[list[int]]], base: int, n: int) -> tuple[int, int]:
-    """Rotation classes of the length-n words, and the size of their union."""
-    ids, sizes = _class_table(base, n)
-    ranks = chain.from_iterable(chain.from_iterable(level))
-    classes = set(map(ids.__getitem__, ranks))
-    return len(classes), sum(map(sizes.__getitem__, classes))
+def oracle_levels(shift: VertexShift, max_n: int) -> list[tuple[Dims, tuple[Dims, ...]]]:
+    """[(language dimensions, (scale dimensions per start symbol)) of L_n for n = 1..max_n].
 
-
-def oracle_levels(
-    shift: VertexShift, max_n: int
-) -> list[tuple[tuple[int, int], tuple[set[Composition], ...]]]:
-    """[(language dimensions, scale sets) of L_n for n = 1..max_n], in one pass.
-
-    Each length-n level of words gives its (transversal, orbital) pair and
-    the scales its words induce, one set per start symbol in alphabet order;
-    only the scales outlive the level.  The class and pattern tables of
-    length n each cost base^n entries, so the largest is checked before any
-    word or table is built.
+    Each length-n level of words gives the (transversal, orbital) pair of
+    its words and, per start symbol in alphabet order, that of the scales
+    they induce; no level outlives the next.  The class and pattern tables
+    of length n each cost base^n entries, and the mode table 2^n, so the
+    largest is checked before any word or table is built.
     """
     base = max(shift.size, 2)
     # a length past MAX_WORD_LENGTH is refused by _word_levels; min() keeps
@@ -199,11 +185,24 @@ def oracle_levels(
             f"cost guard: a rotation-class table of {base}^{max_n} entries "
             f"exceeds {MAX_CLASS_TABLE}"
         )
-    return [
-        (_language_dims(level, base, n), _scale_sets(level, base, n))
-        for n, level in enumerate(_word_levels(shift, max_n), start=1)
-    ]
+    return [_level_dims(level, base, n) for n, level in enumerate(_word_levels(shift, max_n), start=1)]
 
 
-def oracle_scale_dims(scales: Collection[Composition]) -> tuple[int, int]:
-    return _orbit_dims(scales)
+def oracle_scale_dims(scales: Collection[Composition]) -> Dims:
+    """Rotation classes of the distinct scales, and the size of their union.
+
+    Each scale is spelt as its visit pattern and looked up in the mode table
+    of its total.  The empty scale is its own rotation: one class, one mode.
+    """
+    by_total: dict[int, set[int]] = {}
+    for scale in scales:
+        total = sum(scale)
+        if total > MAX_SUM:
+            raise ValueError(f"cost guard: need scales of total <= {MAX_SUM}, got {total}")
+        pattern = 0
+        for gap in scale:
+            pattern = (pattern << gap) | (1 << (gap - 1))
+        by_total.setdefault(total, set()).add(pattern)
+    empty = int(by_total.pop(0, None) is not None)
+    dims = [_class_dims(_mode_table(n), patterns) for n, patterns in by_total.items()]
+    return empty + sum(t for t, _ in dims), empty + sum(o for _, o in dims)

@@ -12,6 +12,7 @@ optionally refined by the number of notes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import zip_longest
 from math import gcd
 from operator import sub
@@ -39,6 +40,7 @@ def induced_scale(word: Word) -> Composition:
     return tuple(map(sub, stops[1:], stops))
 
 
+@lru_cache(maxsize=64)  # symbol_dims reads one immutable form through four public series
 def _composition_form(spec: PartSpec, order: int) -> RationalFunction:
     """C = Q/(Q - N): with s = N/Q the indicator of K, C = 1/(1 - s)."""
     num, den = spec.indicator_gf(order)

@@ -15,7 +15,7 @@ from math import gcd
 
 from .combinatorics import PartSpec, mutually_independent
 from .numtheory import divisors, mobius, mobius_invert, totient
-from .oracle import oracle_levels, oracle_scale_dims
+from .oracle import oracle_levels
 from .scales import (
     a_series,
     b_series,
@@ -359,10 +359,8 @@ def check_oracle_grid(max_n: int = MAX_GRID_N) -> list[OracleReport]:
         closed = [symbol_dims(shift, symbol, max_n) for symbol in shift.alphabet]
         for n, (found, scales) in enumerate(oracle_levels(shift, max_n), start=1):
             matched += int(found == (language.transversal_at(n), language.orbital_at(n)))
-            for dims, sets in zip(closed, scales):
-                matched += int(
-                    oracle_scale_dims(sets) == (dims.transversal_at(n), dims.orbital_at(n))
-                )
+            for dims, pair in zip(closed, scales):
+                matched += int(pair == (dims.transversal_at(n), dims.orbital_at(n)))
         reports.append(
             OracleReport(
                 "oracle.dims_grid",

@@ -1,24 +1,27 @@
-"""Brute-force references that only the tests use: language dimensions,
-composition and wheel counts by part set, first return path counts, and the
-scale sets of literal words.  The language dimensions spell each of the
+"""Brute-force references that only the tests use: an orbit counter that
+strikes rotation windows, language dimensions, composition and wheel counts
+by part set, first return path counts, and the scale sets of the oracle's
+levels and of literal words.  The language dimensions spell each of the
 oracle's ranks out as its digits and strike each class's rotation windows,
 so they check the oracle's rank-indexed class tables by an independent path;
-the scale sets cut every word from ``language_from``, so they check the
+the oracle's scale sets cut each rank's visit pattern into its gaps, so
+with the orbit counter they check the oracle's mode tables; the scale sets
+of literal words cut every word from ``language_from``, so they check the
 gap-state walk of ``scaleshift.scales`` word by word.
 
-Like ``scaleshift.oracle``, whose word levels, successor lists and orbit
-counter they reuse, they work by exhaustive generation and read nothing
-from the closed-form modules.
+Like ``scaleshift.oracle``, whose word levels, tables and successor lists
+they reuse, they work by exhaustive generation and read nothing from the
+closed-form modules.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain
-from typing import Iterable
+from itertools import chain, filterfalse
+from typing import Iterable, Iterator
 
 from scaleshift.combinatorics import Composition, PartSpec
-from scaleshift.oracle import MAX_SUM, _orbit_dims, _successors, _word_levels
+from scaleshift.oracle import MAX_SUM, _pattern_table, _successors, _word_levels
 from scaleshift.shiftspace import VertexShift, language_from
 
 MAX_RETURN_STEPS = 12
@@ -26,6 +29,22 @@ MAX_RETURN_STEPS = 12
 _GAP = re.compile(rb"10*")  # a visit and the run of non-visits after it
 
 KINDS = ("compositions", "wheels")
+
+
+def _orbit_dims(items: Iterable) -> tuple[int, int]:
+    """Rotation classes of the distinct items, and the size of their union.
+
+    An item already in the union is a rotation of one counted before, so one
+    rotation set is built per class: the length-n windows of the item written
+    twice.  The empty item is its own rotation.
+    """
+    classes = 0
+    union: set = set()
+    for item in filterfalse(union.__contains__, items):
+        classes += 1
+        doubled, n = item + item, len(item)
+        union.update(doubled[i:i + n] for i in range(n or 1))
+    return classes, len(union)
 
 
 def oracle_language_dims(shift: VertexShift, n: int) -> tuple[int, int]:
@@ -100,6 +119,22 @@ def oracle_first_return(shift: VertexShift, symbol: str, k: int) -> int:
     for step in range(1, k + 1):
         ends = [t for v in ends for t in succ[v] if (t == start) == (step == k)]
     return len(ends)
+
+
+def level_scale_sets(shift: VertexShift, max_n: int) -> Iterator[list[set[Composition]]]:
+    """The scales of the oracle's words of length n = 1..max_n, one set per first symbol.
+
+    Each rank's entry in the oracle's pattern table is written out as n
+    bits and cut before each 1.
+    """
+    base = max(shift.size, 2)
+    for n, level in enumerate(_word_levels(shift, max_n), start=1):
+        patterns = _pattern_table(base, n)
+        sets = []
+        for by_last in level:
+            found = set(map(patterns.__getitem__, chain.from_iterable(by_last)))
+            sets.append({_cut(f"{pattern:0{n}b}".encode()) for pattern in found})
+        yield sets
 
 
 def word_levels(shift: VertexShift, start: int, order: int) -> list[list[tuple[int, ...]]]:

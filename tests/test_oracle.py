@@ -1,6 +1,8 @@
 import ast
 import itertools
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,10 +10,10 @@ import pytest
 import scaleshift.oracle
 from scaleshift.combinatorics import PartSpec
 from scaleshift.oracle import (
+    MAX_SUM,
     MAX_WORD_LENGTH,
     _class_table,
-    _orbit_dims,
-    _pattern_gaps,
+    _mode_table,
     _pattern_table,
     _word_levels,
     oracle_levels,
@@ -30,7 +32,10 @@ from scaleshift.shiftspace import (
 from scaleshift.verify import _irreducible_shifts, check_oracle_grid
 
 from oracle_refs import (
+    _compositions,
     _cut,
+    _orbit_dims,
+    level_scale_sets,
     oracle_first_return,
     oracle_language_dims,
     oracle_series_coeff,
@@ -141,27 +146,28 @@ def test_word_levels_spell_the_language_and_patterns_cut_its_scales():
     assert len(cut) == sum(2 ** n + 3 ** n for n in range(1, top + 1))
 
 
+def _recording(built, factory, label):
+    def record(*args):
+        built.append(label)
+        return factory(*args)
+    return record
+
+
 def test_class_table_guard_before_allocation(monkeypatch):
     # at the limits 3^4 and 2^6, the longest fitting length on two and on
-    # three symbols builds every kind of table, and one more is refused
-    # before any class table, pattern table, table array or word level is built
+    # three symbols builds every kind of table, and one more is refused before
+    # any class table, pattern table, mode table, table array or word level is built
     built = []
-
-    def recording(factory, label):
-        def record(*args):
-            built.append(label)
-            return factory(*args)
-        return record
-
     labels = {
         "array": "array",
         "_class_table": "classes",
         "_pattern_table": "patterns",
+        "_mode_table": "modes",
         "_word_levels": "words",
     }
     for name, label in labels.items():
         monkeypatch.setattr(
-            scaleshift.oracle, name, recording(getattr(scaleshift.oracle, name), label)
+            scaleshift.oracle, name, _recording(built, getattr(scaleshift.oracle, name), label)
         )
     # 3^4 = 81 entries fit 2^6 but not 3^5 or 2^7; 2^6 = 64 fit 3^3 but not 3^4
     fitting = {3 ** 4: ((FULL3, 4), (FULL2, 6)), 2 ** 6: ((FULL3, 3), (FULL2, 6))}
@@ -171,6 +177,7 @@ def test_class_table_guard_before_allocation(monkeypatch):
             for shift, n in cases:
                 _class_table.cache_clear()
                 _pattern_table.cache_clear()
+                _mode_table.cache_clear()
                 built.clear()
                 oracle_levels(shift, n)
                 assert set(built) == set(labels.values())
@@ -183,6 +190,7 @@ def test_class_table_guard_before_allocation(monkeypatch):
     finally:
         _class_table.cache_clear()
         _pattern_table.cache_clear()
+        _mode_table.cache_clear()
 
 
 def test_oracle_imports_no_closed_form_module():
@@ -256,20 +264,52 @@ def test_orbit_dims_match_literal_rotations():
 
 
 def test_grid_decodes_each_pattern_once():
-    # a visit pattern of length n starts with a visit, so the grid's words of
-    # length <= 10 have at most 1 + 2 + ... + 2^9 = 1,023 distinct patterns
-    _pattern_gaps.cache_clear()
-    assert all(report.match for report in check_oracle_grid())
-    info = _pattern_gaps.cache_info()
-    assert info.misses == info.currsize <= 1023
-    assert info.hits > 100 * info.misses
+    # the grid reads every scale dimension off a pattern's class in the mode
+    # table: one table per n, one lookup per compared pair, and no oracle
+    # function runs per pattern or per class
+    _mode_table.cache_clear()
+    calls = Counter()
+    here = scaleshift.oracle.__file__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == here:
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        reports = check_oracle_grid()
+    finally:
+        sys.setprofile(None)
+    assert all(report.match for report in reports)
+    info = _mode_table.cache_info()
+    assert info.misses == info.currsize == 10
+    shifts = _irreducible_shifts()
+    assert info.hits == 10 * len(shifts) - 10
+    # comprehension frames are named <...> and are inlined on Python 3.12
+    assert {name for name in calls if not name.startswith("<")} == {
+        "oracle_levels",
+        "_successors",
+        "_word_levels",
+        "_level_dims",
+        "_class_dims",
+        "_class_table",
+        "_pattern_table",
+        "_mode_table",
+    }
+    # one language pair per level and one scale pair per (level, start symbol)
+    assert calls["_level_dims"] == 10 * len(shifts)
+    assert calls["_class_dims"] == sum(10 * (1 + shift.size) for shift in shifts) == 5900
 
 
 def test_levels_scale_sets_match_scale_class():
-    # the oracle grid compares dimensions only; this pins the enumerated sets
+    # the oracle grid compares dimensions only; this pins the oracle's
+    # patterns, cut into scales, to scale_class set for set, and each level's
+    # scale dimensions to the window-striking count of those sets
     for shift in _irreducible_shifts():
         classes = [scale_class(shift, symbol, 7) for symbol in shift.alphabet]
-        for n, (_, scales) in enumerate(oracle_levels(shift, 7), start=1):
+        levels = zip(oracle_levels(shift, 7), level_scale_sets(shift, 7))
+        for n, ((_, dims), scales) in enumerate(levels, start=1):
+            assert list(dims) == [_orbit_dims(found) for found in scales]
             for study, found in zip(classes, scales):
                 assert found == study.at(n)
 
@@ -280,7 +320,7 @@ def test_by_notes_tables_match_oracle():
     cells = 0
     for shift in _irreducible_shifts():
         reports = [symbol_dims(shift, symbol, top, bivariate=True) for symbol in shift.alphabet]
-        for n, (_, scales) in enumerate(oracle_levels(shift, top), start=1):
+        for n, scales in enumerate(level_scale_sets(shift, top), start=1):
             for report, found in zip(reports, scales):
                 for m in range(1, n + 1):
                     parts = {scale for scale in found if len(scale) == m}
@@ -290,6 +330,72 @@ def test_by_notes_tables_match_oracle():
                     )
                     cells += 1
     assert cells == 15876
+
+
+def _random_composition(rng, total):
+    if not total:
+        return ()
+    cuts = sorted(rng.sample(range(1, total), rng.randrange(total)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+
+def test_scale_dims_match_window_striking():
+    # the pattern route against the window-striking reference: every subset
+    # of the 15 compositions of 1..4, and seeded sets of mixed totals up to 12
+    small = [comp for n in range(1, 5) for comp in _compositions(n, tuple(range(1, n + 1)))]
+    assert len(small) == 15
+    for bits in range(2 ** len(small)):
+        subset = [comp for i, comp in enumerate(small) if bits >> i & 1]
+        assert oracle_scale_dims(subset) == _orbit_dims(set(subset))
+    rng = random.Random(25)
+    for _ in range(2600):
+        scales = [_random_composition(rng, rng.randint(0, 12)) for _ in range(rng.randint(0, 30))]
+        assert oracle_scale_dims(scales) == _orbit_dims(set(scales))
+    assert oracle_scale_dims(set()) == (0, 0)
+    # the empty scale is its own rotation: one class of one mode
+    assert oracle_scale_dims({()}) == _orbit_dims({()}) == (1, 1)
+    assert oracle_scale_dims([(), (1,), (), (1, 2), (2, 1)]) == (3, 4)
+
+
+def test_mode_table_counts_rotations():
+    # each pattern with a leading 1 is a scale; its class holds the patterns
+    # of that scale's rotations, and its mode count is their number
+    for n in range(1, 13):
+        ids, modes = _mode_table(n)
+        assert len(ids) == 2 ** n and modes[ids[0]] == 0
+        assert sum(modes) == 2 ** (n - 1)
+        orbits = {}
+        for pattern in range(2 ** (n - 1), 2 ** n):
+            comp = _cut(f"{pattern:b}".encode())
+            rotations = frozenset(comp[i:] + comp[:i] for i in range(len(comp)))
+            assert modes[ids[pattern]] == len(rotations)
+            orbits.setdefault(ids[pattern], rotations)
+            assert orbits[ids[pattern]] == rotations
+        # distinct classes hold distinct rotation sets
+        assert len(set(orbits.values())) == len(orbits)
+
+
+def test_scale_dims_guard_before_tables(monkeypatch):
+    # a total past MAX_SUM is refused before any class or mode table is built,
+    # wherever it sits among the scales; a total at the limit is counted
+    built = []
+    for name in ("_class_table", "_mode_table", "array"):
+        monkeypatch.setattr(scaleshift.oracle, name, _recording(built, getattr(scaleshift.oracle, name), name))
+    _mode_table.cache_clear()
+    try:
+        for scales in ([(MAX_SUM + 1,)], [(1,), (2, 1), (MAX_SUM, 1)], [(MAX_SUM - 1, 1, 1), ()]):
+            with pytest.raises(ValueError, match=f"total <= {MAX_SUM}"):
+                oracle_scale_dims(scales)
+            assert built == []
+        monkeypatch.setattr(scaleshift.oracle, "MAX_SUM", 6)
+        assert oracle_scale_dims([(6,), (3, 3)]) == (2, 2)
+        assert set(built) == {"_class_table", "_mode_table", "array"}
+        built.clear()
+        with pytest.raises(ValueError, match="total <= 6"):
+            oracle_scale_dims([(3, 3), (4, 3)])
+        assert built == []
+    finally:
+        _mode_table.cache_clear()
 
 
 def _sft_words(symbols, forbidden, top):

@@ -13,8 +13,6 @@ from scaleshift.shiftspace import (
     SUPPORT_WALK_LIMIT,
     Alphabet,
     BlockCountError,
-    DegenerateShiftError,
-    HigherBlock,
     SftPresentation,
     VertexShift,
     first_return,
