@@ -10,15 +10,16 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import verify  # executes on first use, see scaleshift/__init__.py
-from .combinatorics import PartSpec, transversal_of
+from .combinatorics import PartSpec
 from .scales import (
     DEFAULT_CAP,
     EnumerationCapError,
-    _charge,
     global_dims,
+    language_witnesses,
     scale_classes,
     symbol_dims,
     wheels_gf,
@@ -33,11 +34,8 @@ from .shiftspace import (
     first_return_matrix,
     has_cycle,
     higher_block,
-    language_from,
     parse_forbidden,
     parse_matrix,
-    word_counts,
-    word_texts,
     zeta_rational,
 )
 from .substitutions import PRESETS, morphism_from_json, substitution_scales
@@ -58,28 +56,30 @@ class CommandError(Exception):
         self.code = code
 
 
-def _emit(data, fmt: str, text_lines) -> None:
-    """Print the dict the callable ``data`` returns as JSON, or the lines the
-    callable ``text_lines`` returns.
-
-    Only the form that is printed is built.  Counts may have more digits
-    than Python's int-to-str limit allows, so the limit is lifted while the
-    output is built and printed, and restored after; parsing outside input
-    keeps it.
-    """
+@contextmanager
+def _full_digits():
+    """Lift Python's int-to-str limit while output is built and printed, so every count prints
+    in full whatever its number of digits, and restore it after: parsing input keeps it."""
     # Python before 3.10.7 has no limit to lift
     limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _emit(data, fmt: str, text_lines) -> None:
+    """Print the dict the callable ``data`` returns as JSON, or the lines the
+    callable ``text_lines`` returns.  Only the form that is printed is built."""
+    with _full_digits():
         if fmt == "json":
             print(json.dumps(data(), ensure_ascii=False, sort_keys=True))
         else:
             for line in text_lines():
                 print(line)
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
 
 
 def _read_file(path: str) -> str:
@@ -186,16 +186,9 @@ def cmd_vertex_global(args) -> int:
 
 def cmd_vertex_language(args) -> int:
     shift = _load_shift(args.matrix)
-    order = args.order
-    _charge(word_counts(shift, order)[-1:], args.cap, first=order)
-    words = sorted(language_from(shift, range(shift.size), order))
-    data = {
-        "n": order,
-        "count": len(words),
-        "words": word_texts(shift, words),
-        "witnesses": word_texts(shift, sorted(transversal_of(words))),
-    }
-    _emit(lambda: data, args.format or "json", lambda: [",".join(data["words"])])
+    words, witnesses = language_witnesses(shift, args.order, args.cap)
+    data = {"n": args.order, "count": len(words), "words": words, "witnesses": witnesses}
+    _emit(lambda: data, args.format or "json", lambda: [",".join(words)])
     return EXIT_OK
 
 
@@ -472,7 +465,8 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except EnumerationCapError as err:
         size = "--n" if args.command == "subst" else "--order"
-        print(f"error: {err}; lower {size} or raise --cap", file=sys.stderr)
+        with _full_digits():
+            print(f"error: {err}; lower {size} or raise --cap", file=sys.stderr)
         return EXIT_PRECONDITION
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

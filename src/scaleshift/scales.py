@@ -17,18 +17,22 @@ from itertools import zip_longest
 from math import gcd
 from operator import sub
 
-from .combinatorics import Composition, PartSpec, rotation_dims
+from .combinatorics import Composition, PartSpec, rotation_dims, transversal_of
 from .numtheory import burnside, cyclic_counts
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
 from .series import DEFAULT_ORDER, BivariateSeries, RationalFunction, TruncatedSeries
-from .shiftspace import VertexShift, Word, first_return, word_counts
+from .shiftspace import VertexShift, Word, first_return, language_from, word_counts, word_texts
 from .values import Frozen
 
 DEFAULT_CAP = 10_000_000
 
 
 class EnumerationCapError(RuntimeError):
-    """Word enumeration would exceed the configured budget."""
+    """Word enumeration would exceed the configured budget.  The message joins ``args`` when
+    read, so a count past the int-to-str limit is formatted only where that limit is lifted."""
+
+    def __str__(self) -> str:
+        return "".join(map(str, self.args))
 
 
 def induced_scale(word: Word) -> Composition:
@@ -173,17 +177,29 @@ def symbol_dims(
     )
 
 
-def _charge(counts, cap: int, first: int = 1) -> None:
-    """Charge the counts of the words of lengths first, first + 1, ... against ``cap`` in turn.
+def _charge(shift: VertexShift, order: int, cap: int, starts=None, first: int = 1) -> None:
+    """Charge the words of lengths first..order against ``cap`` from one lazy walk of
+    ``word_counts``, before any word is built; the first overdraw raises.
 
-    The first length that overdraws raises, before any word is built.  ``cli``
-    charges ``vertex language`` here too.
+    With ``starts`` None every word draws on the one cap; otherwise each start's
+    words draw on a whole cap of their own, in the order of ``starts`` within a length.
     """
-    budget = cap
-    for n, count in enumerate(counts, start=first):
-        budget -= count
-        if budget < 0:
-            raise EnumerationCapError(f"enumerating {count} words of length {n} exceeds the cap")
+    spent = [0] * (1 if starts is None else len(starts))
+    for n, row in enumerate(word_counts(shift, order), start=1):
+        if n < first:
+            continue
+        for p, count in enumerate([sum(row)] if starts is None else [row[s] for s in starts]):
+            spent[p] += count
+            if spent[p] > cap:
+                raise EnumerationCapError("enumerating ", count, f" words of length {n} exceeds the cap")
+
+
+def language_witnesses(shift: VertexShift, n: int, cap: int = DEFAULT_CAP) -> tuple[list, list]:
+    """L_n's words and one witness per rotation class, the least, as texts in symbol-index
+    order; L_n is charged against ``cap`` before it is built, once, for both."""
+    _charge(shift, n, cap, first=n)
+    words = sorted(language_from(shift, range(shift.size), n))
+    return word_texts(shift, words), word_texts(shift, sorted(transversal_of(words)))
 
 
 def _scale_levels(shift: VertexShift, walks, order: int, keep) -> list:
@@ -241,7 +257,7 @@ def global_dims(
     each word's first symbol, and reduces the resulting scale sets exactly;
     no closed form is attempted.
     """
-    _charge(word_counts(shift, order), cap)
+    _charge(shift, order, cap)
     walks = [(i, {i}) for i in range(shift.size)]
     dims = _scale_levels(
         shift, walks, order,
@@ -286,15 +302,14 @@ def scale_classes(shift: VertexShift, distinguished, order: int = DEFAULT_ORDER,
 
     Gaps are measured between visits to any distinguished symbol.  Each
     start's own words are charged against the whole ``cap``, every start
-    before the first is walked; the starts are then walked one at a time,
-    so only the class the caller holds outlives its walk.
+    from one walk, before the first is walked; the starts are then walked
+    one at a time, so only the class the caller holds outlives its walk.
     """
     members = tuple(distinguished)
     if not members:
         raise ValueError("distinguished set is empty")
     starts = [shift.alphabet.index(member) for member in members]
-    for start in starts:
-        _charge(word_counts(shift, order, [start]), cap)
+    _charge(shift, order, cap, starts)
     marked = set(starts)
     for member, start in zip(members, starts):
         levels = _scale_levels(shift, [(start, marked)], order, frozenset)

@@ -11,10 +11,10 @@ first return loop systems, and the language dimension formulas.
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import islice, product
+from itertools import islice
 from operator import or_
 
-from .combinatorics import PartSpec, transversal_of
+from .combinatorics import PartSpec
 from .numtheory import cyclic_counts
 from .reports import CLOSED_FORM, DimReport
 from .series import DEFAULT_ORDER, RationalFunction, TruncatedSeries, _poly_mul, log_derivative
@@ -131,18 +131,16 @@ class SftPresentation(Frozen):
         """Normalize: drop any forbidden block containing another as a proper window."""
         words = {tuple(b) for b in blocks}
         lengths = {len(b) for b in words}
-        kept = {b for b in words if not _has_window_in(b, words, lengths - {len(b)})}
+        kept = {
+            b for b in words
+            if not any(b[i:i + k] in words for k in lengths - {len(b)} for i in range(len(b) - k + 1))
+        }
         return cls(Alphabet.of(symbols), frozenset(kept))
 
     @property
     def step(self) -> int:
         """The SFT is step-many steps: max forbidden length minus one."""
         return max((len(b) for b in self.forbidden), default=2) - 1
-
-
-def _has_window_in(word: Word, blocks, lengths) -> bool:
-    """True when a window of ``word`` whose length is in ``lengths`` is in the set ``blocks``."""
-    return any(word[i:i + k] in blocks for k in lengths for i in range(len(word) - k + 1))
 
 
 class HigherBlock(Frozen):
@@ -188,15 +186,22 @@ class LoopSystem(Frozen):
 
 
 def higher_block(sft: SftPresentation) -> HigherBlock:
-    """Recode an SFT as a vertex shift on its admissible step-blocks."""
+    """Recode an SFT as a vertex shift on its admissible step-blocks.
+
+    Blocks grow a letter at a time in symbol order, so they come out lexicographic.  A grown
+    block is kept when no forbidden block ends it: its other windows were checked a letter
+    earlier, and a forbidden length past its own takes the whole block, as its own length does.
+    """
     m = sft.step
     symbols = tuple(sft.alphabet)
+    # growing to length m costs at most |A| + |A|^2 + ... + |A|^m
     if len(symbols) ** m > 2_000_000:
         raise BlockCountError(f"block enumeration over {len(symbols)}^{m} is too large")
     lengths = {len(f) for f in sft.forbidden}
-    blocks = tuple(
-        b for b in product(symbols, repeat=m) if not _has_window_in(b, sft.forbidden, lengths)
-    )
+    blocks = [()]
+    for _ in range(m):
+        grown = (b + (a,) for b in blocks for a in symbols)
+        blocks = [b for b in grown if not any(b[-k:] in sft.forbidden for k in lengths)]
     if not blocks:
         raise DegenerateShiftError("no admissible blocks")
     # the matrix is dense: 10^7 entries hold ~80 MB of row pointers alone
@@ -205,18 +210,21 @@ def higher_block(sft: SftPresentation) -> HigherBlock:
         raise BlockCountError(
             f"the block matrix over {len(blocks)} blocks needs {entries} entries; the limit is 10^7"
         )
-    full = {b for b in sft.forbidden if len(b) == m + 1}
-    tokens = tuple(_block_token(b) for b in blocks)
-    return HigherBlock(VertexShift.from_rows(tokens, _block_rows(blocks, full)), blocks)
+    rows = _block_rows(blocks, symbols, sft.forbidden)
+    return HigherBlock(VertexShift(Alphabet.of(map(_block_token, blocks)), rows), tuple(blocks))
 
 
-def _block_rows(blocks: tuple[Word, ...], full: set[Word]) -> tuple[tuple[int, ...], ...]:
-    """The 0/1 rows of the block graph: u -> v when v extends u by one letter
-    and u + v[-1] is not one of the ``full`` forbidden blocks."""
-    return tuple(
-        tuple(1 if u[1:] == v[:-1] and u + v[-1:] not in full else 0 for v in blocks)
-        for u in blocks
-    )
+def _block_rows(blocks: list[Word], symbols, forbidden) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 rows of the block graph: u -> u[1:] + a when that block is
+    admissible and u + a, one letter longer than a block, is not forbidden."""
+    index = {b: j for j, b in enumerate(blocks)}
+    rows = [[0] * len(blocks) for _ in blocks]
+    for row, u in zip(rows, blocks):
+        for a in symbols:
+            j = index.get(u[1:] + (a,))
+            if j is not None and u + (a,) not in forbidden:
+                row[j] = 1
+    return tuple(map(tuple, rows))
 
 
 def _block_token(block: Word) -> str:
@@ -225,20 +233,11 @@ def _block_token(block: Word) -> str:
     return "|".join(block)
 
 
-def language_witnesses(shift: VertexShift, n: int) -> set[Word]:
-    """One word of L_n per rotation class: the least in symbol-index order."""
-    return set(_spelled(shift, transversal_of(set(language_from(shift, range(shift.size), n)))))
-
-
 def word_texts(shift: VertexShift, words) -> list[str]:
     """Index-tuple words as text, spaced when a symbol has several characters."""
-    separator = " " if any(len(symbol) > 1 for symbol in shift.alphabet) else ""
-    return [separator.join(word) for word in _spelled(shift, words)]
-
-
-def _spelled(shift: VertexShift, words):
     symbols = shift.alphabet.symbols
-    return (tuple(symbols[i] for i in word) for word in words)
+    separator = " " if any(len(symbol) > 1 for symbol in symbols) else ""
+    return [separator.join([symbols[i] for i in word]) for word in words]
 
 
 def language_from(shift: VertexShift, starts, n: int) -> list[tuple[int, ...]]:
@@ -294,16 +293,17 @@ def _reach(lists, starts) -> set[int]:
     return seen
 
 
-def _walks(cols, start):
-    """start·A^n for n = 0, 1, 2, ...: the vector recurrence v -> vA.
+def _walks(lists, start):
+    """The vector recurrence from ``start``, entry j of a step summing the entries ``lists[j]``.
 
-    ``cols`` lists, for each symbol j, the symbols i with A[i, j] = 1.
-    Entry j of start·A^n sums start_i over the walks of n edges from i to j.
+    Fed the columns (the i with A[i, j] = 1) it walks v -> vA: entry j of start·A^n sums
+    start_i over the n-edge walks from i to j.  Fed the successors (the i with A[j, i] = 1)
+    it walks u -> Au: entry j of A^n·start sums start_i over the n-edge walks from j to i.
     """
     vector = list(start)
     while True:
         yield vector
-        vector = [sum([vector[i] for i in col]) for col in cols]
+        vector = [sum([vector[i] for i in step]) for step in lists]
 
 
 def _char_det(shift: VertexShift) -> list[int]:
@@ -323,15 +323,11 @@ def _char_det(shift: VertexShift) -> list[int]:
     return det
 
 
-def word_counts(shift: VertexShift, order: int, starts=None) -> list[int]:
-    """Number of length-n words for n = 1..order: the entry sum of A^(n-1).
-
-    Only words from the symbol indices ``starts`` count, every symbol when
-    None.  The walk starts from their indicator vector, so entry j of its
-    n-th step counts those words of length n + 1 that end at symbol j.
-    """
-    indicator = [int(starts is None or i in starts) for i in range(shift.size)]
-    return [sum(v) for v in islice(_walks(shift.columns, indicator), order)]
+def word_counts(shift: VertexShift, order: int):
+    """Rows A^(n-1)·1 for n = 1..order, drawn one at a time: entry s of row
+    n - 1 counts the words of length n from symbol s.  Callers that need the
+    number of all words of a length sum its row."""
+    return islice(_walks(shift.successors, [1] * shift.size), order)
 
 
 def zeta_rational(shift: VertexShift) -> RationalFunction:
@@ -430,7 +426,7 @@ def language_dims(shift: VertexShift, order: int = DEFAULT_ORDER) -> DimReport:
     rotation of any other word is admissible, so each of the w_n - p_n
     stranded words is a class of its own whose orbit has all n rotations.
     """
-    words = word_counts(shift, order)
+    words = [sum(row) for row in word_counts(shift, order)]
     form = zeta_rational(shift)
     p = log_derivative(form.denominator, order).coeffs
     necklaces = cyclic_counts(form, order).coeffs

@@ -22,6 +22,7 @@ from .scales import (
     composition_bgf,
     composition_gf,
     global_dims,
+    language_witnesses,
     scale_class,
     scale_classes,
     symbol_dims,
@@ -38,7 +39,6 @@ from .shiftspace import (
     higher_block,
     is_irreducible,
     language_dims,
-    language_witnesses,
     periodic_counts,
     periodic_orbit_counts,
     zeta,
@@ -195,18 +195,10 @@ def check_golden_language() -> list[OracleReport]:
             OracleReport("golden.language_orbital", {"n": n}, expected, report.orbital_at(n))
         )
     for n, expected in GOLDEN_LANG_WITNESSES.items():
-        computed = language_witnesses(GOLDEN, n)
-        reports.append(
-            _equals(
-                "golden.language_witnesses",
-                {
-                    "n": n,
-                    "computed": sorted("".join(word) for word in computed),
-                },
-                expected,
-                computed,
-            )
-        )
+        computed = sorted(language_witnesses(GOLDEN, n)[1])
+        parameters = {"n": n, "computed": computed}
+        found = {_w(text) for text in computed}
+        reports.append(_equals("golden.language_witnesses", parameters, expected, found))
     return reports
 
 

@@ -8,8 +8,10 @@ into letter tuples with `w`; `rotate` and `orbit` are the brute-force
 rotation helpers the tests compare the library's rotation counts against,
 `series_product` the schoolbook product they check closed forms against,
 `dense_first_return_matrix` the dense first-passage walk they check the
-absorbing walk against, and `pairwise_normalized` and `pairwise_blocks` the
-every-pair subword tests they check the forbidden-window lookups against.
+absorbing walk against, `pairwise_normalized`, `pairwise_blocks` and
+`pairwise_block_rows` the every-pair subword tests they check the
+forbidden-window lookups and the block graph's edge lookups against, and
+`forward_word_counts` the forward walk per start the price walk is checked against.
 """
 
 from itertools import product
@@ -111,6 +113,30 @@ def pairwise_blocks(symbols, forbidden, m):
     return tuple(
         b for b in product(symbols, repeat=m) if not any(is_subword(f, b) for f in forbidden)
     )
+
+
+def pairwise_block_rows(blocks, forbidden):
+    """The 0/1 rows of the block graph, every pair of blocks tested in turn: u -> v
+    when v extends u by one letter and u + v[-1] contains no forbidden block."""
+    return tuple(
+        tuple(
+            int(u[1:] == v[:-1] and not any(is_subword(f, u + v[-1:]) for f in forbidden))
+            for v in blocks
+        )
+        for u in blocks
+    )
+
+
+def forward_word_counts(matrix, start, order):
+    """Words of lengths 1..order from symbol ``start``: the entry sums of
+    e_start·A^(n-1), one forward walk from the indicator vector of ``start``."""
+    k = len(matrix)
+    vector = [int(i == start) for i in range(k)]
+    counts = []
+    for _ in range(order):
+        counts.append(sum(vector))
+        vector = [sum(vector[i] * matrix[i][j] for i in range(k)) for j in range(k)]
+    return counts
 
 
 # Golden mean shift: matrix rows over alphabet (CIRC, BULL).

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,7 @@ from scaleshift import cli, scales
 from scaleshift.cli import main
 from scaleshift.combinatorics import rotation_dims
 from scaleshift.scales import scale_class
-from scaleshift.shiftspace import VertexShift, parse_matrix
+from scaleshift.shiftspace import parse_matrix
 
 from refsets import WHEELS_12_BY_LENGTH
 
@@ -192,6 +191,22 @@ def test_vertex_language(capsys):
     assert json.loads(out)["count"] == 1597
 
 
+def test_vertex_language_cap_message_prints_every_digit(capsys):
+    # golden has Fibonacci(21002) words of length 21000, 4,389 digits, more
+    # than Python's int-to-str limit; the cap message still names them all
+    count, longer = 2, 3
+    for _ in range(21000 - 1):
+        count, longer = longer, count + longer
+    code, out, err = run(["vertex", "language", "--matrix", GOLDEN_MAT, "--order", "21000"], capsys)
+    assert (code, out) == (3, "")
+    prefix, tail = "error: enumerating ", " words of length 21000 exceeds the cap"
+    assert err.startswith(prefix) and tail in err
+    digits = err[len(prefix):err.index(tail)]
+    assert len(digits) > 4300
+    with cli._full_digits():
+        assert digits == str(count)
+
+
 def test_vertex_language_default_cap(tmp_path, capsys):
     # a full 4-symbol shift has 4^14 (about 2.7e8) words of length 14, over the default cap
     target = tmp_path / "full4.mat"
@@ -299,8 +314,8 @@ def test_sft_scales_charges_every_start_first(capsys, monkeypatch):
     def walk(*args):
         raise AssertionError("a word was walked before the cap was checked")
 
-    # the walk reads successors first; word_counts reads only columns
-    monkeypatch.setattr(VertexShift, "successors", property(walk))
+    # the gap-state walk visits the words; the price walk only counts them
+    monkeypatch.setattr(scales, "_scale_levels", walk)
     argv = ["--cap", "261", "sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "16"]
     code, out, err = run(argv, capsys)
     assert (code, out) == (3, "")
@@ -309,25 +324,28 @@ def test_sft_scales_charges_every_start_first(capsys, monkeypatch):
     )
 
 
-def test_sft_scales_charges_each_start_once(capsys, monkeypatch):
+def test_sft_scales_charges_each_start_once(tmp_path, capsys, monkeypatch):
     # cli counts no words, as its cycle check strips symbols; scales charges
-    # each of the two distinguished starts once, before it walks the first
-    calls = Counter()
+    # every distinguished start from one price walk, before it walks the first:
+    # the two starts of the two-step file, and the 89 of the 233 blocks of the
+    # family of •• and twelve ∘ that open with •, its alphabet's first symbol
+    assert not hasattr(cli, "word_counts")
+    walks = []
+    inner = scales.word_counts
 
-    def counting(module):
-        inner = module.word_counts
+    def counted(shift, order):
+        walks.append(order)
+        return inner(shift, order)
 
-        def counted(*args, **kwargs):
-            calls[module.__name__] += 1
-            return inner(*args, **kwargs)
-
-        return counted
-
-    for module in (cli, scales):
-        monkeypatch.setattr(module, "word_counts", counting(module))
-    code, _, _ = run(["sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "16"], capsys)
-    assert code == 0
-    assert calls == {"scaleshift.scales": 2}
+    monkeypatch.setattr(scales, "word_counts", counted)
+    family = tmp_path / "k12.forb"
+    family.write_text("••\n" + "∘" * 12 + "\n", encoding="utf-8")
+    for path, starts in ((TWOSTEP_FORB, 2), (family, 89)):
+        walks.clear()
+        code, out, _ = run(["sft", "scales", "--forbidden", str(path), "--order", "6"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["scales"]) == starts
+        assert walks == [6]
 
 
 def test_sft_scales_explicit_set(capsys):

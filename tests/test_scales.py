@@ -455,14 +455,32 @@ def test_global_dims_cap():
 
 def test_global_dims_cap_before_any_word(monkeypatch):
     # golden has 9,227,462 words of lengths 1..31 and 5,702,887 of length 32,
-    # so the default cap of 10^7 trips at 32; no word of any length is built
+    # so the default cap of 10^7 trips at 32: no word of any length is built,
+    # and the price walk draws one row per length up to there, not 8,000.
+    # The full shift on 40 symbols has 2,625,640 words of lengths 1..4 and
+    # 40^5 of length 5, so at order 4,000 it trips at 5, after five rows.
     def walk(*args):
         raise AssertionError("a word was built before the cap was checked")
 
-    # the walk reads successors first; word_counts reads only columns
-    monkeypatch.setattr(VertexShift, "successors", property(walk))
+    drawn = []
+    inner = scaleshift.scales.word_counts
+
+    def counted(shift, order):
+        for row in inner(shift, order):
+            drawn.append(row)
+            yield row
+
+    # the gap-state walk visits the words; the price walk only counts them
+    monkeypatch.setattr(scaleshift.scales, "_scale_levels", walk)
+    monkeypatch.setattr(scaleshift.scales, "word_counts", counted)
     with pytest.raises(EnumerationCapError, match="enumerating 5702887 words of length 32 exceeds"):
         global_dims(GOLDEN, 8000)
+    assert len(drawn) == 32
+    drawn.clear()
+    full = VertexShift.from_rows([f"s{i}" for i in range(40)], [[1] * 40] * 40)
+    with pytest.raises(EnumerationCapError, match="enumerating 102400000 words of length 5 exceeds"):
+        global_dims(full, 4000)
+    assert len(drawn) == 5
 
 
 def test_distinguished_set_scales_sft():

@@ -47,7 +47,9 @@ from refsets import (
     SFT2_FORBIDDEN,
     SFT2_ROWS,
     dense_first_return_matrix,
+    forward_word_counts,
     orbit,
+    pairwise_block_rows,
     pairwise_blocks,
     pairwise_normalized,
     series_product,
@@ -257,8 +259,9 @@ def test_language_from_matches_product_filter():
 def test_cached_walk_tables_keep_equality_and_hash():
     for shift in (GOLDEN, SFT2.shift, *WALK_SHIFTS[-3:-1]):
         cached = VertexShift.from_rows(shift.alphabet.symbols, shift.matrix)
-        word_counts(cached, 3)
-        language_from(cached, range(cached.size), 3)
+        # the price walk reads successors, the cycle check columns
+        list(word_counts(cached, 3))
+        has_cycle(cached)
         assert {"successors", "columns"} <= vars(cached).keys()
         plain = VertexShift.from_rows(shift.alphabet.symbols, shift.matrix)
         assert not {"successors", "columns"} & vars(plain).keys()
@@ -278,10 +281,27 @@ def test_cached_walk_tables_keep_equality_and_hash():
 
 
 def test_word_counts_match_power_table():
+    # row n - 1 holds the row sums of A^(n-1): the words of length n from each start
     for shift in WALK_SHIFTS:
-        sums = [sum(map(sum, power)) for power in power_table(shift.matrix, 29)]
-        assert word_counts(shift, 30) == sums
-    assert word_counts(GOLDEN, 0) == []
+        sums = [[sum(row) for row in power] for power in power_table(shift.matrix, 29)]
+        assert list(word_counts(shift, 30)) == sums
+    assert list(word_counts(GOLDEN, 0)) == []
+
+
+def test_word_counts_match_forward_walk_per_start():
+    # one walk u -> Au from the all-ones vector against one forward walk v -> vA per start
+    shifts = [
+        VertexShift.from_rows("abc"[:k], [bits[i * k:i * k + k] for i in range(k)])
+        for k in (1, 2, 3)
+        for bits in itertools.product((0, 1), repeat=k * k)
+    ]
+    root = Path(__file__).resolve().parents[1]
+    for path in ("src/scaleshift/fixtures/twostep.forb", "perfbench/inputs/threestep.forb"):
+        shifts.append(higher_block(parse_forbidden((root / path).read_text(encoding="utf-8"))).shift)
+    for shift in shifts:
+        rows = list(word_counts(shift, 12))
+        for start in range(shift.size):
+            assert [row[start] for row in rows] == forward_word_counts(shift.matrix, start, 12)
 
 
 def test_is_irreducible():
@@ -519,7 +539,7 @@ def test_block_matrix_priced_at_entries(monkeypatch):
     # forbidden •• and ∘ k times: Fibonacci(k + 1) blocks of k - 1 letters;
     # 2584^2 entries (k = 17) are under 10^7 and reach the row builder,
     # 4181^2 (k = 18) are over it and never do
-    def rows(blocks, full):
+    def rows(blocks, *rest):
         raise RowsBuilt(len(blocks))
 
     monkeypatch.setattr("scaleshift.shiftspace._block_rows", rows)
@@ -539,18 +559,25 @@ def test_forbidden_normalization():
 
 
 def test_forbidden_windows_match_pairwise_subwords():
-    # the window lookups of the normalization and of higher_block, against
-    # testing every pair of blocks, on seeded presentations
+    # the window lookups of the normalization, and the blocks and edges that
+    # higher_block grows by extension, against testing every pair of blocks,
+    # on seeded presentations and on the family of •• and k copies of ∘
     rng = random.Random(24)
+    cases = []
     for _ in range(3000):
         symbols = "abc"[: rng.randint(1, 3)]
         blocks = {
             tuple(rng.choice(symbols) for _ in range(rng.randint(2, 5)))
             for _ in range(rng.randint(1, 8))
         }
+        cases.append((symbols, blocks))
+    cases += [((CIRC, BULL), {w("••"), (CIRC,) * k}) for k in range(2, 13)]
+    for symbols, blocks in cases:
         sft = SftPresentation.of(symbols, blocks)
         assert sft.forbidden == pairwise_normalized(blocks), blocks
-        assert higher_block(sft).blocks == pairwise_blocks(symbols, blocks, sft.step), blocks
+        recoded = higher_block(sft)
+        assert recoded.blocks == pairwise_blocks(symbols, blocks, sft.step), blocks
+        assert recoded.shift.matrix == pairwise_block_rows(recoded.blocks, blocks), blocks
     # one long block has no proper window of a forbidden length to look up
     long = w(CIRC * 5000 + BULL * 5000)
     assert SftPresentation.of((CIRC, BULL), [long, w(BULL * 3)]).forbidden == {w(BULL * 3)}
@@ -574,7 +601,7 @@ def test_has_cycle_matches_walk_counts():
     found = Counter()
     for shift in shifts:
         cyclic = has_cycle(shift)
-        assert cyclic == (word_counts(shift, shift.size + 1)[-1] > 0), shift.matrix
+        assert cyclic == (sum(list(word_counts(shift, shift.size + 1))[-1]) > 0), shift.matrix
         found[cyclic] += 1
     assert found[True] > 100 and found[False] > 100
 

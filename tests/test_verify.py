@@ -1,6 +1,7 @@
 import pytest
 
-from scaleshift.shiftspace import VertexShift, language_witnesses
+from scaleshift.scales import language_witnesses
+from scaleshift.shiftspace import VertexShift
 from scaleshift.verify import (
     CheckResult,
     OracleReport,
@@ -25,7 +26,10 @@ def test_irreducible_grid_size():
 def test_language_witnesses_match_reference():
     golden = VertexShift.from_rows(("∘", "•"), GOLDEN_ROWS)
     for n, expected in GOLDEN_LANG_WITNESSES.items():
-        assert language_witnesses(golden, n) == expected
+        words, witnesses = language_witnesses(golden, n)
+        assert {w(text) for text in witnesses} == expected
+        # golden's words of length n number Fibonacci(n + 2)
+        assert len(words) == len(set(words)) == (2, 3, 5, 8, 13, 21)[n - 1]
 
 
 def test_oracle_report():
