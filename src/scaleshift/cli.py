@@ -329,7 +329,7 @@ def cmd_oeis(args) -> int:
     if not path.exists():
         raise CommandError(EXIT_DATA, f"no b-file snapshot for {sequence_id} at {path}")
     try:
-        values = _parse_bfile(path.read_text(encoding="utf-8"))
+        values = _parse_bfile(_read_file(path))
     except ValueError as err:
         raise CommandError(EXIT_DATA, f"unreadable b-file for {sequence_id}: {err}") from err
     data = {

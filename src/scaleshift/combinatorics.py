@@ -19,54 +19,43 @@ from .values import Value
 Composition = tuple[int, ...]
 
 
-# Compositions of at least this many parts are keyed in linear time by Booth's
-# algorithm.  Below it, striking the rotation windows at C level is faster,
-# and the more so the more members of a set share a class: on the Thue-Morse
-# and Fibonacci scale sets, with one to three members per class, the two
-# cross between 48 and 96 parts.
+# Compositions of this many parts or more are keyed by their least rotation in
+# linear time, shorter ones strike their rotation windows at C level: striking
+# is 2.5 times faster on golden's global scale sets to order 22 (short, large
+# classes); keying wins or ties on the substitution presets at n = 400 and 800.
 _LINEAR_FROM = 64
 
 
 def least_rotation(w: tuple) -> tuple:
     """Lexicographically least rotation of any tuple (compositions or words),
-    found by Booth's algorithm in linear time."""
-    k = _booth(w)[0]
+    found by a two-pointer scan in linear time."""
+    k = _least_start(w)[0]
     return w[k:] + w[:k]
 
 
-def _booth(w: tuple) -> tuple[int, int]:
-    """Start of the least rotation of ``w`` (Booth, 1980), and the number of
-    distinct rotations of ``w``, in O(len(w)).
+def _least_start(w: tuple) -> tuple[int, int]:
+    """Start of the least rotation of ``w``, and the number of distinct
+    rotations of ``w``, in O(len(w)).
 
-    One scan of w + w keeps the failure function of the rotation starting
-    at the candidate k, and moves k on whenever a mismatch shows a smaller
-    item.  At the end, fail[n - 1] + 1 is the longest proper border of the
-    least rotation itself, so p = n - fail[n - 1] - 1 is its least period:
-    the orbit has p members when p divides n, else n.  The empty tuple
-    gives (0, 1), its own orbit of size 1.
+    Two starts race along w + w: i is the best start so far, j the next
+    challenger, and every other start below j is ruled out.  A first
+    mismatch at offset k rules out the losing start and the k starts after
+    it, and moves i + j on by at least k + 1, so the scan is linear.  If k
+    reaches n, w has period j - i, its number of distinct rotations; if j
+    runs past n, all n rotations differ.  The empty tuple gives (0, 1).
     """
-    s = w + w
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        item = s[j]
-        i = fail[j - k - 1]
-        x = s[k + i + 1]
-        while i != -1 and item != x:
-            if item < x:
-                k = j - i - 1
-            i = fail[i]
-            x = s[k + i + 1]
-        if item != x:
-            # i == -1, and x is the candidate's first item
-            if item < x:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
     n = len(w)
-    period = n - fail[n - 1] - 1 if n else 1
-    return k, period if n % period == 0 else n
+    s = w + w
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = s[i + k], s[j + k]
+        if a == b:
+            k += 1
+        elif a > b:  # start i loses; so do the k starts after it
+            i, j, k = j, max(j, i + k) + 1, 0
+        else:  # start j loses; so do the k starts after it
+            j, k = j + k + 1, 0
+    return (i, j - i if k == n else n) if n else (0, 1)
 
 
 def _rotation_classes(B: Iterable[Composition], least: bool) -> tuple[list[Composition], int]:
@@ -75,12 +64,13 @@ def _rotation_classes(B: Iterable[Composition], least: bool) -> tuple[list[Compo
     element of B in its class.
 
     A member of ``_LINEAR_FROM`` parts or more is keyed by its least
-    rotation, which ``_booth`` finds in linear time, and a new key adds the
-    orbit size that the same scan gives.  A shorter w strikes its rotations,
-    the windows of w + w, from the rest of B and adds its least period, the
-    position of the first window equal to w.  Collecting the members struck
-    to pick the least costs a set per class, so only the callers that need
-    it ask.  The empty composition is its own orbit of size 1.
+    rotation, which ``_least_start`` finds in linear time, and a new key
+    adds the orbit size, the period that the same scan finds.  A shorter w
+    strikes its rotations, the windows of w + w, from the rest of B and adds
+    its least period, the position of the first window equal to w.
+    Collecting the members struck to pick the least costs a set per class,
+    so only the callers that need it ask.  The empty composition is its own
+    orbit of size 1.
     """
     rest = set(B)
     keyed: dict[Composition, Composition] = {}
@@ -90,7 +80,7 @@ def _rotation_classes(B: Iterable[Composition], least: bool) -> tuple[list[Compo
         w = rest.pop()
         m = len(w)
         if m >= _LINEAR_FROM:
-            start, size = _booth(w)
+            start, size = _least_start(w)
             key = w[start:] + w[:start]
             chosen = keyed.get(key)
             if chosen is None:
@@ -118,8 +108,8 @@ def rotation_dims(B: Iterable[Composition]) -> tuple[int, int]:
     the union of their full orbits.
 
     One pass of ``_rotation_classes``: members of ``_LINEAR_FROM`` parts or
-    more are keyed by their least rotation in linear time (Booth), shorter
-    ones strike their rotation windows.
+    more are keyed by their least rotation in linear time, shorter ones
+    strike their rotation windows.
     """
     members, orbital = _rotation_classes(B, least=False)
     return len(members), orbital

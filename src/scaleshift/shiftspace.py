@@ -260,10 +260,8 @@ def language_from(shift: VertexShift, starts, n: int) -> list[tuple[int, ...]]:
 
 def is_irreducible(shift: VertexShift) -> bool:
     """True iff every vertex reaches every vertex along a path of length >= 1."""
-    k = shift.size
-    if k == 1:
-        return shift.matrix[0][0] == 1
-    return len(_reach(shift.successors, [0])) == k and len(_reach(shift.columns, [0])) == k
+    succ, cols = shift.successors, shift.columns
+    return len(_reach(succ, succ[0])) == shift.size == len(_reach(cols, cols[0]))
 
 
 def has_cycle(shift: VertexShift) -> bool:

@@ -573,6 +573,17 @@ def test_oeis_fixture_dir_override(tmp_path, capsys):
     assert out.strip() == "match"
 
 
+def test_oeis_unreadable_bfile(tmp_path, capsys):
+    # a b-file that exists but cannot be read exits 1 with a message, no traceback
+    (tmp_path / "b111111.txt").mkdir()
+    code, out, err = run(
+        ["oeis", "check", "--id", "A111111", "--coeffs", "7,9", "--fixtures", str(tmp_path)],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert "cannot read" in err and "Traceback" not in err
+
+
 def test_usage_errors(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert main(["wheels"]) == 2

@@ -120,9 +120,10 @@ def test_mutually_independent():
     assert not cb.mutually_independent({(1, 2)}, {(2, 1)})
 
 
-def test_booth_matches_least_of_all_rotations():
+def test_least_start_matches_least_and_count_of_all_rotations():
     # both sides of the linear-time threshold, periodic and constant tuples,
-    # and the empty and one-part tuples
+    # the empty and one-part tuples, and every tuple over {1, 2} up to
+    # length 12 and over {1, 2, 3} up to length 7
     rng = random.Random(1980)
     edge = cb._LINEAR_FROM
     cases = [(), (4,), (1, 2) * 40, (2, 1) * 41, (3,) * edge, (3,) * (edge - 1), (1, 2, 2) * 30]
@@ -138,11 +139,14 @@ def test_booth_matches_least_of_all_rotations():
         cases.append(rotate(c, rng.randrange(max(len(c), 1))))
     lengths = {len(c) for c in cases}
     assert {0, 1, edge - 1, edge} <= lengths and max(lengths) >= 3 * edge // 2
+    for parts, top in (((1, 2), 12), ((1, 2, 3), 7)):
+        cases += (c for length in range(1, top + 1) for c in itertools.product(parts, repeat=length))
     for c in cases:
         rotations = orbit(c)
         expected = min(rotations)
-        assert cb.least_rotation(c) == expected, c
-        assert cb._booth(c)[1] == len(rotations), c
+        start, size = cb._least_start(c)
+        assert cb.least_rotation(c) == expected == c[start:] + c[:start], c
+        assert size == len(rotations), c
 
 
 def test_rotation_classes_match_window_striking():

@@ -313,6 +313,18 @@ def test_is_irreducible():
     assert not is_irreducible(VertexShift.from_rows(("a", "b"), ((1, 1), (0, 1))))
     assert is_irreducible(VertexShift.from_rows(("a",), ((1,),)))
     assert not is_irreducible(VertexShift.from_rows(("a",), ((0,),)))
+    # every 0/1 matrix on at most 3 symbols, against the definition: for each
+    # pair (i, j), some power A^n with 1 <= n <= k has a positive (i, j) entry
+    for k in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=k * k):
+            rows = tuple(bits[i * k : (i + 1) * k] for i in range(k))
+            power, reached = rows, [[0] * k for _ in range(k)]
+            for _ in range(k):
+                reached = [[r | p for r, p in zip(*pair)] for pair in zip(reached, power)]
+                power = [[min(1, sum(row[m] * rows[m][j] for m in range(k))) for j in range(k)] for row in power]
+            expected = all(map(all, reached))
+            shift = VertexShift.from_rows(tuple("abc"[:k]), rows)
+            assert is_irreducible(shift) is expected, rows
 
 
 def test_first_return_golden():
