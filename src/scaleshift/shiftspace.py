@@ -1,11 +1,10 @@
 """Vertex shifts and shifts of finite type.
 
-A vertex shift is presented by a square 0/1 transition matrix over an
-ordered alphabet; words are labelings of finite paths in the matrix
-graph.  An SFT given by forbidden blocks is recoded to a vertex shift
-on admissible blocks (higher block presentation).  The module computes
-languages, irreducibility, zeta functions, periodic point counts,
-first return loop systems, and the language dimension formulas.
+A vertex shift is its successor lists over an ordered alphabet; its 0/1 matrix
+is a view.  Words label finite paths in its graph.  An SFT given by forbidden
+blocks is recoded to a vertex shift on admissible blocks (higher block
+presentation).  The module computes languages, irreducibility, zeta functions,
+periodic point counts, first return loop systems and language dimensions.
 """
 
 from __future__ import annotations
@@ -71,28 +70,33 @@ class Alphabet(Value):
 
 
 class VertexShift(Value):
-    """A 0/1 transition matrix over an alphabet; no ``__slots__``, as
-    ``successors`` and ``columns`` are cached from the matrix in ``__dict__``."""
+    """Its successor lists: row i holds, ascending, the symbols that may follow symbol i.  No
+    ``__slots__``: the views ``columns`` and ``matrix`` are cached in ``__dict__``."""
 
-    def __init__(self, alphabet: Alphabet, matrix: tuple[tuple[int, ...], ...]):
+    def __init__(self, alphabet: Alphabet, successors: tuple[tuple[int, ...], ...]):
         k = len(alphabet)
-        if len(matrix) != k:
-            raise ValueError("matrix size does not match alphabet")
-        for row in matrix:
-            if len(row) != k:
-                raise ValueError("matrix is not square")
-            for entry in row:
-                if entry not in (0, 1):
-                    raise ValueError(f"matrix entries must be 0 or 1, got {entry}")
+        if len(successors) != k:
+            raise ValueError("successor lists do not match alphabet")
+        for row in successors:
+            if any(i >= j for i, j in zip((-1, *row), (*row, k))):  # -1 < row[0] < ... < k
+                raise ValueError(f"successor list {row} does not ascend strictly inside 0..{k - 1}")
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "successors", successors)
 
     def _key(self) -> tuple:
-        return self.alphabet, self.matrix
+        return self.alphabet, self.successors
 
     @classmethod
     def from_rows(cls, symbols, rows) -> "VertexShift":
-        return cls(Alphabet.of(symbols), tuple(tuple(int(e) for e in r) for r in rows))
+        alphabet, matrix = Alphabet.of(symbols), [[int(e) for e in r] for r in rows]
+        if len(matrix) != len(alphabet):
+            raise ValueError("matrix size does not match alphabet")
+        for row in matrix:
+            if len(row) != len(matrix):
+                raise ValueError("matrix is not square")
+            if bad := [e for e in row if e not in (0, 1)]:
+                raise ValueError(f"matrix entries must be 0 or 1, got {bad[0]}")
+        return cls(alphabet, tuple(tuple(j for j, e in enumerate(row) if e) for row in matrix))
 
     @property
     def size(self) -> int:
@@ -102,15 +106,18 @@ class VertexShift(Value):
         return self.matrix[self.alphabet.index(s)][self.alphabet.index(t)]
 
     @cached_property
-    def successors(self) -> tuple[tuple[int, ...], ...]:
-        """Row i: the symbols j with A[i, j] = 1, the one-step extensions of a word ending at i."""
-        return tuple(tuple(j for j, e in enumerate(row) if e) for row in self.matrix)
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The dense view: A[i, j] = 1 when j follows i.  No kernel reads it."""
+        return tuple(tuple(int(j in row) for j in range(self.size)) for row in map(set, self.successors))
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Column j: the symbols i with A[i, j] = 1, the input of ``_walks``."""
-        a = self.matrix
-        return tuple(tuple(i for i, row in enumerate(a) if row[j]) for j in range(len(a)))
+        """Column j: the symbols i with A[i, j] = 1, ascending, the input of ``_walks``."""
+        columns = [[] for _ in range(self.size)]
+        for i, row in enumerate(self.successors):
+            for j in row:
+                columns[j].append(i)
+        return tuple(map(tuple, columns))
 
 
 class SftPresentation(Frozen):
@@ -204,7 +211,7 @@ def higher_block(sft: SftPresentation) -> HigherBlock:
         blocks = [b for b in grown if not any(b[-k:] in sft.forbidden for k in lengths)]
     if not blocks:
         raise DegenerateShiftError("no admissible blocks")
-    # the matrix is dense: 10^7 entries hold ~80 MB of row pointers alone
+    # no block matrix is built: blocks^2 bounds the block pairs of the first-return table
     entries = len(blocks) ** 2
     if entries > 10_000_000:
         raise BlockCountError(
@@ -215,16 +222,11 @@ def higher_block(sft: SftPresentation) -> HigherBlock:
 
 
 def _block_rows(blocks: list[Word], symbols, forbidden) -> tuple[tuple[int, ...], ...]:
-    """The 0/1 rows of the block graph: u -> u[1:] + a when that block is
-    admissible and u + a, one letter longer than a block, is not forbidden."""
+    """The successor lists of the block graph, ascending as the blocks are lexicographic:
+    u -> u[1:] + a when that block is admissible and u + a is not forbidden."""
     index = {b: j for j, b in enumerate(blocks)}
-    rows = [[0] * len(blocks) for _ in blocks]
-    for row, u in zip(rows, blocks):
-        for a in symbols:
-            j = index.get(u[1:] + (a,))
-            if j is not None and u + (a,) not in forbidden:
-                row[j] = 1
-    return tuple(map(tuple, rows))
+    rows = [[index.get(u[1:] + (a,)) for a in symbols if u + (a,) not in forbidden] for u in blocks]
+    return tuple(tuple(j for j in row if j is not None) for row in rows)
 
 
 def _block_token(block: Word) -> str:
@@ -316,7 +318,7 @@ def _char_det(shift: VertexShift) -> list[int]:
     for i in reversed(range(k)):
         # the symbols from i on, renumbered from 0; i absorbs
         cols = tuple(tuple(u - i for u in col if u > i) for col in shift.columns[i:])
-        returns = [-v[0] for v in islice(_walks(cols, shift.matrix[i][i:]), k - i)]
+        returns = [-v[0] for v in islice(_walks(cols, [int(i in c) for c in shift.columns[i:]]), k - i)]
         det = _poly_mul([1, *returns], det)[:k - i + 1]
     return det
 
@@ -367,15 +369,15 @@ def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) ->
     long: K and E are exact up to there, then K holds every size and E none.
     """
     si = shift.alphabet.index(symbol)
-    a = shift.matrix
+    successors, columns = shift.successors, shift.columns
     rest = [v for v in range(shift.size) if v != si]
     # a path to s's predecessors through s itself passes one of them first
-    back = _reach(shift.columns, shift.columns[si])
+    back = _reach(columns, columns[si])
     dead = sum(1 << v for v in rest if v not in back)
-    succ = {u: sum(1 << v for v in rest if a[u][v]) for u in rest}
-    closing = sum(1 << v for v in rest if a[v][si])
+    succ = {u: sum(1 << v for v in successors[u] if v != si) for u in rest}
+    closing = sum(1 << v for v in columns[si] if v != si)
     running = 1 << si
-    x = sum(1 << v for v in rest if a[si][v])
+    x = sum(1 << v for v in successors[si] if v != si)
     seen: dict[int, int] = {}
     while x not in seen and len(seen) <= max(order, len(rest) ** 2, SUPPORT_WALK_LIMIT):
         seen[x] = len(seen)
@@ -384,8 +386,9 @@ def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) ->
             x = x & ~dead | running
     j0 = seen.get(x, len(seen))  # no repeat: every size past the walk is a loop
     start, period = j0 + 2, len(seen) - j0 or 1
-    loops = [j + 2 for j, y in enumerate(seen) if y & closing] + [1] * a[si][si]
-    tails = [j + 2 for j, y in enumerate(seen) if y and not y & closing] + [1] * (1 - a[si][si])
+    looped = si in successors[si]
+    loops = [j + 2 for j, y in enumerate(seen) if y & closing] + [1] * looped
+    tails = [j + 2 for j, y in enumerate(seen) if y and not y & closing] + [1] * (not looped)
 
     def spec(sizes):
         prefix = frozenset(n for n in sizes if n < start)
@@ -410,7 +413,7 @@ def first_return_matrix(shift: VertexShift, distinguished, order: int = DEFAULT_
     cols = tuple(tuple(u for u in col if u not in marked) for col in shift.columns)
     table = {}
     for s, si in zip(dset, idx):
-        walks = list(islice(_walks(cols, shift.matrix[si]), order))
+        walks = list(islice(_walks(cols, [int(si in col) for col in shift.columns]), order))
         for t, ti in zip(dset, idx):
             table[(s, t)] = TruncatedSeries([0] + [v[ti] for v in walks], order)
     return table

@@ -11,7 +11,7 @@ from scaleshift import cli, scales
 from scaleshift.cli import main
 from scaleshift.combinatorics import rotation_dims
 from scaleshift.scales import scale_class
-from scaleshift.shiftspace import parse_matrix
+from scaleshift.shiftspace import VertexShift, parse_matrix
 
 from refsets import WHEELS_12_BY_LENGTH
 
@@ -324,6 +324,31 @@ def test_sft_scales_charges_every_start_first(capsys, monkeypatch):
     )
 
 
+def test_no_kernel_reads_the_dense_matrix(tmp_path, capsys, monkeypatch):
+    # a shift is its successor lists: with the dense view raising, every
+    # command prints the bytes it prints with the view in place
+    family = tmp_path / "k12.forb"
+    family.write_text("••\n" + "∘" * 12 + "\n", encoding="utf-8")
+    argvs = [
+        ["sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "12"],
+        ["sft", "scales", "--forbidden", str(family), "--order", "6"],
+        ["vertex", "dims", "--matrix", GOLDEN_MAT, "--symbol", "•", "--order", "12"],
+        ["vertex", "loops", "--matrix", GOLDEN_MAT, "--symbol", "∘", "--order", "12"],
+        ["vertex", "zeta", "--matrix", GOLDEN_MAT, "--order", "12"],
+        ["vertex", "global", "--matrix", GOLDEN_MAT, "--order", "10"],
+        ["vertex", "language", "--matrix", GOLDEN_MAT, "--order", "6"],
+    ]
+    expected = [run(argv, capsys)[:2] for argv in argvs]
+    assert all(code == 0 and out for code, out in expected)
+
+    def dense(shift):
+        raise AssertionError("a kernel read the dense matrix")
+
+    monkeypatch.setattr(VertexShift, "matrix", property(dense))
+    for argv, printed in zip(argvs, expected):
+        assert run(argv, capsys)[:2] == printed, argv
+
+
 def test_sft_scales_charges_each_start_once(tmp_path, capsys, monkeypatch):
     # cli counts no words, as its cycle check strips symbols; scales charges
     # every distinguished start from one price walk, before it walks the first:
@@ -411,8 +436,8 @@ def test_sft_block_count_guard(tmp_path, capsys):
 
 def test_sft_block_matrix_guard(tmp_path, capsys, monkeypatch):
     # one 11-letter block over three symbols leaves all 3^10 blocks of 10
-    # letters admissible, under the block count guard; their dense matrix
-    # would hold 59049^2 entries, so it is priced before any row is built
+    # letters admissible, under the block count guard; their 59049^2 block
+    # pairs are priced before any successor list is built
     def no_rows(*args):
         raise AssertionError("a block matrix row was built")
 

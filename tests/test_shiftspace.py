@@ -126,6 +126,32 @@ def test_vertex_shift_validation():
         VertexShift.from_rows(("a", "b"), ((1, 1), (2, 0)))
     assert GOLDEN.entry(CIRC, BULL) == 1
     assert GOLDEN.entry(BULL, BULL) == 0
+    # successor lists: one per symbol, each strictly ascending inside the alphabet
+    ab = Alphabet.of("ab")
+    assert VertexShift(ab, ((0, 1), ())).successors == ((0, 1), ())
+    for lists, message in (
+        (((0, 1),), "do not match alphabet"),
+        (((0, 1), (0,), ()), "do not match alphabet"),
+        (((1, 0), (0,)), r"\(1, 0\) does not ascend"),
+        (((0, 0), (1,)), r"\(0, 0\) does not ascend"),
+        (((0, 1), (2,)), r"\(2,\) does not ascend strictly inside 0\.\.1"),
+        (((-1,), (0,)), r"\(-1,\) does not ascend"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            VertexShift(ab, lists)
+
+
+def test_from_rows_round_trip():
+    # every 0/1 matrix on <= 3 symbols: its successor lists give it back as the
+    # dense view, and columns equal the column lists read off the rows
+    for k in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=k * k):
+            rows = tuple(bits[i * k:i * k + k] for i in range(k))
+            shift = VertexShift.from_rows("abc"[:k], rows)
+            assert shift.matrix == rows
+            assert VertexShift.from_rows("abc"[:k], shift.matrix) == shift
+            assert shift.successors == tuple(tuple(j for j in range(k) if rows[i][j]) for i in range(k))
+            assert shift.columns == tuple(tuple(i for i in range(k) if rows[i][j]) for j in range(k))
 
 
 def test_zeta_golden():
@@ -258,26 +284,23 @@ def test_language_from_matches_product_filter():
 
 def test_cached_walk_tables_keep_equality_and_hash():
     for shift in (GOLDEN, SFT2.shift, *WALK_SHIFTS[-3:-1]):
-        cached = VertexShift.from_rows(shift.alphabet.symbols, shift.matrix)
-        # the price walk reads successors, the cycle check columns
-        list(word_counts(cached, 3))
+        cached = VertexShift(shift.alphabet, shift.successors)
+        # the cycle check reads columns; the dense view is read here alone
         has_cycle(cached)
-        assert {"successors", "columns"} <= vars(cached).keys()
-        plain = VertexShift.from_rows(shift.alphabet.symbols, shift.matrix)
-        assert not {"successors", "columns"} & vars(plain).keys()
+        rows = cached.matrix
+        assert {"matrix", "columns"} <= vars(cached).keys()
+        plain = VertexShift(shift.alphabet, shift.successors)
+        assert not {"matrix", "columns"} & vars(plain).keys()
         assert cached == plain
         assert hash(cached) == hash(plain)
         assert len({cached, plain}) == 1
-        # the tables are cached from the matrix, so it cannot be reassigned
-        with pytest.raises(AttributeError):
-            cached.matrix = plain.matrix
+        # the stored lists and the views cached from them refuse assignment alike
+        for name in ("successors", "matrix", "columns"):
+            with pytest.raises(AttributeError):
+                setattr(cached, name, getattr(plain, name))
         k = cached.size
-        assert cached.successors == tuple(
-            tuple(j for j in range(k) if cached.matrix[i][j]) for i in range(k)
-        )
-        assert cached.columns == tuple(
-            tuple(i for i in range(k) if cached.matrix[i][j]) for j in range(k)
-        )
+        assert cached.successors == tuple(tuple(j for j in range(k) if rows[i][j]) for i in range(k))
+        assert cached.columns == tuple(tuple(i for i in range(k) if rows[i][j]) for j in range(k))
 
 
 def test_word_counts_match_power_table():

@@ -18,7 +18,7 @@ from scaleshift.values import Frozen, Value
 from scaleshift.verify import CheckResult, OracleReport
 
 AB = Alphabet(("a", "b"))
-GOLDEN_ROWS = ((1, 1), (1, 0))
+GOLDEN_SUCCESSORS = ((0, 1), (0,))  # the rows ((1, 1), (1, 0))
 
 # class: (build from the fields, the fields, other fields, a field to assign)
 VALUES = {
@@ -42,7 +42,7 @@ VALUES = {
     ),
     RationalFunction: (RationalFunction, ((1,), (1, -1)), ((1,), (1, -1, -1)), "numerator"),
     Alphabet: (lambda *f: Alphabet(f), ("a", "b"), ("b", "a"), "symbols"),
-    VertexShift: (VertexShift, (AB, GOLDEN_ROWS), (AB, ((1, 1), (1, 1))), "matrix"),
+    VertexShift: (VertexShift, (AB, GOLDEN_SUCCESSORS), (AB, ((0, 1), (0, 1))), "successors"),
     Morphism: (
         Morphism,
         (AB, (("a", ("a", "b")), ("b", ("a",))), "a"),
@@ -56,7 +56,7 @@ FROZEN = {
     DimReport: (lambda: DimReport((1, 1), (1, 2), "enumeration"), "method"),
     ScaleClass: (lambda: ScaleClass("a", {1: frozenset({(1,)})}), "symbol"),
     SftPresentation: (lambda: SftPresentation.of(("a", "b"), [("b", "b")]), "forbidden"),
-    HigherBlock: (lambda: HigherBlock(VertexShift(AB, GOLDEN_ROWS), (("a",), ("b",))), "blocks"),
+    HigherBlock: (lambda: HigherBlock(VertexShift(AB, GOLDEN_SUCCESSORS), (("a",), ("b",))), "blocks"),
     LoopSystem: (
         lambda: LoopSystem(
             "a", TruncatedSeries((0, 1, 1), 2), PartSpec(start=1, residues={0}), PartSpec()
