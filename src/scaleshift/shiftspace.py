@@ -215,7 +215,8 @@ def higher_block(sft: SftPresentation) -> HigherBlock:
     entries = len(blocks) ** 2
     if entries > 10_000_000:
         raise BlockCountError(
-            f"the block matrix over {len(blocks)} blocks needs {entries} entries; the limit is 10^7"
+            f"the dense first-return table over {len(blocks)} blocks needs {entries} entries, "
+            "one per block pair; the limit is 10^7"
         )
     rows = _block_rows(blocks, symbols, sft.forbidden)
     return HigherBlock(VertexShift(Alphabet.of(map(_block_token, blocks)), rows), tuple(blocks))

@@ -349,7 +349,7 @@ def check_oracle_grid(max_n: int = MAX_GRID_N) -> list[OracleReport]:
         matched = 0
         language = language_dims(shift, max_n)
         closed = [symbol_dims(shift, symbol, max_n) for symbol in shift.alphabet]
-        for n, (found, scales) in enumerate(oracle_levels(shift, max_n), start=1):
+        for n, (found, scales, _) in enumerate(oracle_levels(shift, max_n), start=1):
             matched += int(found == (language.transversal_at(n), language.orbital_at(n)))
             for dims, pair in zip(closed, scales):
                 matched += int(pair == (dims.transversal_at(n), dims.orbital_at(n)))

@@ -1,17 +1,20 @@
 """Brute-force references that only the tests use: an orbit counter that
 strikes rotation windows, language dimensions, composition and wheel counts
-by part set, first return path counts, and the scale sets of the oracle's
-levels and of literal words.  The language dimensions spell each of the
-oracle's ranks out as its digits and strike each class's rotation windows,
-so they check the oracle's rank-indexed class tables by an independent path;
-the oracle's scale sets cut each rank's visit pattern into its gaps, so
-with the orbit counter they check the oracle's mode tables; the scale sets
-of literal words cut every word from ``language_from``, so they check the
-gap-state walk of ``scaleshift.scales`` word by word.
+by part set, first return path counts, the oracle's levels word by word, and
+the scale sets of those levels and of literal words.  The language
+dimensions spell each of the oracle's ranks out as its digits and strike
+each class's rotation windows, so they check the oracle's rank-indexed class
+tables by an independent path; the oracle's scale sets cut each rank's visit
+pattern into its gaps, so with the orbit counter they check the oracle's
+mode tables; the scale sets of literal words cut every word from
+``language_from``, so they check the gap-state walk of ``scaleshift.scales``
+word by word.
 
-Like ``scaleshift.oracle``, whose word levels, tables and successor lists
-they reuse, they work by exhaustive generation and read nothing from the
-closed-form modules.
+The word levels here enumerate the ranks of one shift's words, successor by
+successor, and no other word: the per-word path that the tests check the
+oracle's step-set groups against.  Like ``scaleshift.oracle``, whose tables
+and successor lists they reuse, they work by exhaustive generation and read
+nothing from the closed-form modules.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ from itertools import chain, filterfalse
 from typing import Iterable, Iterator
 
 from scaleshift.combinatorics import Composition, PartSpec
-from scaleshift.oracle import MAX_SUM, _pattern_table, _successors, _word_levels
+from scaleshift.oracle import (
+    MAX_SUM,
+    MAX_SYMBOLS,
+    MAX_WORD_LENGTH,
+    _class_table,
+    _mode_table,
+    _pattern_table,
+    _successors,
+)
 from scaleshift.shiftspace import VertexShift, language_from
 
 MAX_RETURN_STEPS = 12
@@ -45,6 +56,64 @@ def _orbit_dims(items: Iterable) -> tuple[int, int]:
         doubled, n = item + item, len(item)
         union.update(doubled[i:i + n] for i in range(n or 1))
     return classes, len(union)
+
+
+def _word_levels(shift: VertexShift, max_n: int) -> Iterator[list[list[list[int]]]]:
+    """The ranks of the admissible words of length n = 1..max_n, built per shift.
+
+    Each level holds, per first symbol in alphabet order, one list of ranks
+    per last symbol.  Appending successor j to a word of rank r gives rank
+    r·b + j, so the next level is built list by list, each list multiplied
+    by b once whatever its successors, and a level is dropped as soon as the
+    next one is built.
+    """
+    if shift.size > MAX_SYMBOLS:
+        raise ValueError(f"cost guard: at most {MAX_SYMBOLS} symbols, got {shift.size}")
+    if not 1 <= max_n <= MAX_WORD_LENGTH:
+        raise ValueError(f"cost guard: need 1 <= n <= {MAX_WORD_LENGTH}, got {max_n}")
+    base = max(shift.size, 2)
+    succ = _successors(shift)
+    level = [[[i] if j == i else [] for j in range(shift.size)] for i in range(shift.size)]
+    yield level
+    for _ in range(max_n - 1):
+        grown = []
+        for by_last in level:
+            by_next: list[list[int]] = [[] for _ in succ]
+            for ranks, targets in zip(by_last, succ):
+                shifted = list(map(base.__mul__, ranks))
+                for j in targets:
+                    by_next[j] += map(j.__add__, shifted)
+            grown.append(by_next)
+        level = grown
+        yield level
+
+
+def _table_dims(table, keys) -> tuple[int, int]:
+    """The number of classes the keys fall in, and the sum of those classes' weights."""
+    ids, weights = table
+    classes = set(map(ids.__getitem__, keys))
+    return len(classes), sum(map(weights.__getitem__, classes))
+
+
+def per_word_levels(shift: VertexShift, max_n: int) -> list:
+    """``oracle_levels`` word by word: each level's ranks from ``_word_levels``.
+
+    The language dimensions come off the class table of the ranks, each
+    start's scale dimensions off the mode table of its ranks' patterns, and
+    the global ones off the union of those patterns.
+    """
+    base = max(shift.size, 2)
+    levels = []
+    for n, level in enumerate(_word_levels(shift, max_n), start=1):
+        patterns = _pattern_table(base, n)
+        modes = _mode_table(n)
+        starts = [set(map(patterns.__getitem__, chain.from_iterable(by_last))) for by_last in level]
+        levels.append((
+            _table_dims(_class_table(base, n), chain.from_iterable(chain.from_iterable(level))),
+            tuple(_table_dims(modes, found) for found in starts),
+            _table_dims(modes, set().union(*starts)),
+        ))
+    return levels
 
 
 def oracle_language_dims(shift: VertexShift, n: int) -> tuple[int, int]:

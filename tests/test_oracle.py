@@ -12,10 +12,12 @@ from scaleshift.combinatorics import PartSpec
 from scaleshift.oracle import (
     MAX_SUM,
     MAX_WORD_LENGTH,
+    MAX_SYMBOLS,
     _class_table,
     _mode_table,
     _pattern_table,
-    _word_levels,
+    _step_table,
+    _word_groups,
     oracle_levels,
     oracle_scale_dims,
 )
@@ -35,10 +37,12 @@ from oracle_refs import (
     _compositions,
     _cut,
     _orbit_dims,
+    _word_levels,
     level_scale_sets,
     oracle_first_return,
     oracle_language_dims,
     oracle_series_coeff,
+    per_word_levels,
     word_levels,
     word_of,
 )
@@ -82,7 +86,7 @@ def test_levels_language_dims_match_reference():
     # shift up to n = 8 and on two shifts at the grid's own n = 10
     cases = [(shift, 8) for shift in _irreducible_shifts()] + [(FULL3, 10), (GOLDEN, 10)]
     for shift, top in cases:
-        found = [dims for dims, _ in oracle_levels(shift, top)]
+        found = [dims for dims, _, _ in oracle_levels(shift, top)]
         assert found == [oracle_language_dims(shift, n) for n in range(1, top + 1)]
 
 
@@ -111,7 +115,7 @@ def test_one_symbol_shift_language_dims():
     # one symbol ranks its words in base 2, in the two-symbol tables
     loop = VertexShift.from_rows("a", ((1,),))
     levels = oracle_levels(loop, MAX_WORD_LENGTH)
-    assert [dims for dims, _ in levels] == [(1, 1)] * MAX_WORD_LENGTH
+    assert [dims for dims, _, _ in levels] == [(1, 1)] * MAX_WORD_LENGTH
 
 
 def test_word_levels_spell_the_language_and_patterns_cut_its_scales():
@@ -153,17 +157,29 @@ def _recording(built, factory, label):
     return record
 
 
+#: every table and group set the oracle caches per (base, n) or per n
+_ORACLE_CACHES = (_class_table, _pattern_table, _mode_table, _step_table, _word_groups)
+
+
+def _clear_oracle_caches():
+    for cache in _ORACLE_CACHES:
+        cache.cache_clear()
+
+
 def test_class_table_guard_before_allocation(monkeypatch):
     # at the limits 3^4 and 2^6, the longest fitting length on two and on
-    # three symbols builds every kind of table, and one more is refused before
-    # any class table, pattern table, mode table, table array or word level is built
+    # three symbols builds every kind of table and the word groups, and one
+    # more is refused before any class, pattern, step or mode table, table
+    # array or group set is built; so are too many symbols and a length
+    # outside 1..MAX_WORD_LENGTH
     built = []
     labels = {
         "array": "array",
         "_class_table": "classes",
         "_pattern_table": "patterns",
         "_mode_table": "modes",
-        "_word_levels": "words",
+        "_step_table": "steps",
+        "_word_groups": "groups",
     }
     for name, label in labels.items():
         monkeypatch.setattr(
@@ -171,13 +187,12 @@ def test_class_table_guard_before_allocation(monkeypatch):
         )
     # 3^4 = 81 entries fit 2^6 but not 3^5 or 2^7; 2^6 = 64 fit 3^3 but not 3^4
     fitting = {3 ** 4: ((FULL3, 4), (FULL2, 6)), 2 ** 6: ((FULL3, 3), (FULL2, 6))}
+    wide = VertexShift.from_rows(tuple("abcde"), tuple((1,) * 5 for _ in range(5)))
     try:
         for limit, cases in fitting.items():
             monkeypatch.setattr(scaleshift.oracle, "MAX_CLASS_TABLE", limit)
             for shift, n in cases:
-                _class_table.cache_clear()
-                _pattern_table.cache_clear()
-                _mode_table.cache_clear()
+                _clear_oracle_caches()
                 built.clear()
                 oracle_levels(shift, n)
                 assert set(built) == set(labels.values())
@@ -186,11 +201,20 @@ def test_class_table_guard_before_allocation(monkeypatch):
                     oracle_levels(shift, n + 1)
                 assert built == []
         monkeypatch.setattr(scaleshift.oracle, "MAX_CLASS_TABLE", 3 ** 4)
-        assert [dims for dims, _ in oracle_levels(FULL3, 4)] == [(3, 3), (6, 9), (11, 27), (24, 81)]
+        assert [dims for dims, _, _ in oracle_levels(FULL3, 4)] == [(3, 3), (6, 9), (11, 27), (24, 81)]
+        monkeypatch.setattr(scaleshift.oracle, "MAX_CLASS_TABLE", 4 ** 10)
+        _clear_oracle_caches()
+        built.clear()
+        for shift, n, message in (
+            (wide, 2, f"at most {MAX_SYMBOLS} symbols, got 5"),
+            (FULL2, 0, "got 0"),
+            (FULL2, MAX_WORD_LENGTH + 1, f"got {MAX_WORD_LENGTH + 1}"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                oracle_levels(shift, n)
+            assert built == []
     finally:
-        _class_table.cache_clear()
-        _pattern_table.cache_clear()
-        _mode_table.cache_clear()
+        _clear_oracle_caches()
 
 
 def test_oracle_imports_no_closed_form_module():
@@ -264,10 +288,11 @@ def test_orbit_dims_match_literal_rotations():
 
 
 def test_grid_decodes_each_pattern_once():
-    # the grid reads every scale dimension off a pattern's class in the mode
-    # table: one table per n, one lookup per compared pair, and no oracle
-    # function runs per pattern or per class
-    _mode_table.cache_clear()
+    # the grid reads every dimension off the groups of its words: each
+    # table and group set is built once per (base, n), every level looks
+    # the mode table up once, and no oracle function runs per word, per
+    # group, per pattern or per class
+    _clear_oracle_caches()
     calls = Counter()
     here = scaleshift.oracle.__file__
 
@@ -281,24 +306,62 @@ def test_grid_decodes_each_pattern_once():
     finally:
         sys.setprofile(None)
     assert all(report.match for report in reports)
-    info = _mode_table.cache_info()
-    assert info.misses == info.currsize == 10
     shifts = _irreducible_shifts()
-    assert info.hits == 10 * len(shifts) - 10
+    # bases 2 and 3 at n = 1..10 for the words; the mode tables reuse base 2.
+    # A cache's wrapper runs no Python code on a hit, so each miss is one frame
+    for cache, builds in zip(_ORACLE_CACHES, (20, 20, 10, 20, 20)):
+        info = cache.cache_info()
+        assert info.misses == info.currsize == calls[cache.__wrapped__.__name__] == builds
+    # one lookup per level, and one per group set built
+    assert _mode_table.cache_info().hits == 10 * len(shifts) + 20 - 10
     # comprehension frames are named <...> and are inlined on Python 3.12
     assert {name for name in calls if not name.startswith("<")} == {
         "oracle_levels",
         "_successors",
-        "_word_levels",
         "_level_dims",
-        "_class_dims",
+        "_dims",
         "_class_table",
         "_pattern_table",
         "_mode_table",
+        "_step_table",
+        "_word_groups",
     }
-    # one language pair per level and one scale pair per (level, start symbol)
+    # one language pair, one scale pair per start symbol and one global pair per level
     assert calls["_level_dims"] == 10 * len(shifts)
-    assert calls["_class_dims"] == sum(10 * (1 + shift.size) for shift in shifts) == 5900
+    assert calls["_dims"] == sum(10 * (2 + shift.size) for shift in shifts) == 7390
+
+
+def _all_matrices(size):
+    for bits in itertools.product((0, 1), repeat=size * size):
+        yield VertexShift.from_rows("abcd"[:size], [bits[i * size:(i + 1) * size] for i in range(size)])
+
+
+def test_groups_match_per_word_reference():
+    # the groups a shift admits against its words enumerated one by one:
+    # every 0/1 matrix on up to 3 symbols, reducible and edgeless ones
+    # included, at n <= 10, and seeded 4-symbol matrices at n <= 7.  The
+    # one-symbol shifts read the base-2 groups, whose second symbol they
+    # must never admit: the empty matrix has one word, the loop one per length
+    cases = [(shift, 10) for size in range(1, 4) for shift in _all_matrices(size)]
+    rng = random.Random(29)
+    for _ in range(30):
+        rows = [[rng.randint(0, 1) for _ in range(4)] for _ in range(4)]
+        cases.append((VertexShift.from_rows("abcd", rows), 7))
+    assert len(cases) == 2 + 16 + 512 + 30
+    for shift, top in cases:
+        assert oracle_levels(shift, top) == per_word_levels(shift, top)
+    lone = VertexShift.from_rows("a", ((0,),))
+    loop = VertexShift.from_rows("a", ((1,),))
+    assert oracle_levels(lone, 3) == [((1, 1), ((1, 1),), (1, 1))] + [((0, 0), ((0, 0),), (0, 0))] * 2
+    assert oracle_levels(loop, 3) == [((1, 1), ((1, 1),), (1, 1))] * 3
+
+
+def test_global_column_matches_global_dims():
+    # the union of a level's per-start scales is its global scale set
+    for shift in _irreducible_shifts():
+        report = global_dims(shift, 8)
+        found = [union for _, _, union in oracle_levels(shift, 8)]
+        assert found == [(report.transversal_at(n), report.orbital_at(n)) for n in range(1, 9)]
 
 
 def test_levels_scale_sets_match_scale_class():
@@ -308,7 +371,7 @@ def test_levels_scale_sets_match_scale_class():
     for shift in _irreducible_shifts():
         classes = [scale_class(shift, symbol, 7) for symbol in shift.alphabet]
         levels = zip(oracle_levels(shift, 7), level_scale_sets(shift, 7))
-        for n, ((_, dims), scales) in enumerate(levels, start=1):
+        for n, ((_, dims, _), scales) in enumerate(levels, start=1):
             assert list(dims) == [_orbit_dims(found) for found in scales]
             for study, found in zip(classes, scales):
                 assert found == study.at(n)
