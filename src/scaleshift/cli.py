@@ -225,19 +225,20 @@ def cmd_sft(args) -> int:
         distinguished = tuple(
             blocks[i] for i in range(len(blocks)) if recoded.label(i) == head
         )
-    scales = {
-        start: found.to_json()
-        for start, found in scale_classes(shift, distinguished, args.order, args.cap)
-    }
+    scales = dict(scale_classes(shift, distinguished, args.order, args.cap))
     matrix = first_return_matrix(shift, distinguished, args.order)
     table = {f"{s}->{t}": list(series.coeffs) for (s, t), series in matrix.items()}
-    data = {
-        "blocks": list(blocks),
-        "distinguished": list(distinguished),
-        "first_return": table,
-        "scales": scales,
-    }
-    _emit(lambda: data, args.format or "json", lambda: _sft_lines(blocks, distinguished, table, scales))
+    _emit(
+        lambda: {
+            "blocks": list(blocks),
+            "distinguished": list(distinguished),
+            "first_return": table,
+            # pop each class as its JSON is built: no two starts hold both forms at once
+            "scales": {start: scales.pop(start).to_json() for start in distinguished},
+        },
+        args.format or "json",
+        lambda: _sft_lines(blocks, distinguished, table, scales),
+    )
     return EXIT_OK
 
 
@@ -245,8 +246,8 @@ def _sft_lines(blocks, distinguished, table: dict, scales: dict) -> list[str]:
     lines = [f"blocks: {' '.join(blocks)}", f"distinguished: {' '.join(distinguished)}"]
     lines += [f"{pair}: {','.join(str(c) for c in coeffs)}" for pair, coeffs in sorted(table.items())]
     for start in distinguished:
-        sizes = {entry["n"]: len(entry["scales"]) for entry in scales[start]["sets"]}
-        lines.append(f"scales from {start}: " + ",".join(str(sizes[n]) for n in sorted(sizes)))
+        sizes = scales[start].by_size
+        lines.append(f"scales from {start}: " + ",".join(str(len(sizes[n])) for n in sorted(sizes)))
     return lines
 
 

@@ -3,7 +3,9 @@
 A composition is a plain tuple of positive integers; the empty tuple is the
 empty composition (size 0, length 0). The cyclic shift alpha rotates parts
 left; its orbits are the modes of a scale, and a wheel is an orbit class,
-keyed by its canonical (lexicographically least) rotation.
+keyed by its canonical (lexicographically least) rotation.  A scale of total
+n is also an n-bit visit pattern, an int with a 1 at each note; its modes are
+then the bit rotations that start on a note.
 
 ``PartSpec`` holds a set K of allowed part sizes as an eventually periodic
 set: finite and cofinite sets and first-return loop supports all have this
@@ -21,8 +23,9 @@ Composition = tuple[int, ...]
 
 # Compositions of this many parts or more are keyed by their least rotation in
 # linear time, shorter ones strike their rotation windows at C level: striking
-# is 2.5 times faster on golden's global scale sets to order 22 (short, large
-# classes); keying wins or ties on the substitution presets at n = 400 and 800.
+# was 2.5 times faster on short, large classes (golden's global scale sets to
+# order 22, as tuples); keying wins or ties on the substitution presets at
+# n = 400 and 800.
 _LINEAR_FROM = 64
 
 
@@ -58,23 +61,21 @@ def _least_start(w: tuple) -> tuple[int, int]:
     return (i, j - i if k == n else n) if n else (0, 1)
 
 
-def _rotation_classes(B: Iterable[Composition], least: bool) -> tuple[list[Composition], int]:
-    """A member of each rotation class that B meets, and the size of the
-    union of their orbits; with ``least`` set, each member is the least
-    element of B in its class.
+def rotation_classes(B: Iterable[Composition]) -> tuple[set[Composition], int]:
+    """(the least element of B in each rotation class that B meets, the size
+    of the union of their orbits), from one pass over B.
 
     A member of ``_LINEAR_FROM`` parts or more is keyed by its least
     rotation, which ``_least_start`` finds in linear time, and a new key
     adds the orbit size, the period that the same scan finds.  A shorter w
-    strikes its rotations, the windows of w + w, from the rest of B and adds
-    its least period, the position of the first window equal to w.
-    Collecting the members struck to pick the least costs a set per class,
-    so only the callers that need it ask.  The empty composition is its own
-    orbit of size 1.
+    strikes its rotations, the windows of w + w, from the rest of B, keeps
+    the least of the members struck, and adds its least period, the
+    position of the first window equal to w.  The empty composition is its
+    own orbit of size 1.
     """
     rest = set(B)
     keyed: dict[Composition, Composition] = {}
-    members = []
+    members = set()
     orbital = 0
     while rest:
         w = rest.pop()
@@ -91,39 +92,50 @@ def _rotation_classes(B: Iterable[Composition], least: bool) -> tuple[list[Compo
         doubled = w + w
         windows = [doubled[i : i + m] for i in range(1, max(m, 1) + 1)]
         orbital += windows.index(w) + 1
-        if least:
-            struck = rest.intersection(windows)
-            rest -= struck
-            struck.add(w)
-            w = min(struck)
-        else:
-            rest.difference_update(windows)
-        members.append(w)
-    members += keyed.values()
+        struck = rest.intersection(windows)
+        rest -= struck
+        struck.add(w)
+        members.add(min(struck))
+    members.update(keyed.values())
     return members, orbital
-
-
-def rotation_dims(B: Iterable[Composition]) -> tuple[int, int]:
-    """(transversal, orbital): the rotation classes B meets, and the size of
-    the union of their full orbits.
-
-    One pass of ``_rotation_classes``: members of ``_LINEAR_FROM`` parts or
-    more are keyed by their least rotation in linear time, shorter ones
-    strike their rotation windows.
-    """
-    members, orbital = _rotation_classes(B, least=False)
-    return len(members), orbital
-
-
-def rotation_classes(B: Iterable[Composition]) -> tuple[set[Composition], int]:
-    """(``transversal_of(B)``, the orbital dimension of B) from one pass."""
-    members, orbital = _rotation_classes(B, least=True)
-    return set(members), orbital
 
 
 def transversal_of(B: Iterable[Composition]) -> set[Composition]:
     """One element of B per represented class: the least element of B in the class."""
-    return set(_rotation_classes(B, least=True)[0])
+    return rotation_classes(B)[0]
+
+
+def composition_of(pattern: int) -> Composition:
+    """The composition that a visit pattern spells: the gaps between its 1 bits,
+    read from the leading bit (the start) down, the last gap wrapping to it.
+
+    A scale of total n is the n-bit pattern with a 1 at each note, the start
+    at bit n - 1, so closing gap g on a pattern c gives ``c << g | 1 << g - 1``.
+    For compositions of one total, descending patterns are ascending tuples.
+    """
+    return tuple(len(rest) + 1 for rest in bin(pattern)[3:].split("1"))
+
+
+def pattern_dims(patterns: set[int]) -> tuple[int, int]:
+    """(transversal, orbital) of a set of visit patterns of one total n: the
+    rotation classes the set meets, and the size of the union of their orbits.
+
+    Pops a pattern p and strikes its n bit rotations, the n-bit windows of
+    p << n | p, from the set; a rotation that starts off a note has a clear
+    leading bit, so it is no member.  The class has as many modes as notes
+    in one period of p, its least rotation period.  The set is consumed.
+    """
+    transversal = orbital = 0
+    while patterns:
+        p = patterns.pop()
+        n = p.bit_length()
+        mask = (1 << n) - 1
+        doubled = p << n | p
+        rotations = [doubled >> s & mask for s in range(1, n + 1)]
+        patterns.difference_update(rotations)
+        transversal += 1
+        orbital += p.bit_count() * (rotations.index(p) + 1) // n
+    return transversal, orbital
 
 
 def mutually_independent(A: Collection[Composition], B: Collection[Composition]) -> bool:

@@ -17,7 +17,7 @@ from itertools import zip_longest
 from math import gcd
 from operator import sub
 
-from .combinatorics import Composition, PartSpec, rotation_dims, transversal_of
+from .combinatorics import Composition, PartSpec, composition_of, pattern_dims, transversal_of
 from .numtheory import burnside, cyclic_counts
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
 from .series import DEFAULT_ORDER, BivariateSeries, RationalFunction, TruncatedSeries
@@ -207,23 +207,27 @@ def _scale_levels(shift: VertexShift, walks, order: int, keep) -> list:
 
     ``walks`` pairs each start symbol index with the set of symbol indices whose
     visits mark the gaps of its words.  Callers charge the words against the cap
-    first; the walk visits gap states and builds no word.  A level maps each key
-    (last symbol, length of the open gap) to the set of closed-gap prefixes that
-    reach it, and the level's scales are those prefixes closed by the open gap.
-    Merging is exact: two words with the same last symbol, open gap and closed
-    prefix induce the same scale on every extension, since a word's future
-    depends on its last symbol alone.  An unmarked step passes its set on whole,
-    so prefix sets are shared across keys and levels and never changed in place.
-    Only what ``keep`` returns outlives a level.
+    first; the walk visits gap states and builds no word.  A scale is its visit
+    pattern (see ``combinatorics.composition_of``), so ``keep`` receives a set
+    of ints of one total, the level's length.  A level maps each key (last
+    symbol, length of the open gap) to the set of closed-gap prefixes that
+    reach it, the empty prefix 0, and the level's scales are those prefixes
+    closed by the open gap.  Merging is exact: two words with the same last
+    symbol, open gap and closed prefix induce the same scale on every
+    extension, since a word's future depends on its last symbol alone.  An
+    unmarked step passes its set on whole, so prefix sets are shared across
+    keys and levels and never changed in place.  Only what ``keep`` returns
+    outlives a level.
     """
     succ = shift.successors
-    levels = [({(start, 1): {()}}, marked) for start, marked in walks]
+    levels = [({(start, 1): {0}}, marked) for start, marked in walks]
     kept = []
     for n in range(1, order + 1):
         scales = set()
         for level, _ in levels:
             for (_, gap), closed in level.items():
-                scales.update([c + (gap,) for c in closed])
+                note = 1 << gap - 1
+                scales.update([c << gap | note for c in closed])
         kept.append(keep(scales))
         if n < order:
             levels = [(_step(level, succ, marked), marked) for level, marked in levels]
@@ -239,7 +243,8 @@ def _step(level: dict, succ, marked) -> dict:
             if t in marked:
                 key = (t, 1)
                 if shut is None:
-                    shut = {c + (gap,) for c in closed}
+                    note = 1 << gap - 1
+                    shut = {c << gap | note for c in closed}
                 new = shut
             else:
                 key, new = (t, gap + 1), closed
@@ -259,39 +264,38 @@ def global_dims(
     """
     _charge(shift, order, cap)
     walks = [(i, {i}) for i in range(shift.size)]
-    dims = _scale_levels(
-        shift, walks, order,
-        lambda scales: (*rotation_dims(scales), len(scales)),
-    )
+    dims = _scale_levels(shift, walks, order, lambda scales: (len(scales), *pattern_dims(scales)))
     return DimReport(
-        tuple(t for t, _, _ in dims),
-        tuple(o for _, o, _ in dims),
+        tuple(t for _, t, _ in dims),
+        tuple(o for _, _, o in dims),
         ENUMERATION,
-        class_sizes=tuple(size for _, _, size in dims),
+        class_sizes=tuple(size for size, _, _ in dims),
     )
 
 
 class ScaleClass(Frozen):
-    """The scale sets of one distinguished symbol, graded by total."""
+    """The scale sets of one distinguished symbol, graded by total; ``by_size``
+    holds each set as visit patterns, and ``at`` spells them as compositions."""
 
     __slots__ = ("symbol", "by_size")
 
-    def __init__(self, symbol: str, by_size: dict[int, frozenset[Composition]]):
+    def __init__(self, symbol: str, by_size: dict[int, frozenset[int]]):
         object.__setattr__(self, "symbol", symbol)
         object.__setattr__(self, "by_size", by_size)
 
     def at(self, n: int) -> frozenset[Composition]:
         try:
-            return self.by_size[n]
+            return frozenset(map(composition_of, self.by_size[n]))
         except KeyError:
             raise ValueError(f"no scales computed for total {n}") from None
 
     def to_json(self) -> dict:
+        # descending patterns of one total are ascending compositions
         return {
             "source": "vertex shift",
             "symbol": self.symbol,
             "sets": [
-                {"n": n, "scales": [list(c) for c in sorted(self.by_size[n])]}
+                {"n": n, "scales": [list(composition_of(p)) for p in sorted(self.by_size[n], reverse=True)]}
                 for n in sorted(self.by_size)
             ],
         }

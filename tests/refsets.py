@@ -6,6 +6,7 @@ the golden mean shift, the two-step SFT with forbidden blocks
 Words are spelled as strings over the two-symbol alphabet and turned
 into letter tuples with `w`; `rotate` and `orbit` are the brute-force
 rotation helpers the tests compare the library's rotation counts against,
+`pattern_of` the walk's spelling of a composition as a visit pattern,
 `series_product` the schoolbook product they check closed forms against,
 `dense_first_return_matrix` the dense first-passage walk they check the
 absorbing walk against, `pairwise_normalized`, `pairwise_blocks` and
@@ -57,6 +58,21 @@ def rotation_classes_ref(members):
         rest -= windows
         union |= windows
     return least, len(union)
+
+
+def class_dims_ref(members):
+    """(transversal, orbital) of ``members``: the two counts ``rotation_classes_ref`` gives."""
+    least, orbital = rotation_classes_ref(members)
+    return len(least), orbital
+
+
+def pattern_of(c):
+    """The visit pattern of a composition, by the gap-state walk's rule: closing
+    gap g on the pattern p gives p << g | 1 << g - 1, from the empty pattern 0."""
+    p = 0
+    for g in c:
+        p = p << g | 1 << g - 1
+    return p
 
 
 def series_product(f, g):

@@ -9,11 +9,10 @@ import pytest
 import scaleshift
 from scaleshift import cli, scales
 from scaleshift.cli import main
-from scaleshift.combinatorics import rotation_dims
 from scaleshift.scales import scale_class
 from scaleshift.shiftspace import VertexShift, parse_matrix
 
-from refsets import WHEELS_12_BY_LENGTH
+from refsets import WHEELS_12_BY_LENGTH, class_dims_ref
 
 FIXTURES = "src/scaleshift/fixtures"
 GOLDEN_MAT = f"{FIXTURES}/golden.mat"
@@ -252,13 +251,13 @@ def test_vertex_dims_reducible(tmp_path, capsys):
         code, out, err = run(argv + ["--bivariate"], capsys)
         assert (code, err) == (0, "")
         data = json.loads(out)
-        levels = scale_class(parse_matrix(target.read_text(encoding="utf-8")), symbol, order).by_size
+        found = scale_class(parse_matrix(target.read_text(encoding="utf-8")), symbol, order)
         for row in data["rows"]:
-            n, scales = row["n"], levels[row["n"]]
-            assert (row["transversal"], row["orbital"], row["class_size"]) == (*rotation_dims(scales), len(scales))
+            n, scales = row["n"], found.at(row["n"])
+            assert (row["transversal"], row["orbital"], row["class_size"]) == (*class_dims_ref(scales), len(scales))
             for m in range(n + 1):
                 cells = (data["bivariate_transversal"]["rows"][n][m], data["bivariate_orbital"]["rows"][n][m])
-                assert tuple(map(int, cells)) == rotation_dims([c for c in scales if len(c) == m])
+                assert tuple(map(int, cells)) == class_dims_ref([c for c in scales if len(c) == m])
         code, out, _ = run(argv, capsys)
         assert code == 0 and json.loads(out)["rows"] == data["rows"]
         rows_at[rows, symbol] = data["rows"]

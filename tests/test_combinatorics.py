@@ -8,8 +8,14 @@ from scaleshift import combinatorics as cb
 from scaleshift import series
 from scaleshift.scales import composition_gf
 
-from oracle_refs import oracle_series_coeff
-from refsets import orbit, rotate, rotation_classes_ref
+from oracle_refs import _compositions, oracle_series_coeff
+from refsets import class_dims_ref, orbit, pattern_of, rotate, rotation_classes_ref
+
+
+def dims(members):
+    """(transversal, orbital) from ``cb.rotation_classes``."""
+    least, orbital = cb.rotation_classes(members)
+    return len(least), orbital
 
 
 def test_rotate():
@@ -50,10 +56,11 @@ def test_canonical_wheel_rotation_invariant():
 
 
 def test_dims_on_reference_sets():
-    assert cb.rotation_dims(refsets.TM_SCALES) == (refsets.TM_DIM_T, refsets.TM_DIM_O)
+    assert dims(refsets.TM_SCALES) == (refsets.TM_DIM_T, refsets.TM_DIM_O)
     five = {(5,), (3, 2), (2, 3), (4, 1), (2, 2, 1)}
-    assert cb.rotation_dims(five) == (4, 8)
-    assert cb.rotation_dims(set()) == (0, 0)
+    assert dims(five) == (4, 8)
+    assert cb.pattern_dims({pattern_of(c) for c in five}) == (4, 8)
+    assert dims(set()) == (0, 0)
 
 
 def test_orbital_dim_is_union_of_orbits():
@@ -68,10 +75,10 @@ def test_orbital_dim_is_union_of_orbits():
         for m in members:
             union |= orbit(m)
         classes = {cb.least_rotation(m) for m in members}
-        assert cb.rotation_dims(members) == (len(classes), len(union))
+        assert dims(members) == (len(classes), len(union))
 
 
-def test_rotation_dims_matches_brute_force():
+def test_rotation_classes_match_brute_force():
     # reference: one least rotation per class, and the union of the full orbits
     rng = random.Random(2020)
 
@@ -95,10 +102,10 @@ def test_rotation_dims_matches_brute_force():
         classes = {cb.least_rotation(c) for c in members}
         for argument in (frozenset(members), set(members), sorted(members)):
             snapshot = list(argument)
-            assert cb.rotation_dims(argument) == (len(classes), len(union))
+            assert dims(argument) == (len(classes), len(union))
             assert list(argument) == snapshot
-    assert cb.rotation_dims({()}) == (1, 1)
-    assert cb.rotation_dims({(1, 2) * 90, (2, 1) * 90, (1, 2, 1, 2)}) == (2, 4)
+    assert dims({()}) == (1, 1)
+    assert dims({(1, 2) * 90, (2, 1) * 90, (1, 2, 1, 2)}) == (2, 4)
 
 
 def test_transversal_of():
@@ -170,7 +177,6 @@ def test_rotation_classes_match_window_striking():
             c = draw()
             members |= {rotate(c, rng.randrange(max(len(c), 1))) for _ in range(rng.randrange(1, 5))}
         least, orbital = rotation_classes_ref(members)
-        assert cb.rotation_dims(members) == (len(least), orbital)
         assert cb.rotation_classes(members) == (least, orbital)
         assert cb.transversal_of(members) == least
         assert cb.transversal_of(sorted(members) * 2) == least
@@ -296,3 +302,60 @@ def test_part_spec_indicator_gf():
             assert expanded == tuple(int(k in spec.members_up_to(order)) for k in range(order + 1))
     huge = cb.PartSpec.finite({1, 10**6}), cb.PartSpec.from_min(10**6)
     assert [spec.indicator_gf(4) for spec in huge] == [((0, 1, 0, 0, 0), (1,)), ((0,) * 5, (1,))]
+
+
+def compositions(n):
+    """Every composition of n, as a tuple."""
+    return _compositions(n, tuple(range(1, n + 1)))
+
+
+def test_composition_of_spells_the_walk_pattern_back():
+    # every composition of n <= 12 (4,095 of them): the pattern has total n,
+    # one note per part, and spells back to the composition
+    for n in range(1, 13):
+        comps = compositions(n)
+        assert len(comps) == 2 ** (n - 1)
+        for c in comps:
+            p = pattern_of(c)
+            assert (p.bit_length(), p.bit_count()) == (n, len(c))
+            assert cb.composition_of(p) == c
+
+
+def test_descending_patterns_are_ascending_compositions():
+    for n in range(1, 13):
+        comps = compositions(n)
+        patterns = sorted(map(pattern_of, comps), reverse=True)
+        assert [cb.composition_of(p) for p in patterns] == sorted(comps)
+
+
+def test_pattern_dims_match_reference_on_random_subsets():
+    # random subsets of the compositions of n <= 12, rotations of one class
+    # often together; the function consumes its argument
+    rng = random.Random(1722)
+    for n in range(1, 13):
+        comps = compositions(n)
+        for _ in range(25):
+            members = set(rng.sample(comps, rng.randrange(0, len(comps) + 1)))
+            for c in rng.sample(sorted(members), min(3, len(members))):
+                members |= orbit(c)
+            patterns = {pattern_of(c) for c in members}
+            assert cb.pattern_dims(patterns) == class_dims_ref(members), (n, members)
+            assert patterns == set()
+
+
+def test_pattern_dims_on_long_periodic_patterns():
+    # totals of 64 bits or more are multi-digit ints; periodic scales have
+    # fewer modes than notes; the empty set has no class
+    cases = [
+        {(1, 2) * 40},
+        {(1, 2) * 40, (2, 1) * 40},
+        {(1, 1, 2) * 30, (1, 2, 1) * 30, (2, 1, 1) * 30, (4,) * 30},
+        {(3,) * 25, (1, 2) * 25, (2, 1) * 25, (70, 5), (5, 70), (75,)},
+        {rotate((1, 2, 2, 3) * 9 + (1,), j) for j in range(0, 37, 4)},
+        {(64,), (63, 1), (1, 63), (32, 32), (1,) * 64},
+        set(),
+    ]
+    for members in cases:
+        assert len({sum(c) for c in members}) <= 1
+        assert cb.pattern_dims({pattern_of(c) for c in members}) == class_dims_ref(members)
+    assert cb.pattern_dims({pattern_of((1, 2) * 40)}) == (1, 2)

@@ -8,7 +8,7 @@ import scaleshift.scales
 from scaleshift.combinatorics import (
     PartSpec,
     least_rotation,
-    rotation_dims,
+    rotation_classes,
     transversal_of,
 )
 from scaleshift.numtheory import burnside
@@ -63,6 +63,7 @@ from refsets import (
     WHEELS_12,
     WHEELS_12_BY_LENGTH,
     WHEELS_PREFIX,
+    class_dims_ref,
     orbit,
     rotation_classes_ref,
     series_product,
@@ -357,16 +358,17 @@ def test_symbol_dims_match_enumeration_on_reducible_matrices():
             for symbol in shift.alphabet:
                 report = symbol_dims(shift, symbol, order, bivariate=True)
                 loops = first_return(shift, symbol, order)
-                levels = scale_class(shift, symbol, order).by_size
+                found = scale_class(shift, symbol, order)
+                levels = {n: found.at(n) for n in range(1, order + 1)}
                 finals = [g for g in range(1, order + 1) if (g,) in levels[g]]
                 assert loops.tails.members_up_to(order) == tuple(
                     g for g in finals if g not in loops.parts.members_up_to(order)
                 )
                 for n, scales in levels.items():
                     assert report.class_sizes[n - 1] == len(scales)
-                    assert rotation_dims(scales) == (report.transversal_at(n), report.orbital_at(n))
+                    assert class_dims_ref(scales) == (report.transversal_at(n), report.orbital_at(n))
                     for m in range(n + 1):
-                        by_notes = rotation_dims([c for c in scales if len(c) == m])
+                        by_notes = class_dims_ref([c for c in scales if len(c) == m])
                         assert by_notes == (
                             report.bivariate_transversal.coefficient(n, m),
                             report.bivariate_orbital.coefficient(n, m),
@@ -387,7 +389,8 @@ def test_symbol_dims_match_enumeration():
                 for comp in scales:
                     union.update(orbit(comp))
                 assert report.orbital_at(n) == len(union)
-                assert rotation_dims(scales) == (report.transversal_at(n), len(union))
+                least, orbital = rotation_classes(scales)
+                assert (len(least), orbital) == (report.transversal_at(n), len(union))
                 loops = set(spec.members_up_to(n))
                 for comp in scales:
                     assert set(comp[:-1]) <= loops
@@ -415,7 +418,7 @@ def test_witness_sets_are_transversals():
         (GOLDEN_T5_BULL, GOLDEN_C5_BULL),
     ):
         assert witness <= scales
-        assert len(witness) == rotation_dims(scales)[0]
+        assert len(witness) == len(rotation_classes(scales)[0])
         assert len({least_rotation(c) for c in witness}) == len(witness)
     # and the computed transversal picks the lexicographic least members
     assert transversal_of(GOLDEN_C5_BULL) == {(2, 3), (4, 1), (5,), (2, 2, 1)}

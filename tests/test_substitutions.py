@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from scaleshift.combinatorics import mutually_independent, rotation_dims, transversal_of
+from scaleshift.combinatorics import mutually_independent, rotation_classes, transversal_of
 from scaleshift.scales import EnumerationCapError
 from scaleshift.substitutions import (
     Morphism,
@@ -26,6 +26,7 @@ from refsets import (
     FIB_SCALES_CIRC,
     TM_PREFIX_16,
     TM_SCALES,
+    class_dims_ref,
     rotation_classes_ref,
     w,
 )
@@ -189,8 +190,8 @@ def test_fibonacci_scales():
     assert len(study.combined) == 13
     assert study.transversal_dim == 10
     assert study.orbital_dim == 66
-    assert rotation_dims(FIB_SCALES_CIRC)[0] == 6
-    assert rotation_dims(FIB_SCALES_BULL)[0] == 4
+    assert len(transversal_of(FIB_SCALES_CIRC)) == 6
+    assert len(transversal_of(FIB_SCALES_BULL)) == 4
 
 
 def test_feigenbaum_scales():
@@ -201,8 +202,8 @@ def test_feigenbaum_scales():
     assert len(study.combined) == 20
     assert study.transversal_dim == 6
     assert study.orbital_dim == 28
-    assert rotation_dims(FEIG_SCALES_CIRC) == (3, 10)
-    assert rotation_dims(FEIG_SCALES_BULL) == (3, 18)
+    assert class_dims_ref(FEIG_SCALES_CIRC) == (3, 10)
+    assert class_dims_ref(FEIG_SCALES_BULL) == (3, 18)
 
 
 def test_case_studies_mutually_independent():
@@ -230,7 +231,8 @@ def test_scale_study_transversal_is_least_per_class():
         for n in (12, 200, 400):
             study = substitution_scales(morphism, n)
             assert study.transversal == transversal_of(study.combined)
-            assert (study.transversal_dim, study.orbital_dim) == rotation_dims(study.combined)
+            assert (study.transversal, study.orbital_dim) == rotation_classes(study.combined)
+            assert study.transversal_dim == len(study.transversal)
             if n <= 200:
                 assert (study.transversal, study.orbital_dim) == rotation_classes_ref(study.combined)
 
