@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import verify  # executes on first use, see scaleshift/__init__.py
-from .combinatorics import PartSpec
+from .combinatorics import PartSpec, composition_of
 from .scales import (
     DEFAULT_CAP,
     EnumerationCapError,
@@ -39,6 +39,7 @@ from .shiftspace import (
     zeta_rational,
 )
 from .substitutions import PRESETS, morphism_from_json, substitution_scales
+from .values import JsonText
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -73,13 +74,43 @@ def _full_digits():
 
 def _emit(data, fmt: str, text_lines) -> None:
     """Print the dict the callable ``data`` returns as JSON, or the lines the
-    callable ``text_lines`` returns.  Only the form that is printed is built."""
+    callable ``text_lines`` returns.  Only the form that is printed is built.
+
+    The JSON is the bytes of ``json.dumps(data(), ensure_ascii=False,
+    sort_keys=True)`` and a newline, written a key at a time (``_write_object``).
+    """
     with _full_digits():
         if fmt == "json":
-            print(json.dumps(data(), ensure_ascii=False, sort_keys=True))
+            _write_object(data(), sys.stdout.write)
+            sys.stdout.write("\n")
         else:
             for line in text_lines():
                 print(line)
+
+
+def _write_object(obj: dict, write) -> None:
+    """Write ``obj`` as ``json.dumps`` spells it with sorted keys, one key at a time."""
+    opening = "{"
+    for key in sorted(obj):
+        write(f"{opening}{json.dumps(key, ensure_ascii=False)}: ")
+        _write_value(obj[key], write)
+        opening = ", "
+    write("}" if obj else "{}")
+
+
+def _write_value(value, write) -> None:
+    """Write one value: a callable's value, built only now; a ``JsonText`` as it
+    is; a dict holding either of those key by key; anything else in one
+    piece, through ``json.dumps``.  Every write is a key or a whole value,
+    never a single scale: unbuffered, each write is a system call."""
+    if callable(value):
+        value = value()
+    if isinstance(value, JsonText):
+        write(value)
+    elif isinstance(value, dict) and any(callable(v) or isinstance(v, JsonText) for v in value.values()):
+        _write_object(value, write)
+    else:
+        write(json.dumps(value, ensure_ascii=False, sort_keys=True))
 
 
 def _read_file(path: str) -> str:
@@ -233,8 +264,9 @@ def cmd_sft(args) -> int:
             "blocks": list(blocks),
             "distinguished": list(distinguished),
             "first_return": table,
-            # pop each class as its JSON is built: no two starts hold both forms at once
-            "scales": {start: scales.pop(start).to_json() for start in distinguished},
+            # each class is spelled when its key is written, and popped: no two
+            # starts hold both forms at once
+            "scales": {start: lambda start=start: scales.pop(start).to_json() for start in distinguished},
         },
         args.format or "json",
         lambda: _sft_lines(blocks, distinguished, table, scales),
@@ -273,7 +305,8 @@ def _subst_lines(study) -> list[str]:
         f"transversal_dim: {study.transversal_dim}",
         f"orbital_dim: {study.orbital_dim}",
     ]
-    return lines + [",".join(str(k) for k in comp) for comp in sorted(study.combined)]
+    # descending patterns of one total are ascending compositions
+    return lines + [",".join(map(str, composition_of(p))) for p in sorted(study.combined, reverse=True)]
 
 
 # -- verify ---------------------------------------------------------------

@@ -5,7 +5,8 @@ empty composition (size 0, length 0). The cyclic shift alpha rotates parts
 left; its orbits are the modes of a scale, and a wheel is an orbit class,
 keyed by its canonical (lexicographically least) rotation.  A scale of total
 n is also an n-bit visit pattern, an int with a 1 at each note; its modes are
-then the bit rotations that start on a note.
+then the bit rotations that start on a note, and ``scales_json`` spells a
+list of patterns as JSON text, each from the text of its prefix.
 
 ``PartSpec`` holds a set K of allowed part sizes as an eventually periodic
 set: finite and cofinite sets and first-return loop supports all have this
@@ -14,18 +15,19 @@ shape, so K has a rational indicator series N/Q with Q = 1 - z^P or Q = 1.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Collection, Iterable
 
-from .values import Value
+from .values import JsonText, Value
 
 Composition = tuple[int, ...]
 
 
-# Compositions of this many parts or more are keyed by their least rotation in
+# Tuples of this many entries or more are keyed by their least rotation in
 # linear time, shorter ones strike their rotation windows at C level: striking
 # was 2.5 times faster on short, large classes (golden's global scale sets to
-# order 22, as tuples); keying wins or ties on the substitution presets at
-# n = 400 and 800.
+# order 22, as tuples); keying won or tied on the substitution presets' scales
+# at n = 400 and 800, as tuples.
 _LINEAR_FROM = 64
 
 
@@ -113,29 +115,69 @@ def composition_of(pattern: int) -> Composition:
     at bit n - 1, so closing gap g on a pattern c gives ``c << g | 1 << g - 1``.
     For compositions of one total, descending patterns are ascending tuples.
     """
-    return tuple(len(rest) + 1 for rest in bin(pattern)[3:].split("1"))
+    return tuple(_parts(pattern))
 
 
-def pattern_dims(patterns: set[int]) -> tuple[int, int]:
-    """(transversal, orbital) of a set of visit patterns of one total n: the
-    rotation classes the set meets, and the size of the union of their orbits.
+def _parts(pattern: int):
+    """The parts that a visit pattern spells, lazily: each part is a 1 bit and
+    the 0 bits after it, a run that a space before each 1 marks off."""
+    return map(len, bin(pattern)[2:].replace("1", " 1").split())
 
-    Pops a pattern p and strikes its n bit rotations, the n-bit windows of
-    p << n | p, from the set; a rotation that starts off a note has a clear
-    leading bit, so it is no member.  The class has as many modes as notes
-    in one period of p, its least rotation period.  The set is consumed.
+
+def scales_json(patterns: Iterable[int], spelled: dict[int, str]) -> JsonText:
+    """The compositions that ``patterns`` spell, in their order, as the JSON
+    array of arrays that ``json.dumps`` writes for them.
+
+    A composition's text is its parts joined by ", "; each pattern's text is
+    read from ``spelled``, or made and stored there.  A pattern p closes its
+    last gap g = (p & -p).bit_length() on its prefix c = p >> g, so its text
+    is c's text, ", " and g, or g alone when c = 0.  c's text is read from
+    ``spelled`` too; a miss spells c from its bits in linear time and does
+    not store it, so ``spelled`` holds only the patterns asked for.  A scale
+    set of a word rule holds the prefix of each of its scales a total lower
+    (``ScaleClass``), so spelling its totals in ascending order never misses.
     """
-    transversal = orbital = 0
+    texts = []
+    for p in patterns:
+        text = spelled.get(p)
+        if text is None:
+            g = (p & -p).bit_length()
+            c = p >> g
+            if c:
+                text = f"{spelled.get(c) or ', '.join(map(str, _parts(c)))}, {g}"
+            else:
+                text = str(g)
+            spelled[p] = text
+        texts.append(text)
+    return JsonText(f"[[{'], ['.join(texts)}]]" if texts else "[]")
+
+
+def pattern_classes(patterns: set[int]) -> tuple[list[int], int]:
+    """(the largest member of each rotation class that a set of visit patterns
+    of one total n meets, the size of the union of their orbits); for one
+    total, the largest pattern is the least composition.
+
+    Pops a pattern p and strikes its modes from the set: the rotations that
+    start on a note, the n-bit windows of p << n | p that end t bits up for
+    each partial sum t of its parts.  The last of them is p; the first equal
+    to p closes one least period, so its position counts the class's modes.
+    The set is consumed.
+    """
+    members = []
+    orbital = 0
     while patterns:
         p = patterns.pop()
         n = p.bit_length()
         mask = (1 << n) - 1
         doubled = p << n | p
-        rotations = [doubled >> s & mask for s in range(1, n + 1)]
-        patterns.difference_update(rotations)
-        transversal += 1
-        orbital += p.bit_count() * (rotations.index(p) + 1) // n
-    return transversal, orbital
+        modes = [doubled >> n - t & mask for t in accumulate(_parts(p))]
+        orbital += modes.index(p) + 1
+        if not patterns.isdisjoint(modes):
+            struck = patterns.intersection(modes)
+            patterns -= struck
+            p = max(p, max(struck))
+        members.append(p)
+    return members, orbital
 
 
 def mutually_independent(A: Collection[Composition], B: Collection[Composition]) -> bool:

@@ -15,14 +15,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd
-from operator import sub
 
-from .combinatorics import Composition, PartSpec, composition_of, pattern_dims, transversal_of
+from .combinatorics import Composition, PartSpec, composition_of, pattern_classes, scales_json, transversal_of
 from .numtheory import burnside, cyclic_counts
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
 from .series import DEFAULT_ORDER, BivariateSeries, RationalFunction, TruncatedSeries
-from .shiftspace import VertexShift, Word, first_return, language_from, word_counts, word_texts
-from .values import Frozen
+from .shiftspace import VertexShift, first_return, language_from, word_counts, word_texts
+from .values import Frozen, JsonText
 
 DEFAULT_CAP = 10_000_000
 
@@ -33,15 +32,6 @@ class EnumerationCapError(RuntimeError):
 
     def __str__(self) -> str:
         return "".join(map(str, self.args))
-
-
-def induced_scale(word: Word) -> Composition:
-    """Gaps between occurrences of the first symbol, last gap wrapping."""
-    if not word:
-        raise ValueError("the empty word induces no scale")
-    first = word[0]
-    stops = [i for i, symbol in enumerate(word) if symbol == first] + [len(word)]
-    return tuple(map(sub, stops[1:], stops))
 
 
 @lru_cache(maxsize=64)  # symbol_dims reads one immutable form through four public series
@@ -264,13 +254,20 @@ def global_dims(
     """
     _charge(shift, order, cap)
     walks = [(i, {i}) for i in range(shift.size)]
-    dims = _scale_levels(shift, walks, order, lambda scales: (len(scales), *pattern_dims(scales)))
+    dims = _scale_levels(shift, walks, order, _level_dims)
     return DimReport(
         tuple(t for _, t, _ in dims),
         tuple(o for _, _, o in dims),
         ENUMERATION,
         class_sizes=tuple(size for size, _, _ in dims),
     )
+
+
+def _level_dims(scales: set[int]) -> tuple[int, int, int]:
+    """(size, transversal, orbital) of one level's scale set, which is consumed."""
+    size = len(scales)
+    members, orbital = pattern_classes(scales)
+    return size, len(members), orbital
 
 
 class ScaleClass(Frozen):
@@ -290,15 +287,18 @@ class ScaleClass(Frozen):
             raise ValueError(f"no scales computed for total {n}") from None
 
     def to_json(self) -> dict:
-        # descending patterns of one total are ascending compositions
-        return {
-            "source": "vertex shift",
-            "symbol": self.symbol,
-            "sets": [
-                {"n": n, "scales": [list(composition_of(p)) for p in sorted(self.by_size[n], reverse=True)]}
-                for n in sorted(self.by_size)
-            ],
-        }
+        """The class as a JSON object whose ``sets`` are spelled as one ``JsonText``.
+
+        Totals go up, so ``scales_json`` finds the prefix of every scale
+        spelled a total lower; descending patterns of one total are
+        ascending compositions.
+        """
+        spelled: dict[int, str] = {}
+        sets = ", ".join(
+            f'{{"n": {n}, "scales": {scales_json(sorted(self.by_size[n], reverse=True), spelled)}}}'
+            for n in sorted(self.by_size)
+        )
+        return {"source": "vertex shift", "symbol": self.symbol, "sets": JsonText(f"[{sets}]")}
 
 
 def scale_classes(shift: VertexShift, distinguished, order: int = DEFAULT_ORDER, cap: int = DEFAULT_CAP):

@@ -4,16 +4,17 @@ A morphism whose seed image starts with the seed converges to a
 one-sided fixed point.  Its n-block language is computed exactly, as the
 closure of the fixed point's first n-block under the morphism; the blocks
 then induce scales through the distinguished first symbol, grouped per
-symbol and combined.
+symbol and combined.  A block is a string with one code point per letter,
+the letter's index in the alphabet, and a scale is its visit pattern (see
+``combinatorics.composition_of``).
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
 
-from .combinatorics import Composition, rotation_classes
-from .scales import DEFAULT_CAP, EnumerationCapError, induced_scale
+from .combinatorics import pattern_classes, scales_json
+from .scales import DEFAULT_CAP, EnumerationCapError
 from .shiftspace import Alphabet, Word
 from .values import Frozen, Value
 
@@ -57,10 +58,6 @@ class Morphism(Value):
                 return body
         raise ValueError(f"unknown symbol {symbol!r}")
 
-    def apply(self, word: Word) -> Word:
-        images = dict(self.rules)
-        return tuple(chain.from_iterable(map(images.__getitem__, word)))
-
 
 def morphism_from_json(text: str) -> Morphism:
     """Parse {"alphabet": [...], "rules": {sym: word}, "seed": sym}."""
@@ -97,8 +94,9 @@ PRESETS = {
 }
 
 
-def block_language(morphism: Morphism, n: int, cap: int = DEFAULT_CAP) -> frozenset[Word]:
-    """The n-blocks of the fixed point u = σ(u) that starts with the seed.
+def block_language(morphism: Morphism, n: int, cap: int = DEFAULT_CAP) -> frozenset[str]:
+    """The n-blocks of the fixed point u = σ(u) that starts with the seed,
+    each a string of n code points, chr(i) for the alphabet's symbol i.
 
     They form the least set S that holds u[0:n] and, with every block v,
     the blocks σ(v)[r:r+n] for 0 <= r < |σ(v_0)|.  Every such slice fits,
@@ -112,18 +110,25 @@ def block_language(morphism: Morphism, n: int, cap: int = DEFAULT_CAP) -> frozen
     either way j < i, so v is in S.  Conversely σ maps blocks of u to
     factors of σ(u) = u, so every element of S is a block of u.
 
+    σ is one ``str.translate``, with each code point's image as its value.
     Each block added to S is charged against ``cap``.
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
+    symbols = morphism.alphabet.symbols
+    images = {
+        i: "".join(chr(symbols.index(letter)) for letter in morphism.image(symbol))
+        for i, symbol in enumerate(symbols)
+    }
+    heads = [len(images[i]) for i in range(len(symbols))]
     # u = σ(u_0) σ(u_1) ..., so the prefix extends itself letter by letter.
-    prefix = list(morphism.image(morphism.seed))
+    prefix = images[symbols.index(morphism.seed)]
     i = 1
     while len(prefix) < n:
-        prefix += morphism.image(prefix[i])
+        prefix += images[ord(prefix[i])]
         i += 1
     blocks = set()
-    pending = [tuple(prefix[:n])]
+    pending = [prefix[:n]]
     while pending:
         block = pending.pop()
         if block in blocks:
@@ -131,16 +136,18 @@ def block_language(morphism: Morphism, n: int, cap: int = DEFAULT_CAP) -> frozen
         blocks.add(block)
         if len(blocks) > cap:
             raise EnumerationCapError(f"the {n}-block language has more than {cap} blocks")
-        image = morphism.apply(block)
-        pending.extend(image[r:r + n] for r in range(len(morphism.image(block[0]))))
+        image = block.translate(images)
+        pending.extend([image[r:r + n] for r in range(heads[ord(block[0])])])
     return frozenset(blocks)
 
 
 class ScaleStudy(Frozen):
-    """Scale sets of the n-blocks, per distinguished symbol and combined.
+    """Scale sets of the n-blocks, as visit patterns, per distinguished symbol
+    and combined.
 
     ``transversal`` holds the least member of each rotation class that the
-    combined set meets, and ``orbital_dim`` the size of their orbits' union.
+    combined set meets, the largest pattern, and ``orbital_dim`` the size of
+    their orbits' union.
     """
 
     __slots__ = ("n", "per_symbol", "combined", "transversal", "orbital_dim")
@@ -148,9 +155,9 @@ class ScaleStudy(Frozen):
     def __init__(
         self,
         n: int,
-        per_symbol: dict[str, frozenset[Composition]],
-        combined: frozenset[Composition],
-        transversal: frozenset[Composition],
+        per_symbol: dict[str, frozenset[int]],
+        combined: frozenset[int],
+        transversal: frozenset[int],
         orbital_dim: int,
     ):
         object.__setattr__(self, "n", n)
@@ -164,29 +171,39 @@ class ScaleStudy(Frozen):
         return len(self.transversal)
 
     def to_json(self) -> dict:
+        """The study as a JSON object; its scale lists are ``JsonText``, ascending
+        compositions, and each distinct scale is spelled once, in ``combined``,
+        which is spelled first."""
+        spelled: dict[int, str] = {}
+
+        def spell(scales: frozenset[int]):
+            return scales_json(sorted(scales, reverse=True), spelled)
+
         return {
+            "combined": spell(self.combined),
             "n": self.n,
             "transversal_dim": self.transversal_dim,
             "orbital_dim": self.orbital_dim,
             "combined_size": len(self.combined),
-            "combined": [list(c) for c in sorted(self.combined)],
-            "transversal": [list(c) for c in sorted(self.transversal)],
-            "per_symbol": {
-                symbol: [list(c) for c in sorted(scales)]
-                for symbol, scales in self.per_symbol.items()
-            },
+            "transversal": spell(self.transversal),
+            "per_symbol": {symbol: spell(scales) for symbol, scales in self.per_symbol.items()},
         }
 
 
 def substitution_scales(morphism: Morphism, n: int, cap: int = DEFAULT_CAP) -> ScaleStudy:
-    """Scales induced by the admissible n-blocks of the fixed point."""
+    """Scales induced by the admissible n-blocks of the fixed point.
+
+    The scale of a block with first letter a is its visit pattern: the block
+    read as binary, a 1 for each a and a 0 for every other letter.
+    """
     blocks = block_language(morphism, n, cap)
-    per_symbol = {
-        symbol: frozenset(
-            induced_scale(block) for block in blocks if block[0] == symbol
-        )
-        for symbol in morphism.alphabet
-    }
-    combined = frozenset().union(*per_symbol.values())
-    transversal, orbital = rotation_classes(combined)
+    symbols = morphism.alphabet.symbols
+    marks = [{j: "01"[j == a] for j in range(len(symbols))} for a in range(len(symbols))]
+    scales = [set() for _ in symbols]
+    for block in blocks:
+        a = ord(block[0])
+        scales[a].add(int(block.translate(marks[a]), 2))
+    per_symbol = dict(zip(symbols, map(frozenset, scales)))
+    combined = frozenset().union(*scales)
+    transversal, orbital = pattern_classes(set(combined))
     return ScaleStudy(n, per_symbol, combined, frozenset(transversal), orbital)

@@ -4,7 +4,8 @@
 ``object.__setattr__``.  ``Value`` adds equality, hashing and a repr taken
 from one ``_key()`` tuple of the fields, for objects that are values: two
 instances of one class with equal keys are interchangeable.  Classes that
-subclass ``Frozen`` alone keep identity equality.
+subclass ``Frozen`` alone keep identity equality.  ``JsonText`` is JSON text
+spelled ahead of output, which the CLI's writer copies as it is.
 """
 
 from __future__ import annotations
@@ -32,3 +33,10 @@ class Value(Frozen):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}{self._key()!r}"
+
+
+class JsonText(str):
+    """A JSON value already spelled as ``json.dumps(value, ensure_ascii=False, sort_keys=True)``
+    would spell it; ``json.dumps`` itself would quote it as a string."""
+
+    __slots__ = ()

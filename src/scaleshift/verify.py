@@ -13,7 +13,7 @@ import random
 from itertools import product
 from math import gcd
 
-from .combinatorics import PartSpec, mutually_independent
+from .combinatorics import PartSpec, composition_of, mutually_independent
 from .numtheory import divisors, mobius, mobius_invert, totient
 from .oracle import oracle_levels
 from .scales import (
@@ -255,7 +255,7 @@ def check_substitution_studies() -> list[OracleReport]:
     studies = {}
     for name, (size, dim_t, dim_o) in expected.items():
         study = substitution_scales(PRESETS[name], 12)
-        studies[name] = study
+        studies[name] = frozenset(map(composition_of, study.combined))
         reports.append(OracleReport("subst.scale_count", {"preset": name, "n": 12}, size, len(study.combined)))
         reports.append(OracleReport("subst.transversal", {"preset": name, "n": 12}, dim_t, study.transversal_dim))
         reports.append(OracleReport("subst.orbital", {"preset": name, "n": 12}, dim_o, study.orbital_dim))
@@ -275,7 +275,7 @@ def check_substitution_studies() -> list[OracleReport]:
                     "subst.mutually_independent",
                     {"presets": (names[i], names[j]), "n": 12},
                     1,
-                    int(mutually_independent(studies[names[i]].combined, studies[names[j]].combined)),
+                    int(mutually_independent(studies[names[i]], studies[names[j]])),
                 )
             )
     return reports

@@ -12,12 +12,16 @@ rotation helpers the tests compare the library's rotation counts against,
 absorbing walk against, `pairwise_normalized`, `pairwise_blocks` and
 `pairwise_block_rows` the every-pair subword tests they check the
 forbidden-window lookups and the block graph's edge lookups against, and
-`forward_word_counts` the forward walk per start the price walk is checked against.
+`forward_word_counts` the forward walk per start the price walk is checked against,
+and `apply`, `induced_scale`, `block_language_ref` and `substitution_scales_ref`
+the letter-tuple substitution path that the string and pattern path is checked
+against (`letters` and `spelled_study` spell that path's results as tuples).
 """
 
-from itertools import product
+from itertools import chain, product
 from operator import mul
 
+from scaleshift.combinatorics import composition_of
 from scaleshift.series import TruncatedSeries
 
 CIRC = "∘"   # open note symbol
@@ -110,6 +114,68 @@ def dense_first_return_matrix(shift, distinguished, order):
             coeffs = [0, a[si][ti]] + [sum(map(mul, v, close)) for v in walks]
             table[(s, t)] = TruncatedSeries(coeffs, order)
     return table
+
+
+def apply(morphism, word):
+    """σ(word), for a word spelled as a tuple of letters."""
+    images = dict(morphism.rules)
+    return tuple(chain.from_iterable(images[letter] for letter in word))
+
+
+def induced_scale(word):
+    """Gaps between occurrences of the first symbol, last gap wrapping."""
+    if not word:
+        raise ValueError("the empty word induces no scale")
+    first = word[0]
+    stops = [i for i, symbol in enumerate(word) if symbol == first] + [len(word)]
+    return tuple(b - a for a, b in zip(stops, stops[1:]))
+
+
+def block_language_ref(morphism, n):
+    """The n-blocks of the fixed point as letter tuples: ``block_language``'s closure,
+    with σ applied by ``apply``."""
+    prefix = list(morphism.image(morphism.seed))
+    i = 1
+    while len(prefix) < n:
+        prefix += morphism.image(prefix[i])
+        i += 1
+    blocks = set()
+    pending = [tuple(prefix[:n])]
+    while pending:
+        block = pending.pop()
+        if block not in blocks:
+            blocks.add(block)
+            image = apply(morphism, block)
+            pending.extend(image[r:r + n] for r in range(len(morphism.image(block[0]))))
+    return frozenset(blocks)
+
+
+def letters(morphism, block):
+    """A block of ``block_language``, chr(i) for symbol i, as a tuple of letters."""
+    return tuple(morphism.alphabet.symbols[ord(code)] for code in block)
+
+
+def substitution_scales_ref(morphism, n):
+    """(per_symbol, combined, transversal, orbital) of the n-blocks, scales as
+    compositions: ``induced_scale`` of every block of ``block_language_ref``,
+    and ``rotation_classes_ref`` of their union."""
+    blocks = block_language_ref(morphism, n)
+    per_symbol = {
+        symbol: frozenset(induced_scale(block) for block in blocks if block[0] == symbol)
+        for symbol in morphism.alphabet
+    }
+    combined = frozenset().union(*per_symbol.values())
+    least, orbital = rotation_classes_ref(combined)
+    return per_symbol, combined, frozenset(least), orbital
+
+
+def spelled_study(study):
+    """A ``ScaleStudy``'s fields as ``substitution_scales_ref`` gives them."""
+    def spell(patterns):
+        return frozenset(map(composition_of, patterns))
+
+    per_symbol = {symbol: spell(scales) for symbol, scales in study.per_symbol.items()}
+    return per_symbol, spell(study.combined), spell(study.transversal), study.orbital_dim
 
 
 def is_subword(needle, haystack):

@@ -9,10 +9,28 @@ import pytest
 import scaleshift
 from scaleshift import cli, scales
 from scaleshift.cli import main
-from scaleshift.scales import scale_class
-from scaleshift.shiftspace import VertexShift, parse_matrix
+from scaleshift.combinatorics import PartSpec
+from scaleshift.scales import (
+    global_dims,
+    language_witnesses,
+    scale_class,
+    scale_classes,
+    symbol_dims,
+    wheels_gf,
+    wheels_row,
+)
+from scaleshift.shiftspace import (
+    VertexShift,
+    first_return,
+    first_return_matrix,
+    higher_block,
+    parse_forbidden,
+    parse_matrix,
+    zeta_rational,
+)
+from scaleshift.substitutions import PRESETS, morphism_from_json
 
-from refsets import WHEELS_12_BY_LENGTH, class_dims_ref
+from refsets import WHEELS_12_BY_LENGTH, class_dims_ref, substitution_scales_ref
 
 FIXTURES = "src/scaleshift/fixtures"
 GOLDEN_MAT = f"{FIXTURES}/golden.mat"
@@ -703,19 +721,108 @@ def test_oracle_imported_before_cli_is_one_module():
 
 def test_closed_stdout_exits_1_without_traceback():
     # 0.9 MB of JSON overfills the pipe, so the writer meets the closed end
+    # part way through the document, buffered or not
     src = str(Path(scaleshift.__file__).resolve().parents[1])
     argv = ["sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "30"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "scaleshift.cli", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.stdout.read(10) == b'{"blocks":'
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 1
-    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+    for unbuffered, head in (("", b'{"blocks":'), ("", b"{"), ("1", b"{")):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "scaleshift.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered),
+        )
+        assert proc.stdout.read(len(head)) == head
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"Exception ignored" not in err, err
+        if len(head) == 1:
+            assert err == b""
+
+
+def _sft_document(path, order, distinguished=None):
+    """``sft scales``' JSON object, from the public API, scales spelled as lists."""
+    presentation = parse_forbidden(Path(path).read_text(encoding="utf-8"))
+    recoded = higher_block(presentation)
+    shift = recoded.shift
+    blocks = shift.alphabet.symbols
+    if distinguished is None:
+        head = presentation.alphabet.symbols[0]
+        distinguished = [b for i, b in enumerate(blocks) if recoded.label(i) == head]
+    table = first_return_matrix(shift, distinguished, order)
+    return {
+        "blocks": list(blocks),
+        "distinguished": list(distinguished),
+        "first_return": {f"{s}->{t}": list(series.coeffs) for (s, t), series in table.items()},
+        "scales": {
+            start: {
+                "source": "vertex shift",
+                "symbol": start,
+                "sets": [{"n": n, "scales": sorted(map(list, cls.at(n)))} for n in range(1, order + 1)],
+            }
+            for start, cls in scale_classes(shift, distinguished, order)
+        },
+    }
+
+
+def _subst_document(morphism, n):
+    """``subst scales``' JSON object, from the letter-tuple reference."""
+    per_symbol, combined, transversal, orbital = substitution_scales_ref(morphism, n)
+    return {
+        "n": n,
+        "transversal_dim": len(transversal),
+        "orbital_dim": orbital,
+        "combined_size": len(combined),
+        "combined": sorted(map(list, combined)),
+        "transversal": sorted(map(list, transversal)),
+        "per_symbol": {symbol: sorted(map(list, scales)) for symbol, scales in per_symbol.items()},
+    }
+
+
+def test_streamed_json_is_json_dumps_of_the_document(tmp_path, capsys):
+    # every command that prints JSON, on small inputs: the streamed bytes are
+    # json.dumps of the object that the public API builds, and a newline
+    golden = parse_matrix(Path(GOLDEN_MAT).read_text(encoding="utf-8"))
+    rules_text = '{"rules": {"ab": ["ab", "c"], "c": ["ab", "ab", "c"]}, "seed": "ab"}'
+    rules = tmp_path / "rules.json"
+    rules.write_text(rules_text, encoding="utf-8")
+    spec = PartSpec.parse("2,3")
+    zeta = zeta_rational(golden)
+    words, witnesses = language_witnesses(golden, 6)
+    bfile = (Path(FIXTURES) / "b000358.txt").read_text(encoding="utf-8")
+    available = sum(1 for line in bfile.splitlines() if line.strip() and not line.startswith("#"))
+    cases = [
+        (["--format", "json", "wheels", "--by-length", "--n", "14", "--parts", "2,3"],
+         {"n": 14, "parts": "2,3", "total": wheels_gf(spec, 14).coefficient(14),
+          "by_length": wheels_row(spec, 14)[1:]}),
+        (["vertex", "zeta", "--matrix", GOLDEN_MAT, "--order", "9"],
+         {"numerator": list(zeta.numerator), "denominator": list(zeta.denominator),
+          "coefficients": list(zeta.expand(9).coeffs)}),
+        (["vertex", "loops", "--matrix", GOLDEN_MAT, "--symbol", "•", "--order", "9"],
+         first_return(golden, "•", 9).to_json()),
+        (["vertex", "dims", "--matrix", GOLDEN_MAT, "--symbol", "•", "--order", "9"],
+         {"symbol": "•", **symbol_dims(golden, "•", 9).to_json()}),
+        (["vertex", "dims", "--matrix", GOLDEN_MAT, "--symbol", "∘", "--order", "9", "--bivariate"],
+         {"symbol": "∘", **symbol_dims(golden, "∘", 9, bivariate=True).to_json()}),
+        (["vertex", "global", "--matrix", GOLDEN_MAT, "--order", "9"], global_dims(golden, 9).to_json()),
+        (["vertex", "language", "--matrix", GOLDEN_MAT, "--order", "6"],
+         {"n": 6, "count": len(words), "words": words, "witnesses": witnesses}),
+        (["sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "12"], _sft_document(TWOSTEP_FORB, 12)),
+        (["sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "9", "--set", "•∘,∘∘"],
+         _sft_document(TWOSTEP_FORB, 9, ["•∘", "∘∘"])),
+        (["subst", "scales", "--preset", "thue-morse", "--n", "40"], _subst_document(PRESETS["thue-morse"], 40)),
+        (["subst", "scales", "--rules", str(rules), "--n", "9"],
+         _subst_document(morphism_from_json(rules_text), 9)),
+        (["--format", "json", "oeis", "check", "--id", "A000358", "--coeffs", "1,2,2,3"],
+         {"id": "A000358", "compared": 4, "available": available, "match": True}),
+        (["--format", "json", "oeis", "check", "--id", "A000358", "--coeffs", "1,2,3"],
+         {"id": "A000358", "compared": 3, "available": available, "match": False,
+          "first_mismatch": {"position": 2, "given": 3, "expected": 2}}),
+    ]
+    for argv, document in cases:
+        code, out, err = run(argv, capsys)
+        assert code == (1 if document.get("match") is False else 0), (argv, err)
+        assert out == json.dumps(document, ensure_ascii=False, sort_keys=True) + "\n", argv
 
 
 def test_snapshot_checks_cover_all_bundled_sequences(capsys):

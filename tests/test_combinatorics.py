@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -7,15 +8,28 @@ import refsets
 from scaleshift import combinatorics as cb
 from scaleshift import series
 from scaleshift.scales import composition_gf
+from scaleshift.values import JsonText
 
 from oracle_refs import _compositions, oracle_series_coeff
-from refsets import class_dims_ref, orbit, pattern_of, rotate, rotation_classes_ref
+from refsets import orbit, pattern_of, rotate, rotation_classes_ref
 
 
 def dims(members):
     """(transversal, orbital) from ``cb.rotation_classes``."""
     least, orbital = cb.rotation_classes(members)
     return len(least), orbital
+
+
+def pattern_classes_ref(members):
+    """``cb.pattern_classes``' answer for a set of compositions of one total, from
+    ``rotation_classes_ref``: the least member of each class is its largest pattern."""
+    least, orbital = rotation_classes_ref(members)
+    return sorted(map(pattern_of, least)), orbital
+
+
+def pattern_classes(patterns):
+    members, orbital = cb.pattern_classes(patterns)
+    return sorted(members), orbital
 
 
 def test_rotate():
@@ -59,7 +73,8 @@ def test_dims_on_reference_sets():
     assert dims(refsets.TM_SCALES) == (refsets.TM_DIM_T, refsets.TM_DIM_O)
     five = {(5,), (3, 2), (2, 3), (4, 1), (2, 2, 1)}
     assert dims(five) == (4, 8)
-    assert cb.pattern_dims({pattern_of(c) for c in five}) == (4, 8)
+    assert pattern_classes({pattern_of(c) for c in five}) == pattern_classes_ref(five)
+    assert len(pattern_classes_ref(five)[0]) == 4
     assert dims(set()) == (0, 0)
 
 
@@ -328,7 +343,7 @@ def test_descending_patterns_are_ascending_compositions():
         assert [cb.composition_of(p) for p in patterns] == sorted(comps)
 
 
-def test_pattern_dims_match_reference_on_random_subsets():
+def test_pattern_classes_match_reference_on_random_subsets():
     # random subsets of the compositions of n <= 12, rotations of one class
     # often together; the function consumes its argument
     rng = random.Random(1722)
@@ -339,11 +354,11 @@ def test_pattern_dims_match_reference_on_random_subsets():
             for c in rng.sample(sorted(members), min(3, len(members))):
                 members |= orbit(c)
             patterns = {pattern_of(c) for c in members}
-            assert cb.pattern_dims(patterns) == class_dims_ref(members), (n, members)
+            assert pattern_classes(patterns) == pattern_classes_ref(members), (n, members)
             assert patterns == set()
 
 
-def test_pattern_dims_on_long_periodic_patterns():
+def test_pattern_classes_on_long_periodic_patterns():
     # totals of 64 bits or more are multi-digit ints; periodic scales have
     # fewer modes than notes; the empty set has no class
     cases = [
@@ -357,5 +372,23 @@ def test_pattern_dims_on_long_periodic_patterns():
     ]
     for members in cases:
         assert len({sum(c) for c in members}) <= 1
-        assert cb.pattern_dims({pattern_of(c) for c in members}) == class_dims_ref(members)
-    assert cb.pattern_dims({pattern_of((1, 2) * 40)}) == (1, 2)
+        assert pattern_classes({pattern_of(c) for c in members}) == pattern_classes_ref(members)
+    assert pattern_classes({pattern_of((1, 2) * 40)}) == ([pattern_of((1, 2) * 40)], 2)
+
+
+def test_scales_json_spells_every_composition():
+    # every composition of n <= 12, totals ascending into one dict, so every
+    # prefix is found; then each total again from an empty dict, every prefix
+    # a miss; the text is json.dumps of the compositions, in the given order
+    spelled = {}
+    for n in range(1, 13):
+        comps = compositions(n)
+        patterns = [pattern_of(c) for c in comps]
+        expected = json.dumps([list(c) for c in comps])
+        assert cb.scales_json(patterns, spelled) == expected
+        assert all(spelled[p] == json.dumps(list(c))[1:-1] for p, c in zip(patterns, comps))
+        assert cb.scales_json(patterns, {}) == expected
+        assert cb.scales_json(reversed(patterns), spelled) == json.dumps([list(c) for c in reversed(comps)])
+    assert len(spelled) == 2**12 - 1
+    assert cb.scales_json([], spelled) == json.dumps([])
+    assert isinstance(cb.scales_json([1], {}), JsonText)

@@ -1,4 +1,5 @@
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -14,12 +15,12 @@ from scaleshift.combinatorics import (
 from scaleshift.numtheory import burnside
 from scaleshift.scales import (
     EnumerationCapError,
+    ScaleClass,
     a_series,
     b_series,
     composition_bgf,
     composition_gf,
     global_dims,
-    induced_scale,
     scale_class,
     scale_classes,
     symbol_dims,
@@ -35,6 +36,7 @@ from scaleshift.shiftspace import (
     higher_block,
     is_irreducible,
 )
+from scaleshift.values import JsonText
 from scaleshift.verify import _irreducible_shifts
 
 from oracle_refs import oracle_series_coeff, word_levels, word_scale_sets
@@ -64,6 +66,7 @@ from refsets import (
     WHEELS_12_BY_LENGTH,
     WHEELS_PREFIX,
     class_dims_ref,
+    induced_scale,
     orbit,
     rotation_classes_ref,
     series_product,
@@ -532,6 +535,39 @@ def _marked_sets(size):
         yield from itertools.combinations(range(size), r)
 
 
+def _prefix_misses(cls: ScaleClass) -> int:
+    """How many scales of ``cls`` close their last gap g on a prefix that is
+    not a scale of total n - g: the lookups that ``scales_json`` would miss."""
+    misses = 0
+    for n, scales in cls.by_size.items():
+        for p in scales:
+            g = (p & -p).bit_length()
+            prefix = p >> g
+            misses += prefix != 0 and prefix not in cls.by_size[n - g]
+    return misses
+
+
+def test_every_scale_prefix_is_a_scale_of_its_total():
+    # every 0/1 matrix on at most 3 symbols, every distinguished set, n <= 10,
+    # and the two bundled SFTs' default sets at n <= 30: no scale's prefix
+    # misses, and the spelled sets are json.dumps of the sorted compositions
+    for size in (1, 2, 3):
+        symbols = "abc"[:size]
+        for bits in itertools.product((0, 1), repeat=size * size):
+            shift = VertexShift.from_rows(symbols, tuple(bits[i * size:(i + 1) * size] for i in range(size)))
+            for marked in _marked_sets(size):
+                for _, cls in scale_classes(shift, [symbols[i] for i in marked], 10):
+                    assert _prefix_misses(cls) == 0, (bits, marked)
+    for forbidden in (SFT2_FORBIDDEN, THREESTEP_FORBIDDEN):
+        recoded = higher_block(SftPresentation.of((CIRC, BULL), forbidden))
+        blocks = recoded.shift.alphabet.symbols
+        starts = [blocks[i] for i in range(len(blocks)) if recoded.label(i) == CIRC]
+        for _, cls in scale_classes(recoded.shift, starts, 30):
+            assert _prefix_misses(cls) == 0
+            sets = json.loads(cls.to_json()["sets"])
+            assert sets == [{"n": n, "scales": sorted(map(list, cls.at(n)))} for n in range(1, 31)]
+
+
 def test_enumerated_scales_match_word_rule():
     # every 0/1 matrix on at most 3 symbols (530), every start and every
     # distinguished set containing it (6,210 cases), n <= 8, set for set;
@@ -576,9 +612,12 @@ def test_sft_scales_match_word_rule(forbidden):
 def test_scale_class_json():
     cls = scale_class(GOLDEN, BULL, 3)
     data = cls.to_json()
+    assert isinstance(data["sets"], JsonText)
+    data["sets"] = json.loads(data["sets"])
     assert data["symbol"] == BULL
     assert data["sets"][0] == {"n": 1, "scales": [[1]]}
     assert data["source"] == "vertex shift"
     assert [entry["n"] for entry in data["sets"]] == [1, 2, 3]
+    assert [entry["scales"] for entry in data["sets"]] == [sorted(map(list, cls.at(n))) for n in (1, 2, 3)]
     with pytest.raises(ValueError):
         cls.at(9)

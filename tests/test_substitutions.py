@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from scaleshift.combinatorics import mutually_independent, rotation_classes, transversal_of
+from scaleshift.combinatorics import composition_of, mutually_independent, rotation_classes, transversal_of
 from scaleshift.scales import EnumerationCapError
 from scaleshift.substitutions import (
     Morphism,
@@ -26,8 +27,13 @@ from refsets import (
     FIB_SCALES_CIRC,
     TM_PREFIX_16,
     TM_SCALES,
+    apply,
+    block_language_ref,
     class_dims_ref,
+    letters,
     rotation_classes_ref,
+    spelled_study,
+    substitution_scales_ref,
     w,
 )
 
@@ -40,8 +46,17 @@ def iterate(morphism, length):
     """Apply the morphism to the seed until the word has ``length`` letters."""
     word = (morphism.seed,)
     while len(word) < length:
-        word = morphism.apply(word)
+        word = apply(morphism, word)
     return word
+
+
+def blocks(morphism, n, **kwargs):
+    """``block_language``'s blocks spelled as letter tuples."""
+    return {letters(morphism, block) for block in block_language(morphism, n, **kwargs)}
+
+
+def spelled(patterns):
+    return frozenset(map(composition_of, patterns))
 
 
 def blocks_of(word, n):
@@ -59,7 +74,7 @@ def test_prefix_is_iteration_independent():
     for morphism in (TM, FIB, FEIG):
         for length in (1, 2, 7, 33):
             word = iterate(morphism, length)
-            assert morphism.apply(word)[: len(word)] == word
+            assert apply(morphism, word)[: len(word)] == word
 
 
 def test_morphism_validation():
@@ -77,16 +92,17 @@ def test_morphism_validation():
 
 def test_morphism_apply():
     assert TM.image(CIRC) == w("∘•")
-    assert TM.apply(w("∘•")) == w("∘••∘")
-    assert FIB.apply(w("∘•∘")) == w("∘•∘∘•")
+    assert apply(TM, w("∘•")) == w("∘••∘")
+    assert apply(FIB, w("∘•∘")) == w("∘•∘∘•")
     with pytest.raises(ValueError):
         TM.image("x")
 
 
 def test_block_language_small():
-    assert block_language(TM, 1) == {w("∘"), w("•")}
-    assert block_language(TM, 2) == {w("∘∘"), w("∘•"), w("•∘"), w("••")}
-    assert block_language(FIB, 2) == {w("∘∘"), w("∘•"), w("•∘")}
+    assert blocks(TM, 1) == {w("∘"), w("•")}
+    assert blocks(TM, 2) == {w("∘∘"), w("∘•"), w("•∘"), w("••")}
+    assert blocks(FIB, 2) == {w("∘∘"), w("∘•"), w("•∘")}
+    assert block_language(TM, 2) == {"\0\0", "\0\1", "\1\0", "\1\1"}
     # the Fibonacci word has n+1 blocks of each length n
     for n in range(1, 9):
         assert len(block_language(FIB, n)) == n + 1
@@ -124,16 +140,16 @@ def test_binary_scales_biject_with_blocks():
     # between that letter's visits, so the scales from s count the blocks from s
     for morphism in (TM, FIB, FEIG):
         study = substitution_scales(morphism, 200)
-        blocks = block_language(morphism, 200)
+        language = blocks(morphism, 200)
         for symbol in morphism.alphabet:
-            assert len(study.per_symbol[symbol]) == sum(block[0] == symbol for block in blocks)
+            assert len(study.per_symbol[symbol]) == sum(block[0] == symbol for block in language)
 
 
 def test_stabilization_cap():
     # each iterate of the crawler adds one block, so no iterate count bounds its language
     crawler = Morphism.of({CIRC: "∘•", BULL: "•"}, CIRC)
-    assert block_language(crawler, 2) == {w("∘•"), w("••")}
-    assert block_language(crawler, 10) == {w("∘" + "•" * 9), w("•" * 10)}
+    assert blocks(crawler, 2) == {w("∘•"), w("••")}
+    assert blocks(crawler, 10) == {w("∘" + "•" * 9), w("•" * 10)}
 
 
 def test_block_language_of_slow_growing_morphism():
@@ -161,22 +177,23 @@ def test_block_language_contains_every_iterate():
         rules[seed] = seed + "".join(rng.choices(letters, k=rng.randint(1, 2)))
         morphism = Morphism.of(rules, seed)
         n = rng.randint(1, 8)
-        language = block_language(morphism, n)
+        language = blocks(morphism, n)
+        assert language == block_language_ref(morphism, n)
         word = (seed,)
         while len(word) < 500:
             assert blocks_of(word, n) <= language
-            word = morphism.apply(word)
+            word = apply(morphism, word)
     # the presets are recurrent: a long enough iterate shows every block
     for morphism in (TM, FIB, FEIG):
         for n in (1, 5, 12, 30):
-            assert blocks_of(iterate(morphism, 64 * n), n) == block_language(morphism, n)
+            assert blocks_of(iterate(morphism, 64 * n), n) == blocks(morphism, n)
 
 
 def test_thue_morse_scales():
     study = substitution_scales(TM, 12)
-    assert study.combined == TM_SCALES
+    assert spelled(study.combined) == TM_SCALES
     assert len(study.combined) == 18
-    assert study.per_symbol[CIRC] == TM_SCALES
+    assert spelled(study.per_symbol[CIRC]) == TM_SCALES
     assert study.per_symbol[BULL] <= study.combined
     assert study.transversal_dim == 8
     assert study.orbital_dim == 49
@@ -184,9 +201,9 @@ def test_thue_morse_scales():
 
 def test_fibonacci_scales():
     study = substitution_scales(FIB, 12)
-    assert study.per_symbol[CIRC] == FIB_SCALES_CIRC
-    assert study.per_symbol[BULL] == FIB_SCALES_BULL
-    assert study.combined == FIB_SCALES
+    assert spelled(study.per_symbol[CIRC]) == FIB_SCALES_CIRC
+    assert spelled(study.per_symbol[BULL]) == FIB_SCALES_BULL
+    assert spelled(study.combined) == FIB_SCALES
     assert len(study.combined) == 13
     assert study.transversal_dim == 10
     assert study.orbital_dim == 66
@@ -196,9 +213,9 @@ def test_fibonacci_scales():
 
 def test_feigenbaum_scales():
     study = substitution_scales(FEIG, 12)
-    assert study.per_symbol[CIRC] == FEIG_SCALES_CIRC
-    assert study.per_symbol[BULL] == FEIG_SCALES_BULL
-    assert study.combined == FEIG_SCALES
+    assert spelled(study.per_symbol[CIRC]) == FEIG_SCALES_CIRC
+    assert spelled(study.per_symbol[BULL]) == FEIG_SCALES_BULL
+    assert spelled(study.combined) == FEIG_SCALES
     assert len(study.combined) == 20
     assert study.transversal_dim == 6
     assert study.orbital_dim == 28
@@ -216,25 +233,33 @@ def test_case_studies_mutually_independent():
 def test_scale_study_json():
     study = substitution_scales(FIB, 5)
     data = study.to_json()
+    for key in ("combined", "transversal"):
+        data[key] = json.loads(data[key])
+    data["per_symbol"] = {symbol: json.loads(text) for symbol, text in data["per_symbol"].items()}
     assert data["n"] == 5
     assert data["combined_size"] == len(study.combined)
     assert data["transversal_dim"] == study.transversal_dim
-    assert data["transversal"] == sorted(map(list, study.transversal))
+    assert data["transversal"] == sorted(map(list, spelled(study.transversal)))
+    assert data["combined"] == sorted(map(list, spelled(study.combined)))
     assert all(sum(comp) == 5 for comp in data["combined"])
+    for symbol, scales in study.per_symbol.items():
+        assert data["per_symbol"][symbol] == sorted(map(list, spelled(scales)))
 
 
 def test_scale_study_transversal_is_least_per_class():
-    # n = 12 keeps every scale below the linear-time threshold, n = 200 and
-    # 400 put every Thue-Morse and Fibonacci scale above it; the quadratic
-    # reference runs up to n = 200
+    # the pattern kernel against the tuple one: n = 12 keeps every scale below
+    # rotation_classes' linear-time threshold, n = 200 and 400 put every
+    # Thue-Morse and Fibonacci scale above it; the quadratic reference runs
+    # up to n = 200
     for morphism in (TM, FIB, FEIG):
         for n in (12, 200, 400):
             study = substitution_scales(morphism, n)
-            assert study.transversal == transversal_of(study.combined)
-            assert (study.transversal, study.orbital_dim) == rotation_classes(study.combined)
+            transversal, combined = spelled(study.transversal), spelled(study.combined)
+            assert transversal == transversal_of(combined)
+            assert (transversal, study.orbital_dim) == rotation_classes(combined)
             assert study.transversal_dim == len(study.transversal)
             if n <= 200:
-                assert (study.transversal, study.orbital_dim) == rotation_classes_ref(study.combined)
+                assert (transversal, study.orbital_dim) == rotation_classes_ref(combined)
 
 
 def test_morphism_from_json():
@@ -246,3 +271,38 @@ def test_morphism_from_json():
         morphism_from_json('{"alphabet": ["∘"], "rules": {"∘": "∘•", "•": "∘"}, "seed": "∘"}')
     with pytest.raises(ValueError):
         morphism_from_json('{"rules": ["∘•"], "seed": "∘"}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"rules": {"ab": ["ab", "c"], "c": ["ab", "ab", "c"]}, "seed": "ab"}',
+        '{"alphabet": ["1", "0"], "rules": {"0": "01", "1": "10"}, "seed": "0"}',
+        '{"rules": {"0": ["0", "1", "11"], "1": ["11"], "11": ["0", "1"]}, "seed": "0"}',
+    ],
+    ids=["multi_character", "zero_one", "zero_one_eleven"],
+)
+def test_rules_morphisms_match_the_tuple_reference(text):
+    # tokens of several characters, and symbols spelled 0 and 1, are one code
+    # point each in a block, whatever they look like
+    morphism = morphism_from_json(text)
+    for n in (1, 2, 7, 30):
+        assert blocks(morphism, n) == block_language_ref(morphism, n)
+        assert spelled_study(substitution_scales(morphism, n)) == substitution_scales_ref(morphism, n)
+
+
+def test_presets_match_the_tuple_reference():
+    for morphism in (TM, FIB, FEIG):
+        for n in (1, 12, 100):
+            assert spelled_study(substitution_scales(morphism, n)) == substitution_scales_ref(morphism, n)
+
+
+def test_scale_study_json_spells_long_scales_from_their_bits():
+    # at n = 800 every Thue-Morse scale has 265 to 535 parts, and no prefix of
+    # one is a scale of the study, so every lookup misses
+    study = substitution_scales(TM, 800)
+    assert min(map(int.bit_count, study.combined)) >= 200
+    data = study.to_json()
+    ordered = sorted(spelled(study.combined))
+    assert data["combined"] == json.dumps([list(c) for c in ordered])
+    assert data["per_symbol"][CIRC] == json.dumps(sorted(map(list, spelled(study.per_symbol[CIRC]))))
