@@ -256,6 +256,10 @@ def cmd_sft(args) -> int:
         distinguished = tuple(
             blocks[i] for i in range(len(blocks)) if recoded.label(i) == head
         )
+        if not distinguished:
+            raise CommandError(
+                EXIT_DATA, f"no admissible block starts with the first symbol {head!r}; name blocks with --set"
+            )
     scales = dict(scale_classes(shift, distinguished, args.order, args.cap))
     matrix = first_return_matrix(shift, distinguished, args.order)
     table = {f"{s}->{t}": list(series.coeffs) for (s, t), series in matrix.items()}

@@ -23,31 +23,16 @@ from .values import JsonText, Value
 Composition = tuple[int, ...]
 
 
-# Tuples of this many entries or more are keyed by their least rotation in
-# linear time, shorter ones strike their rotation windows at C level: striking
-# was 2.5 times faster on short, large classes (golden's global scale sets to
-# order 22, as tuples); keying won or tied on the substitution presets' scales
-# at n = 400 and 800, as tuples.
-_LINEAR_FROM = 64
-
-
 def least_rotation(w: tuple) -> tuple:
     """Lexicographically least rotation of any tuple (compositions or words),
-    found by a two-pointer scan in linear time."""
-    k = _least_start(w)[0]
-    return w[k:] + w[:k]
-
-
-def _least_start(w: tuple) -> tuple[int, int]:
-    """Start of the least rotation of ``w``, and the number of distinct
-    rotations of ``w``, in O(len(w)).
+    found by a two-pointer scan of w + w in linear time.
 
     Two starts race along w + w: i is the best start so far, j the next
     challenger, and every other start below j is ruled out.  A first
     mismatch at offset k rules out the losing start and the k starts after
-    it, and moves i + j on by at least k + 1, so the scan is linear.  If k
-    reaches n, w has period j - i, its number of distinct rotations; if j
-    runs past n, all n rotations differ.  The empty tuple gives (0, 1).
+    it, and moves i + j on by at least k + 1, so the scan is linear.  It
+    ends when j runs past n or k reaches n (w is then periodic and start i
+    is as good as start j).
     """
     n = len(w)
     s = w + w
@@ -60,51 +45,7 @@ def _least_start(w: tuple) -> tuple[int, int]:
             i, j, k = j, max(j, i + k) + 1, 0
         else:  # start j loses; so do the k starts after it
             j, k = j + k + 1, 0
-    return (i, j - i if k == n else n) if n else (0, 1)
-
-
-def rotation_classes(B: Iterable[Composition]) -> tuple[set[Composition], int]:
-    """(the least element of B in each rotation class that B meets, the size
-    of the union of their orbits), from one pass over B.
-
-    A member of ``_LINEAR_FROM`` parts or more is keyed by its least
-    rotation, which ``_least_start`` finds in linear time, and a new key
-    adds the orbit size, the period that the same scan finds.  A shorter w
-    strikes its rotations, the windows of w + w, from the rest of B, keeps
-    the least of the members struck, and adds its least period, the
-    position of the first window equal to w.  The empty composition is its
-    own orbit of size 1.
-    """
-    rest = set(B)
-    keyed: dict[Composition, Composition] = {}
-    members = set()
-    orbital = 0
-    while rest:
-        w = rest.pop()
-        m = len(w)
-        if m >= _LINEAR_FROM:
-            start, size = _least_start(w)
-            key = w[start:] + w[:start]
-            chosen = keyed.get(key)
-            if chosen is None:
-                orbital += size
-            if chosen is None or w < chosen:
-                keyed[key] = w
-            continue
-        doubled = w + w
-        windows = [doubled[i : i + m] for i in range(1, max(m, 1) + 1)]
-        orbital += windows.index(w) + 1
-        struck = rest.intersection(windows)
-        rest -= struck
-        struck.add(w)
-        members.add(min(struck))
-    members.update(keyed.values())
-    return members, orbital
-
-
-def transversal_of(B: Iterable[Composition]) -> set[Composition]:
-    """One element of B per represented class: the least element of B in the class."""
-    return rotation_classes(B)[0]
+    return s[i : i + n]
 
 
 def composition_of(pattern: int) -> Composition:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from math import gcd
 
-from .combinatorics import Composition, PartSpec, composition_of, pattern_classes, scales_json, transversal_of
+from .combinatorics import Composition, PartSpec, composition_of, least_rotation, pattern_classes, scales_json
 from .numtheory import burnside, cyclic_counts
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
 from .series import DEFAULT_ORDER, BivariateSeries, RationalFunction, TruncatedSeries
@@ -186,10 +186,14 @@ def _charge(shift: VertexShift, order: int, cap: int, starts=None, first: int = 
 
 def language_witnesses(shift: VertexShift, n: int, cap: int = DEFAULT_CAP) -> tuple[list, list]:
     """L_n's words and one witness per rotation class, the least, as texts in symbol-index
-    order; L_n is charged against ``cap`` before it is built, once, for both."""
+    order; L_n is charged against ``cap`` before it is built, once, for both.  The sorted
+    words are walked once, and the first of each least rotation is its class's witness."""
     _charge(shift, n, cap, first=n)
     words = sorted(language_from(shift, range(shift.size), n))
-    return word_texts(shift, words), word_texts(shift, sorted(transversal_of(words)))
+    witnesses = {}
+    for word in words:
+        witnesses.setdefault(least_rotation(word), word)
+    return word_texts(shift, words), word_texts(shift, witnesses.values())
 
 
 def _scale_levels(shift: VertexShift, walks, order: int, keep) -> list:

@@ -6,6 +6,7 @@ the golden mean shift, the two-step SFT with forbidden blocks
 Words are spelled as strings over the two-symbol alphabet and turned
 into letter tuples with `w`; `rotate` and `orbit` are the brute-force
 rotation helpers the tests compare the library's rotation counts against,
+`keyed_classes_ref` the least-rotation-keyed reference for sets too large for them,
 `pattern_of` the walk's spelling of a composition as a visit pattern,
 `series_product` the schoolbook product they check closed forms against,
 `dense_first_return_matrix` the dense first-passage walk they check the
@@ -21,7 +22,7 @@ against (`letters` and `spelled_study` spell that path's results as tuples).
 from itertools import chain, product
 from operator import mul
 
-from scaleshift.combinatorics import composition_of
+from scaleshift.combinatorics import composition_of, least_rotation
 from scaleshift.series import TruncatedSeries
 
 CIRC = "∘"   # open note symbol
@@ -62,6 +63,21 @@ def rotation_classes_ref(members):
         rest -= windows
         union |= windows
     return least, len(union)
+
+
+def keyed_classes_ref(members):
+    """``rotation_classes_ref``'s answer with no orbit built: the least member per
+    ``least_rotation`` key, and the sum over the keys of their least periods, the
+    least d dividing the length with c[d:] + c[:d] == c."""
+    least = {}
+    for c in members:
+        key = least_rotation(c)
+        least[key] = min(least.get(key, c), c)
+    orbital = sum(
+        next(d for d in range(1, len(c) + 1) if len(c) % d == 0 and c[d:] + c[:d] == c) if c else 1
+        for c in least
+    )
+    return set(least.values()), orbital
 
 
 def class_dims_ref(members):

@@ -341,6 +341,19 @@ def test_sft_scales_charges_every_start_first(capsys, monkeypatch):
     )
 
 
+def test_sft_scales_without_a_block_on_the_first_symbol(tmp_path, capsys):
+    # x may be followed by nothing, so no block opens with x, the alphabet's first
+    # symbol: the default set is empty, and the command says so before any walk
+    path = tmp_path / "e.forb"
+    path.write_text("# alphabet: x a b\nxa\nxb\nxx\naab\n", encoding="utf-8")
+    code, out, err = run(["sft", "scales", "--forbidden", str(path), "--order", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: no admissible block starts with the first symbol 'x'; name blocks with --set\n"
+    assert "Traceback" not in err
+    code, out, _ = run(["sft", "scales", "--forbidden", str(path), "--order", "3", "--set", "ab"], capsys)
+    assert code == 0 and json.loads(out)["distinguished"] == ["ab"]
+
+
 def test_no_kernel_reads_the_dense_matrix(tmp_path, capsys, monkeypatch):
     # a shift is its successor lists: with the dense view raising, every
     # command prints the bytes it prints with the view in place

@@ -11,12 +11,12 @@ from scaleshift.scales import composition_gf
 from scaleshift.values import JsonText
 
 from oracle_refs import _compositions, oracle_series_coeff
-from refsets import orbit, pattern_of, rotate, rotation_classes_ref
+from refsets import keyed_classes_ref, orbit, pattern_of, rotate, rotation_classes_ref
 
 
 def dims(members):
-    """(transversal, orbital) from ``cb.rotation_classes``."""
-    least, orbital = cb.rotation_classes(members)
+    """(transversal, orbital) from the ``cb.least_rotation`` keys of ``keyed_classes_ref``."""
+    least, orbital = keyed_classes_ref(members)
     return len(least), orbital
 
 
@@ -123,31 +123,38 @@ def test_rotation_classes_match_brute_force():
     assert dims({(1, 2) * 90, (2, 1) * 90, (1, 2, 1, 2)}) == (2, 4)
 
 
-def test_transversal_of():
-    assert cb.transversal_of({(4, 1), (1, 4)}) == {(1, 4)}
-    assert cb.transversal_of({(1, 1), (2,)}) == {(1, 1), (2,)}
-    t = cb.transversal_of(refsets.FIB_SCALES)
-    assert len(t) == refsets.FIB_DIM_T
-    assert t <= refsets.FIB_SCALES
-    # One representative per class, classes preserved.
-    assert {cb.least_rotation(x) for x in t} == {
-        cb.least_rotation(x) for x in refsets.FIB_SCALES
-    }
-
-
 def test_mutually_independent():
     studies = [refsets.TM_SCALES, refsets.FIB_SCALES, refsets.FEIG_SCALES]
     for a, b in itertools.combinations(studies, 2):
         assert cb.mutually_independent(a, b)
     assert not cb.mutually_independent({(1, 2)}, {(2, 1)})
+    # random sets of short and long tuples, several members per class, against
+    # their full orbits
+    rng = random.Random(1977)
+
+    def draw():
+        if rng.random() < 0.3:
+            base = tuple(rng.choices((1, 2), k=rng.randrange(1, 6)))
+            return base * rng.randrange(1, 128 // len(base))
+        length = rng.choice((rng.randrange(0, 12), rng.randrange(62, 66), rng.randrange(64, 128)))
+        return tuple(rng.choices((1, 1, 2, 3), k=length))
+
+    for _ in range(40):
+        members = set()
+        for _ in range(rng.randrange(1, 30)):
+            c = draw()
+            members |= {rotate(c, rng.randrange(max(len(c), 1))) for _ in range(rng.randrange(1, 5))}
+        other = {draw() for _ in range(rng.randrange(1, 6))}
+        shared = bool(set().union(*map(orbit, members)) & set().union(*map(orbit, other)))
+        assert cb.mutually_independent(members, other) is not shared
 
 
-def test_least_start_matches_least_and_count_of_all_rotations():
-    # both sides of the linear-time threshold, periodic and constant tuples,
+def test_least_rotation_matches_least_of_all_rotations():
+    # short and long tuples, to twice 64 entries and more, periodic and constant tuples,
     # the empty and one-part tuples, and every tuple over {1, 2} up to
     # length 12 and over {1, 2, 3} up to length 7
     rng = random.Random(1980)
-    edge = cb._LINEAR_FROM
+    edge = 64
     cases = [(), (4,), (1, 2) * 40, (2, 1) * 41, (3,) * edge, (3,) * (edge - 1), (1, 2, 2) * 30]
     for _ in range(20_000):
         if rng.random() < 0.1:
@@ -164,40 +171,7 @@ def test_least_start_matches_least_and_count_of_all_rotations():
     for parts, top in (((1, 2), 12), ((1, 2, 3), 7)):
         cases += (c for length in range(1, top + 1) for c in itertools.product(parts, repeat=length))
     for c in cases:
-        rotations = orbit(c)
-        expected = min(rotations)
-        start, size = cb._least_start(c)
-        assert cb.least_rotation(c) == expected == c[start:] + c[:start], c
-        assert size == len(rotations), c
-
-
-def test_rotation_classes_match_window_striking():
-    # random sets mixing members below and above the linear-time threshold,
-    # with several members per class, against the window-striking reference
-    rng = random.Random(1977)
-    edge = cb._LINEAR_FROM
-
-    def draw():
-        if rng.random() < 0.3:
-            base = tuple(rng.choices((1, 2), k=rng.randrange(1, 6)))
-            return base * rng.randrange(1, 2 * edge // len(base))
-        length = rng.choice(
-            (rng.randrange(0, 12), rng.randrange(edge - 2, edge + 2), rng.randrange(edge, 2 * edge))
-        )
-        return tuple(rng.choices((1, 1, 2, 3), k=length))
-
-    for _ in range(40):
-        members = set()
-        for _ in range(rng.randrange(1, 30)):
-            c = draw()
-            members |= {rotate(c, rng.randrange(max(len(c), 1))) for _ in range(rng.randrange(1, 5))}
-        least, orbital = rotation_classes_ref(members)
-        assert cb.rotation_classes(members) == (least, orbital)
-        assert cb.transversal_of(members) == least
-        assert cb.transversal_of(sorted(members) * 2) == least
-        other = {draw() for _ in range(rng.randrange(1, 6))}
-        shared = bool(set().union(*map(orbit, members)) & set().union(*map(orbit, other)))
-        assert cb.mutually_independent(members, other) is not shared
+        assert cb.least_rotation(c) == min(orbit(c)), c
 
 
 def test_enumerate_compositions():

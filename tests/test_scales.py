@@ -6,12 +6,7 @@ import pytest
 
 import scaleshift.scales
 
-from scaleshift.combinatorics import (
-    PartSpec,
-    least_rotation,
-    rotation_classes,
-    transversal_of,
-)
+from scaleshift.combinatorics import PartSpec, least_rotation
 from scaleshift.numtheory import burnside
 from scaleshift.scales import (
     EnumerationCapError,
@@ -21,6 +16,7 @@ from scaleshift.scales import (
     composition_bgf,
     composition_gf,
     global_dims,
+    language_witnesses,
     scale_class,
     scale_classes,
     symbol_dims,
@@ -35,6 +31,8 @@ from scaleshift.shiftspace import (
     first_return,
     higher_block,
     is_irreducible,
+    language_from,
+    word_texts,
 )
 from scaleshift.values import JsonText
 from scaleshift.verify import _irreducible_shifts
@@ -392,8 +390,6 @@ def test_symbol_dims_match_enumeration():
                 for comp in scales:
                     union.update(orbit(comp))
                 assert report.orbital_at(n) == len(union)
-                least, orbital = rotation_classes(scales)
-                assert (len(least), orbital) == (report.transversal_at(n), len(union))
                 loops = set(spec.members_up_to(n))
                 for comp in scales:
                     assert set(comp[:-1]) <= loops
@@ -421,11 +417,46 @@ def test_witness_sets_are_transversals():
         (GOLDEN_T5_BULL, GOLDEN_C5_BULL),
     ):
         assert witness <= scales
-        assert len(witness) == len(rotation_classes(scales)[0])
+        assert len(witness) == len({least_rotation(c) for c in scales})
         assert len({least_rotation(c) for c in witness}) == len(witness)
-    # and the computed transversal picks the lexicographic least members
-    assert transversal_of(GOLDEN_C5_BULL) == {(2, 3), (4, 1), (5,), (2, 2, 1)}
-    assert transversal_of(GOLDEN_C5_CIRC) == GOLDEN_T5_CIRC
+    # and the least member per class is the reference transversal
+    assert rotation_classes_ref(GOLDEN_C5_BULL)[0] == {(2, 3), (4, 1), (5,), (2, 2, 1)}
+    assert rotation_classes_ref(GOLDEN_C5_CIRC)[0] == GOLDEN_T5_CIRC
+
+
+def witnesses_ref(shift, n):
+    """(L_n's words, the least word of each rotation class), sorted texts, from
+    ``rotation_classes_ref`` over the words of ``language_from``."""
+    words = language_from(shift, range(shift.size), n)
+    return word_texts(shift, sorted(words)), word_texts(shift, sorted(rotation_classes_ref(words)[0]))
+
+
+def test_language_witnesses_on_every_small_shift():
+    # every 0/1 matrix on at most three symbols, named in index order so that
+    # text order is index order: both lists come out ascending
+    for k in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=k * k):
+            shift = VertexShift.from_rows("abc"[:k], [bits[i * k:i * k + k] for i in range(k)])
+            for n in range(1, 8):
+                words, witnesses = language_witnesses(shift, n)
+                assert (words, witnesses) == witnesses_ref(shift, n), (bits, n)
+
+
+def test_language_witnesses_on_long_words():
+    # the 3-cycle a -> b -> c -> a has three words of each length, one class
+    # when 3 divides the length and three otherwise (their letter counts differ)
+    cycle = VertexShift.from_rows("abc", ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    for n in (63, 64, 65, 200):
+        words, witnesses = language_witnesses(cycle, n)
+        assert (words, witnesses) == witnesses_ref(cycle, n)
+        assert len(words) == 3
+        assert witnesses == (words[:1] if n % 3 == 0 else words)
+    # a^k b^(70 - k): no rotation of a word with both letters is another word,
+    # so every word is alone in its class
+    stranded = VertexShift.from_rows("ab", ((1, 1), (0, 1)))
+    words, witnesses = language_witnesses(stranded, 70)
+    assert witnesses == words == ["a" * k + "b" * (70 - k) for k in range(70, -1, -1)]
+    assert (words, witnesses) == witnesses_ref(stranded, 70)
 
 
 def test_scale_class_unknown_symbol():

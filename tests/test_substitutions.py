@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from scaleshift.combinatorics import composition_of, mutually_independent, rotation_classes, transversal_of
+from scaleshift.combinatorics import composition_of, mutually_independent
 from scaleshift.scales import EnumerationCapError
 from scaleshift.substitutions import (
     Morphism,
@@ -30,6 +30,7 @@ from refsets import (
     apply,
     block_language_ref,
     class_dims_ref,
+    keyed_classes_ref,
     letters,
     rotation_classes_ref,
     spelled_study,
@@ -207,8 +208,8 @@ def test_fibonacci_scales():
     assert len(study.combined) == 13
     assert study.transversal_dim == 10
     assert study.orbital_dim == 66
-    assert len(transversal_of(FIB_SCALES_CIRC)) == 6
-    assert len(transversal_of(FIB_SCALES_BULL)) == 4
+    assert class_dims_ref(FIB_SCALES_CIRC)[0] == 6
+    assert class_dims_ref(FIB_SCALES_BULL)[0] == 4
 
 
 def test_feigenbaum_scales():
@@ -247,16 +248,13 @@ def test_scale_study_json():
 
 
 def test_scale_study_transversal_is_least_per_class():
-    # the pattern kernel against the tuple one: n = 12 keeps every scale below
-    # rotation_classes' linear-time threshold, n = 200 and 400 put every
-    # Thue-Morse and Fibonacci scale above it; the quadratic reference runs
-    # up to n = 200
+    # the pattern kernel against the least-rotation keys of the tuples, to
+    # n = 400; the quadratic reference runs up to n = 200
     for morphism in (TM, FIB, FEIG):
         for n in (12, 200, 400):
             study = substitution_scales(morphism, n)
             transversal, combined = spelled(study.transversal), spelled(study.combined)
-            assert transversal == transversal_of(combined)
-            assert (transversal, study.orbital_dim) == rotation_classes(combined)
+            assert (transversal, study.orbital_dim) == keyed_classes_ref(combined)
             assert study.transversal_dim == len(study.transversal)
             if n <= 200:
                 assert (transversal, study.orbital_dim) == rotation_classes_ref(combined)
