@@ -3,11 +3,12 @@
 A word whose first symbol is distinguished induces a scale: the
 composition of gaps between consecutive occurrences of that symbol,
 the final gap wrapping around past the end of the word.  Interior
-gaps are first return loop sizes; the final gap may additionally be
-any size bounded above by some loop size.  That structure yields
-closed forms for the number of scales of each total, the number of
-their rotation classes, and the size of the union of their modes,
-optionally refined by the number of notes.
+gaps are first return loop sizes; the final gap is one too, or a size
+g outside them for which a walk of g - 1 steps from the symbol stays
+off it (``LoopSystem.tails``).  That structure yields closed forms for
+the number of scales of each total, the number of their rotation
+classes, and the size of the union of their modes, optionally refined
+by the number of notes.
 """
 
 from __future__ import annotations
@@ -201,49 +202,37 @@ def _scale_levels(shift: VertexShift, walks, order: int, keep) -> list:
 
     ``walks`` pairs each start symbol index with the set of symbol indices whose
     visits mark the gaps of its words.  Callers charge the words against the cap
-    first; the walk visits gap states and builds no word.  A scale is its visit
-    pattern (see ``combinatorics.composition_of``), so ``keep`` receives a set
-    of ints of one total, the level's length.  A level maps each key (last
-    symbol, length of the open gap) to the set of closed-gap prefixes that
-    reach it, the empty prefix 0, and the level's scales are those prefixes
-    closed by the open gap.  Merging is exact: two words with the same last
-    symbol, open gap and closed prefix induce the same scale on every
-    extension, since a word's future depends on its last symbol alone.  An
-    unmarked step passes its set on whole, so prefix sets are shared across
-    keys and levels and never changed in place.  Only what ``keep`` returns
-    outlives a level.
+    first; the walk builds no word.  A scale is its visit pattern (see
+    ``combinatorics.composition_of``), and appending a symbol appends one bit,
+    1 at a marked symbol.  A level maps each last symbol index to the patterns
+    of the words that end there; merging is exact, since a word's future
+    depends on its last symbol alone.  ``keep`` receives the union of a level's
+    sets, a fresh set of ints of one total, the level's length.  Only what
+    ``keep`` returns outlives a level.
     """
     succ = shift.successors
-    levels = [({(start, 1): {0}}, marked) for start, marked in walks]
+    levels = [({start: {1}}, marked) for start, marked in walks]
     kept = []
     for n in range(1, order + 1):
-        scales = set()
-        for level, _ in levels:
-            for (_, gap), closed in level.items():
-                note = 1 << gap - 1
-                scales.update([c << gap | note for c in closed])
-        kept.append(keep(scales))
+        kept.append(keep(set().union(*[patterns for level, _ in levels for patterns in level.values()])))
         if n < order:
             levels = [(_step(level, succ, marked), marked) for level, marked in levels]
     return kept
 
 
 def _step(level: dict, succ, marked) -> dict:
-    """The gap states one symbol on from ``level``; a marked symbol closes the open gap."""
+    """The patterns one symbol on from ``level``, each shifted set built once per
+    (last symbol, appended bit) and shared by its successors, so no set is changed in place."""
     out = {}
-    for (last, gap), closed in level.items():
-        shut = None
+    for last, patterns in level.items():
+        shifted = {}
         for t in succ[last]:
-            if t in marked:
-                key = (t, 1)
-                if shut is None:
-                    note = 1 << gap - 1
-                    shut = {c << gap | note for c in closed}
-                new = shut
-            else:
-                key, new = (t, gap + 1), closed
-            old = out.get(key)
-            out[key] = new if old is None or old is new else old | new
+            bit = t in marked
+            new = shifted.get(bit)
+            if new is None:
+                new = shifted[bit] = {p << 1 | bit for p in patterns}
+            old = out.get(t)
+            out[t] = new if old is None else old | new
     return out
 
 
@@ -252,7 +241,7 @@ def global_dims(
 ) -> DimReport:
     """Dimensions of the scales over all distinguished symbols at once.
 
-    Walks the gap states of the words from every symbol, distinguishes
+    Walks the visit patterns of the words from every symbol, distinguishes
     each word's first symbol, and reduces the resulting scale sets exactly;
     no closed form is attempted.
     """

@@ -7,7 +7,7 @@ each class's rotation windows, so they check the oracle's rank-indexed class
 tables by an independent path; the oracle's scale sets cut each rank's visit
 pattern into its gaps, so with the orbit counter they check the oracle's
 mode tables; the scale sets of literal words cut every word from
-``language_from``, so they check the gap-state walk of ``scaleshift.scales``
+``language_from``, so they check the scale walk of ``scaleshift.scales``
 word by word.
 
 The word levels here enumerate the ranks of one shift's words, successor by

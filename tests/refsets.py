@@ -7,7 +7,8 @@ Words are spelled as strings over the two-symbol alphabet and turned
 into letter tuples with `w`; `rotate` and `orbit` are the brute-force
 rotation helpers the tests compare the library's rotation counts against,
 `keyed_classes_ref` the least-rotation-keyed reference for sets too large for them,
-`pattern_of` the walk's spelling of a composition as a visit pattern,
+`pattern_of` a composition's visit pattern by the gap rule, which the
+scale walk's appended bits are checked against,
 `series_product` the schoolbook product they check closed forms against,
 `dense_first_return_matrix` the dense first-passage walk they check the
 absorbing walk against, `pairwise_normalized`, `pairwise_blocks` and
@@ -87,8 +88,9 @@ def class_dims_ref(members):
 
 
 def pattern_of(c):
-    """The visit pattern of a composition, by the gap-state walk's rule: closing
-    gap g on the pattern p gives p << g | 1 << g - 1, from the empty pattern 0."""
+    """The visit pattern of a composition, by the gap rule: closing gap g on the
+    pattern p gives p << g | 1 << g - 1, from the empty pattern 0.  The scale
+    walk appends one bit per symbol instead, so this rule checks it."""
     p = 0
     for g in c:
         p = p << g | 1 << g - 1

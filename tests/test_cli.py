@@ -331,7 +331,7 @@ def test_sft_scales_charges_every_start_first(capsys, monkeypatch):
     def walk(*args):
         raise AssertionError("a word was walked before the cap was checked")
 
-    # the gap-state walk visits the words; the price walk only counts them
+    # the scale walk visits the words; the price walk only counts them
     monkeypatch.setattr(scales, "_scale_levels", walk)
     argv = ["--cap", "261", "sft", "scales", "--forbidden", TWOSTEP_FORB, "--order", "16"]
     code, out, err = run(argv, capsys)

@@ -507,7 +507,7 @@ def test_global_dims_cap_before_any_word(monkeypatch):
             drawn.append(row)
             yield row
 
-    # the gap-state walk visits the words; the price walk only counts them
+    # the scale walk visits the words; the price walk only counts them
     monkeypatch.setattr(scaleshift.scales, "_scale_levels", walk)
     monkeypatch.setattr(scaleshift.scales, "word_counts", counted)
     with pytest.raises(EnumerationCapError, match="enumerating 5702887 words of length 32 exceeds"):
