@@ -21,7 +21,7 @@ from .combinatorics import Composition, PartSpec, composition_of, least_rotation
 from .numtheory import burnside, cyclic_counts
 from .reports import CLOSED_FORM, ENUMERATION, DimReport
 from .series import DEFAULT_ORDER, BivariateSeries, RationalFunction, TruncatedSeries
-from .shiftspace import VertexShift, first_return, language_from, word_counts, word_texts
+from .shiftspace import VertexShift, language_from, loop_supports, word_counts, word_texts
 from .values import Frozen, JsonText
 
 DEFAULT_CAP = 10_000_000
@@ -35,7 +35,7 @@ class EnumerationCapError(RuntimeError):
         return "".join(map(str, self.args))
 
 
-@lru_cache(maxsize=64)  # symbol_dims reads one immutable form through four public series
+@lru_cache(maxsize=64)  # each uncached closed-form report reads one immutable form through four public series
 def _composition_form(spec: PartSpec, order: int) -> RationalFunction:
     """C = Q/(Q - N): with s = N/Q the indicator of K, C = 1/(1 - s)."""
     num, den = spec.indicator_gf(order)
@@ -143,10 +143,18 @@ def symbol_dims(
     Transversal: wheels over the loop sizes plus the out-of-K tails,
     each of which heads its own rotation class.  Orbital: compositions
     over the loop sizes plus the modes of the tailed scales.  Both read K
-    and the tails off ``first_return``'s walk, so they hold for every matrix.
+    and the tails off ``loop_supports``' walk, so they hold for every
+    matrix, and no loop series is built.  The report is a function of
+    (K, tails, order, bivariate) alone, computed once and shared by every
+    shift and symbol with that loop system.
     """
-    loops = first_return(shift, symbol, order)
-    spec, tails = loops.parts, loops.tails
+    return _loop_system_dims(*loop_supports(shift, symbol, order), order, bivariate)
+
+
+# verify's oracle grid asks for 441 (shift, symbol) reports over 17 loop systems;
+# all 262,144 (matrix, symbol) pairs on 4 symbols hold 80 at order 8
+@lru_cache(maxsize=128)
+def _loop_system_dims(spec: PartSpec, tails: PartSpec, order: int, bivariate: bool) -> DimReport:
     comp, a = composition_gf(spec, order), a_series(spec, tails, order)
     transversal = (wheels_gf(spec, order) + a).coeffs[1:]
     orbital = (comp + b_series(spec, tails, order)).coeffs[1:]

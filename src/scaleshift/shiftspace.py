@@ -30,7 +30,7 @@ class BlockCountError(ValueError):
     """The higher block presentation would need too many blocks (a cost guard)."""
 
 
-SUPPORT_WALK_LIMIT = 4096  # see first_return
+SUPPORT_WALK_LIMIT = 4096  # see loop_supports
 
 
 class Alphabet(Value):
@@ -356,18 +356,28 @@ def periodic_orbit_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> Tru
 def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> LoopSystem:
     """The loop system at ``symbol``: the first-return walk with D = {symbol}.
 
-    The series is ``first_return_matrix``'s.  K and the tails E are read off
-    the supports X_j of its walk vector A[s, R]·B^j, as bit sets over the r
-    symbols of R: n >= 2 is in K when X_(n-2) meets the predecessors of s,
-    and in E when X_(n-2) is non-empty and misses them; 1 is in E when
-    A[s, s] = 0.  A walk of r steps inside R repeats a symbol, so a
-    non-empty X_j with j >= r is never empty again: from there on the
-    symbols with no way back to the predecessors of s are folded into s's
-    own bit, which marks exactly that.  The first X_j1 equal to an earlier
-    X_j0 then makes K and E periodic from j0 + 2, period j1 - j0.  The
-    preperiod is below r^2 (the index bound of 0/1 matrices), so with no
-    repeat within max(order, r^2, SUPPORT_WALK_LIMIT) steps the period is
-    long: K and E are exact up to there, then K holds every size and E none.
+    The series is ``first_return_matrix``'s; K and the tails are ``loop_supports``'.
+    """
+    parts, tails = loop_supports(shift, symbol, order)
+    series = first_return_matrix(shift, (symbol,), order)[symbol, symbol]
+    return LoopSystem(symbol, series, parts, tails)
+
+
+def loop_supports(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> tuple[PartSpec, PartSpec]:
+    """(K, E): the loop sizes and the tails at ``symbol``, with no series built.
+
+    Both are read off the supports X_j of the first-return walk vector
+    A[s, R]·B^j, as bit sets over the r symbols of R: n >= 2 is in K when
+    X_(n-2) meets the predecessors of s, and in E when X_(n-2) is non-empty
+    and misses them; 1 is in E when A[s, s] = 0.  A walk of r steps inside
+    R repeats a symbol, so a non-empty X_j with j >= r is never empty again:
+    from there on the symbols with no way back to the predecessors of s are
+    folded into s's own bit, which marks exactly that.  The first X_j1 equal
+    to an earlier X_j0 then makes K and E periodic from j0 + 2, period
+    j1 - j0.  The preperiod is below r^2 (the index bound of 0/1 matrices),
+    so with no repeat within max(order, r^2, SUPPORT_WALK_LIMIT) steps the
+    period is long: K and E are exact up to there, then K holds every size
+    and E none.
     """
     si = shift.alphabet.index(symbol)
     successors, columns = shift.successors, shift.columns
@@ -395,8 +405,7 @@ def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) ->
         prefix = frozenset(n for n in sizes if n < start)
         return PartSpec(prefix, start, period, frozenset(n - start for n in sizes if n >= start))
 
-    series = first_return_matrix(shift, (symbol,), order)[symbol, symbol]
-    return LoopSystem(symbol, series, spec(loops + [start] * (x not in seen)), spec(tails))
+    return spec(loops + [start] * (x not in seen)), spec(tails)
 
 
 def first_return_matrix(shift: VertexShift, distinguished, order: int = DEFAULT_ORDER):

@@ -32,10 +32,11 @@ from scaleshift.shiftspace import (
     higher_block,
     is_irreducible,
     language_from,
+    loop_supports,
     word_texts,
 )
 from scaleshift.values import JsonText
-from scaleshift.verify import _irreducible_shifts
+from scaleshift.verify import MAX_GRID_N, _irreducible_shifts
 
 from oracle_refs import oracle_series_coeff, word_levels, word_scale_sets
 from refsets import (
@@ -341,9 +342,40 @@ def test_symbol_dims_runs_the_closed_forms_verify_checks(monkeypatch):
     names = ("composition_gf", "wheels_gf", "a_series", "b_series")
     for name in names:
         monkeypatch.setattr(scaleshift.scales, name, counting(name))
+    # an earlier test may have cached this report; count a fresh one
+    scaleshift.scales._loop_system_dims.cache_clear()
     report = symbol_dims(GOLDEN, BULL, 12)
     assert calls == dict.fromkeys(names, 1)
     assert (report.transversal_at(12), report.orbital_at(12)) == (85, 329)
+
+
+def test_symbol_dims_is_the_uncached_closed_form_of_the_loop_system():
+    # every 0/1 matrix on up to 3 symbols, reducible ones included, at each
+    # symbol: first_return's K and tails are loop_supports', and the cached
+    # report equals the closed forms computed afresh from them
+    order = 12
+    uncached = scaleshift.scales._loop_system_dims.__wrapped__
+    for k in (1, 2, 3):
+        for bits in itertools.product((0, 1), repeat=k * k):
+            shift = VertexShift.from_rows("abc"[:k], [bits[i * k:i * k + k] for i in range(k)])
+            for symbol in shift.alphabet:
+                loops = first_return(shift, symbol, order)
+                assert (loops.parts, loops.tails) == loop_supports(shift, symbol, order)
+                for bivariate in (False, True):
+                    report = symbol_dims(shift, symbol, order, bivariate)
+                    fresh = uncached(loops.parts, loops.tails, order, bivariate)
+                    assert report.to_json() == fresh.to_json(), (bits, symbol, bivariate)
+
+
+def test_symbol_dims_shares_one_report_per_loop_system():
+    relabelled = VertexShift.from_rows("xy", [(0, 1), (1, 1)])
+    assert symbol_dims(relabelled, "x", 12, True) is symbol_dims(GOLDEN, BULL, 12, True)
+    assert symbol_dims(relabelled, "y", 12) is symbol_dims(GOLDEN, CIRC, 12)
+    assert symbol_dims(GOLDEN, CIRC, 12) is not symbol_dims(GOLDEN, CIRC, 12, True)
+    # verify's oracle grid: 441 (shift, symbol) reports over 17 loop systems
+    pairs = [(shift, symbol) for shift in _irreducible_shifts() for symbol in shift.alphabet]
+    assert len(pairs) == 441
+    assert len({loop_supports(shift, symbol, MAX_GRID_N) for shift, symbol in pairs}) == 17
 
 
 def test_symbol_dims_match_enumeration_on_reducible_matrices():
