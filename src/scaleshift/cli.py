@@ -30,10 +30,10 @@ from .shiftspace import (
     BlockCountError,
     DegenerateShiftError,
     VertexShift,
-    first_return,
     first_return_matrix,
     has_cycle,
     higher_block,
+    loop_supports,
     parse_forbidden,
     parse_matrix,
     zeta_rational,
@@ -190,9 +190,20 @@ def cmd_vertex_zeta(args) -> int:
 
 def cmd_vertex_loops(args) -> int:
     shift = _load_shift(args.matrix)
-    loops = first_return(shift, _require_symbol(args, shift), args.order)
-    coeffs = loops.series.coeffs
-    _emit(loops.to_json, args.format or "json", lambda: [",".join(str(c) for c in coeffs)])
+    symbol = _require_symbol(args, shift)
+    series = first_return_matrix(shift, (symbol,), args.order)[symbol, symbol]
+    parts = loop_supports(shift, symbol, args.order)[0]
+    _emit(
+        lambda: {
+            "symbol": symbol,
+            "series": series.to_json(),
+            "support": list(parts.members_up_to(args.order)),
+            "support_unbounded": parts.unbounded,
+            "support_max": parts.max_part,
+        },
+        args.format or "json",
+        lambda: [",".join(str(c) for c in series.coeffs)],
+    )
     return EXIT_OK
 
 

@@ -5,10 +5,10 @@ composition of gaps between consecutive occurrences of that symbol,
 the final gap wrapping around past the end of the word.  Interior
 gaps are first return loop sizes; the final gap is one too, or a size
 g outside them for which a walk of g - 1 steps from the symbol stays
-off it (``LoopSystem.tails``).  That structure yields closed forms for
-the number of scales of each total, the number of their rotation
-classes, and the size of the union of their modes, optionally refined
-by the number of notes.
+off it (the tails of ``shiftspace.loop_supports``).  That structure
+yields closed forms for the number of scales of each total, the number
+of their rotation classes, and the size of the union of their modes,
+optionally refined by the number of notes.
 """
 
 from __future__ import annotations

@@ -164,34 +164,6 @@ class HigherBlock(Frozen):
         return self.blocks[i][0]
 
 
-class LoopSystem(Frozen):
-    """First return loops at ``symbol``: series, the part set K of its sizes, and the tails E.
-
-    ``series`` is truncated at its order; ``parts`` holds the sizes with a
-    nonzero coefficient.  ``tails`` holds the final gaps of scales outside K:
-    the sizes g not in K such that a walk of g - 1 steps from ``symbol`` stays off it.
-    """
-
-    __slots__ = ("symbol", "series", "parts", "tails")
-
-    def __init__(self, symbol: str, series: TruncatedSeries, parts: PartSpec, tails: PartSpec):
-        if series.coefficient(0) != 0:
-            raise ValueError("loop series must have zero constant term")
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "tails", tails)
-
-    def to_json(self) -> dict:
-        return {
-            "symbol": self.symbol,
-            "series": self.series.to_json(),
-            "support": list(self.parts.members_up_to(self.series.order)),
-            "support_unbounded": self.parts.unbounded,
-            "support_max": self.parts.max_part,
-        }
-
-
 def higher_block(sft: SftPresentation) -> HigherBlock:
     """Recode an SFT as a vertex shift on its admissible step-blocks.
 
@@ -335,10 +307,6 @@ def zeta_rational(shift: VertexShift) -> RationalFunction:
     return RationalFunction([1], _char_det(shift))
 
 
-def zeta(shift: VertexShift, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    return zeta_rational(shift).expand(order)
-
-
 def periodic_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """sum_n p_n z^n with p_n = trace(A^n), read off the zeta function; z^0 is 0.
 
@@ -353,18 +321,13 @@ def periodic_orbit_counts(shift: VertexShift, order: int = DEFAULT_ORDER) -> Tru
     return cyclic_counts(zeta_rational(shift), order)
 
 
-def first_return(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> LoopSystem:
-    """The loop system at ``symbol``: the first-return walk with D = {symbol}.
-
-    The series is ``first_return_matrix``'s; K and the tails are ``loop_supports``'.
-    """
-    parts, tails = loop_supports(shift, symbol, order)
-    series = first_return_matrix(shift, (symbol,), order)[symbol, symbol]
-    return LoopSystem(symbol, series, parts, tails)
-
-
 def loop_supports(shift: VertexShift, symbol: str, order: int = DEFAULT_ORDER) -> tuple[PartSpec, PartSpec]:
     """(K, E): the loop sizes and the tails at ``symbol``, with no series built.
+
+    K holds the sizes of the first-return loops at s.  The tails E are the
+    final gaps of scales outside K: the sizes g not in K for which a walk of
+    g - 1 steps from s stays off s.  The loop series itself is the (s, s)
+    entry of ``first_return_matrix`` at D = {s}.
 
     Both are read off the supports X_j of the first-return walk vector
     A[s, R]·B^j, as bit sets over the r symbols of R: n >= 2 is in K when

@@ -34,14 +34,13 @@ from .series import RationalFunction, TruncatedSeries
 from .shiftspace import (
     SftPresentation,
     VertexShift,
-    first_return,
     first_return_matrix,
     higher_block,
     is_irreducible,
     language_dims,
+    loop_supports,
     periodic_counts,
     periodic_orbit_counts,
-    zeta,
     zeta_rational,
 )
 from .substitutions import PRESETS, block_language, substitution_scales
@@ -165,7 +164,7 @@ def check_golden_series() -> list[OracleReport]:
     fib = [1, 1]
     while len(fib) < 17:
         fib.append(fib[-1] + fib[-2])
-    expansion = zeta(GOLDEN, 16)
+    expansion = zeta_rational(GOLDEN).expand(16)
     matched = sum(expansion.coefficient(n) == fib[n] for n in range(17))
     reports.append(OracleReport("golden.zeta_coeffs", {"order": 16}, 17, matched))
     p = periodic_counts(GOLDEN, 6)
@@ -174,10 +173,10 @@ def check_golden_series() -> list[OracleReport]:
     qbar = periodic_orbit_counts(GOLDEN, 9)
     for n, expected in enumerate(GOLDEN_QBAR_PREFIX, start=1):
         reports.append(OracleReport("golden.orbit_counts", {"n": n}, expected, qbar.coefficient(n)))
-    f_circ = first_return(GOLDEN, CIRC, 16).series
+    f_circ = first_return_matrix(GOLDEN, (CIRC,), 16)[CIRC, CIRC]
     matched = sum(f_circ.coefficient(n) == (1 if n in (1, 2) else 0) for n in range(17))
     reports.append(OracleReport("golden.first_return_circ", {"order": 16}, 17, matched))
-    f_bull = first_return(GOLDEN, BULL, 16).series
+    f_bull = first_return_matrix(GOLDEN, (BULL,), 16)[BULL, BULL]
     matched = sum(f_bull.coefficient(n) == (1 if n >= 2 else 0) for n in range(17))
     reports.append(OracleReport("golden.first_return_bull", {"order": 16}, 17, matched))
     return reports
@@ -232,10 +231,10 @@ def check_golden_dims() -> list[OracleReport]:
     bull = symbol_dims(GOLDEN, BULL, 12, bivariate=True)
     reports.append(OracleReport("dims.transversal", {"symbol": BULL, "n": 12}, 85, bull.transversal_at(12)))
     reports.append(OracleReport("dims.orbital", {"symbol": BULL, "n": 12}, 329, bull.orbital_at(12)))
-    loops = first_return(GOLDEN, BULL, 12)
-    tailed = a_series(loops.parts, loops.tails, 12)
+    parts, tails = loop_supports(GOLDEN, BULL, 12)
+    tailed = a_series(parts, tails, 12)
     reports.append(OracleReport("dims.tail_classes", {"symbol": BULL, "n": 12}, 55, tailed.coefficient(12)))
-    modes = b_series(loops.parts, loops.tails, 12)
+    modes = b_series(parts, tails, 12)
     reports.append(OracleReport("dims.tail_modes", {"symbol": BULL, "n": 12}, 240, modes.coefficient(12)))
     top = global_dims(GOLDEN, 12)
     reports.append(OracleReport("dims.global_transversal", {"n": 12}, 115, top.transversal_at(12)))

@@ -21,7 +21,6 @@ from scaleshift.scales import (
 )
 from scaleshift.shiftspace import (
     VertexShift,
-    first_return,
     first_return_matrix,
     higher_block,
     parse_forbidden,
@@ -799,6 +798,8 @@ def test_streamed_json_is_json_dumps_of_the_document(tmp_path, capsys):
     rules_text = '{"rules": {"ab": ["ab", "c"], "c": ["ab", "ab", "c"]}, "seed": "ab"}'
     rules = tmp_path / "rules.json"
     rules.write_text(rules_text, encoding="utf-8")
+    reducible = tmp_path / "reducible.mat"
+    reducible.write_text("a b\n1 1\n0 1\n", encoding="utf-8")
     spec = PartSpec.parse("2,3")
     zeta = zeta_rational(golden)
     words, witnesses = language_witnesses(golden, 6)
@@ -812,7 +813,11 @@ def test_streamed_json_is_json_dumps_of_the_document(tmp_path, capsys):
          {"numerator": list(zeta.numerator), "denominator": list(zeta.denominator),
           "coefficients": list(zeta.expand(9).coeffs)}),
         (["vertex", "loops", "--matrix", GOLDEN_MAT, "--symbol", "•", "--order", "9"],
-         first_return(golden, "•", 9).to_json()),
+         {"series": {"coeffs": ["0", "0", "1", "1", "1", "1", "1", "1", "1", "1"], "order": 9},
+          "support": [2, 3, 4, 5, 6, 7, 8, 9], "support_max": None, "support_unbounded": True, "symbol": "•"}),
+        (["vertex", "loops", "--matrix", str(reducible), "--symbol", "a", "--order", "5"],
+         {"series": {"coeffs": ["0", "1", "0", "0", "0", "0"], "order": 5},
+          "support": [1], "support_max": 1, "support_unbounded": False, "symbol": "a"}),
         (["vertex", "dims", "--matrix", GOLDEN_MAT, "--symbol", "•", "--order", "9"],
          {"symbol": "•", **symbol_dims(golden, "•", 9).to_json()}),
         (["vertex", "dims", "--matrix", GOLDEN_MAT, "--symbol", "∘", "--order", "9", "--bivariate"],

@@ -26,9 +26,10 @@ from scaleshift.shiftspace import (
     DegenerateShiftError,
     SftPresentation,
     VertexShift,
-    first_return,
+    first_return_matrix,
     higher_block,
     language_dims,
+    loop_supports,
     word_counts,
 )
 from scaleshift.verify import _irreducible_shifts, check_oracle_grid
@@ -545,9 +546,9 @@ def test_first_return_examples():
 def test_first_return_matches_closed_form():
     for shift in (GOLDEN, FULL2):
         for symbol in shift.alphabet:
-            loops = first_return(shift, symbol, order=10)
+            series = first_return_matrix(shift, (symbol,), 10)[symbol, symbol]
             for k in range(1, 11):
-                assert oracle_first_return(shift, symbol, k) == loops.series.coefficient(k)
+                assert oracle_first_return(shift, symbol, k) == series.coefficient(k)
 
 
 def test_loop_support_matches_oracle():
@@ -574,13 +575,13 @@ def test_loop_support_matches_oracle():
     for shift in shifts:
         r = shift.size - 1
         for symbol in shift.alphabet:
-            parts = first_return(shift, symbol, 1).parts
+            parts = loop_supports(shift, symbol, 1)[0]
             sizes = [k for k in range(1, 13) if oracle_first_return(shift, symbol, k) > 0]
             assert parts.members_up_to(12) == tuple(sizes)
             assert parts.unbounded == any(r + 2 <= k <= 2 * r + 1 for k in sizes)
             if not parts.unbounded:
                 assert max(sizes, default=None) == parts.max_part
-            series = first_return(shift, symbol, 40).series
+            series = first_return_matrix(shift, (symbol,), 40)[symbol, symbol]
             assert parts.members_up_to(40) == tuple(k for k in range(1, 41) if series.coefficient(k))
-    assert first_return(period3, "a", 1).parts.period == 3
+    assert loop_supports(period3, "a", 1)[0].period == 3
 

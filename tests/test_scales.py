@@ -28,7 +28,6 @@ from scaleshift.series import BivariateSeries, TruncatedSeries
 from scaleshift.shiftspace import (
     SftPresentation,
     VertexShift,
-    first_return,
     higher_block,
     is_irreducible,
     language_from,
@@ -175,7 +174,7 @@ def test_wheels_match_enumeration():
 def test_tail_sizes():
     # E, the final gaps outside K, read off the first-return walk
     def tails(shift, symbol):
-        e = first_return(shift, symbol, 1).tails
+        e = loop_supports(shift, symbol, 1)[1]
         return e.members_up_to(12), e.unbounded
 
     cycle3 = VertexShift.from_rows("abc", ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
@@ -193,8 +192,8 @@ def test_tail_sizes():
     # on irreducible shifts E is every size outside K below some member of K
     for shift in _irreducible_shifts():
         for symbol in shift.alphabet:
-            loops = first_return(shift, symbol, 1)
-            assert list(loops.tails.members_up_to(24)) == reference_tails(loops.parts, 24)
+            parts, e = loop_supports(shift, symbol, 1)
+            assert list(e.members_up_to(24)) == reference_tails(parts, 24)
 
 
 def reference_tails(spec, order):
@@ -235,7 +234,7 @@ def test_a_and_b_series():
     assert a_series(bull, one, 12).coeffs == tuple(sum(row) for row in tailed_by_length(bull, 12))
     # b = a C is the derivative of the bivariate a at u = 1, taken the long way
     specs = [bull, PartSpec.finite({2, 5}), PartSpec.finite({3}), PartSpec.finite({1, 2})]
-    specs += [first_return(GOLDEN, symbol, 24).parts for symbol in (CIRC, BULL)]
+    specs += [loop_supports(GOLDEN, symbol, 24)[0] for symbol in (CIRC, BULL)]
     for spec in specs:
         weighted = tuple(
             sum(m * c for m, c in enumerate(row)) for row in tailed_by_length(spec, 24)
@@ -243,8 +242,8 @@ def test_a_and_b_series():
         tails = PartSpec.finite(reference_tails(spec, 24))
         assert b_series(spec, tails, 24).coeffs == weighted
     # the loop sizes at • are {2, 3, ...}, and its one tail is 1
-    loops = first_return(GOLDEN, BULL, 12)
-    assert a_series(loops.parts, loops.tails, 12) == a_series(bull, one, 12)
+    parts, tails = loop_supports(GOLDEN, BULL, 12)
+    assert a_series(parts, tails, 12) == a_series(bull, one, 12)
 
 
 def test_closed_forms_match_series_products():
@@ -256,16 +255,16 @@ def test_closed_forms_match_series_products():
         for bits in itertools.product((0, 1), repeat=k * k):
             shift = VertexShift.from_rows("abc"[:k], [bits[i * k:i * k + k] for i in range(k)])
             for symbol in shift.alphabet:
-                loops = first_return(shift, symbol, order)
-                comp = composition_gf(loops.parts, order)
-                tails = loops.tails.members_up_to(order)
-                e = TruncatedSeries([int(n in tails) for n in range(order + 1)], order)
+                parts, tails = loop_supports(shift, symbol, order)
+                comp = composition_gf(parts, order)
+                gaps = tails.members_up_to(order)
+                e = TruncatedSeries([int(n in gaps) for n in range(order + 1)], order)
                 a = series_product(e, comp)
                 b = series_product(a, comp)
-                assert a_series(loops.parts, loops.tails, order) == a
-                assert b_series(loops.parts, loops.tails, order) == b
+                assert a_series(parts, tails, order) == a
+                assert b_series(parts, tails, order) == b
                 report = symbol_dims(shift, symbol, order)
-                assert report.transversal == (wheels_gf(loops.parts, order) + a).coeffs[1:]
+                assert report.transversal == (wheels_gf(parts, order) + a).coeffs[1:]
                 assert report.orbital == (comp + b).coeffs[1:]
                 assert report.class_sizes == (comp + a).coeffs[1:]
 
@@ -277,7 +276,7 @@ def test_closed_forms_match_sums_over_parts():
         (PartSpec.naturals(), FULL2, CIRC),
         (PartSpec.from_min(2), GOLDEN, BULL),
         (PartSpec.finite({2, 5}), TWO_FIVE, "a"),
-        (first_return(GOLDEN, BULL, 1).parts, None, None),
+        (loop_supports(GOLDEN, BULL, 1)[0], None, None),
         (PERIOD3_PARTS, PERIOD3, "a"),
     ]
     for spec, shift, symbol in cases:
@@ -290,7 +289,7 @@ def test_closed_forms_match_sums_over_parts():
         assert wheels_gf(spec, order).coeffs == tuple(wheels)
         if shift is None:
             continue
-        assert first_return(shift, symbol, 1).parts.members_up_to(order) == members
+        assert loop_supports(shift, symbol, 1)[0].members_up_to(order) == members
         tails = reference_tails(spec, order)
         tailed = BivariateSeries(reference_table(tails, comp, order, 0), order)
         report = symbol_dims(shift, symbol, order, bivariate=True)
@@ -351,19 +350,18 @@ def test_symbol_dims_runs_the_closed_forms_verify_checks(monkeypatch):
 
 def test_symbol_dims_is_the_uncached_closed_form_of_the_loop_system():
     # every 0/1 matrix on up to 3 symbols, reducible ones included, at each
-    # symbol: first_return's K and tails are loop_supports', and the cached
-    # report equals the closed forms computed afresh from them
+    # symbol: the cached report equals the closed forms computed afresh from
+    # loop_supports' K and tails
     order = 12
     uncached = scaleshift.scales._loop_system_dims.__wrapped__
     for k in (1, 2, 3):
         for bits in itertools.product((0, 1), repeat=k * k):
             shift = VertexShift.from_rows("abc"[:k], [bits[i * k:i * k + k] for i in range(k)])
             for symbol in shift.alphabet:
-                loops = first_return(shift, symbol, order)
-                assert (loops.parts, loops.tails) == loop_supports(shift, symbol, order)
+                parts, tails = loop_supports(shift, symbol, order)
                 for bivariate in (False, True):
                     report = symbol_dims(shift, symbol, order, bivariate)
-                    fresh = uncached(loops.parts, loops.tails, order, bivariate)
+                    fresh = uncached(parts, tails, order, bivariate)
                     assert report.to_json() == fresh.to_json(), (bits, symbol, bivariate)
 
 
@@ -390,12 +388,12 @@ def test_symbol_dims_match_enumeration_on_reducible_matrices():
                 continue
             for symbol in shift.alphabet:
                 report = symbol_dims(shift, symbol, order, bivariate=True)
-                loops = first_return(shift, symbol, order)
+                parts, tails = loop_supports(shift, symbol, order)
                 found = scale_class(shift, symbol, order)
                 levels = {n: found.at(n) for n in range(1, order + 1)}
                 finals = [g for g in range(1, order + 1) if (g,) in levels[g]]
-                assert loops.tails.members_up_to(order) == tuple(
-                    g for g in finals if g not in loops.parts.members_up_to(order)
+                assert tails.members_up_to(order) == tuple(
+                    g for g in finals if g not in parts.members_up_to(order)
                 )
                 for n, scales in levels.items():
                     assert report.class_sizes[n - 1] == len(scales)
@@ -413,7 +411,7 @@ def test_symbol_dims_match_enumeration():
         for symbol in shift.alphabet:
             report = symbol_dims(shift, symbol, 8)
             cls = scale_class(shift, symbol, 8)
-            spec = first_return(shift, symbol, 8).parts
+            spec = loop_supports(shift, symbol, 8)[0]
             for n in range(1, 9):
                 scales = cls.at(n)
                 assert report.class_sizes[n - 1] == len(scales)

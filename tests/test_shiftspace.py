@@ -15,20 +15,19 @@ from scaleshift.shiftspace import (
     BlockCountError,
     SftPresentation,
     VertexShift,
-    first_return,
     first_return_matrix,
     has_cycle,
     higher_block,
     is_irreducible,
     language_dims,
     language_from,
+    loop_supports,
     parse_forbidden,
     parse_matrix,
     periodic_counts,
     periodic_orbit_counts,
     word_counts,
     word_texts,
-    zeta,
     zeta_rational,
 )
 from scaleshift.verify import _irreducible_shifts
@@ -156,7 +155,7 @@ def test_from_rows_round_trip():
 
 def test_zeta_golden():
     assert zeta_rational(GOLDEN) == RationalFunction([1], [1, -1, -1])
-    zs = zeta(GOLDEN, 8)
+    zs = zeta_rational(GOLDEN).expand(8)
     assert zs.coeffs == (1, 1, 2, 3, 5, 8, 13, 21, 34)
 
 
@@ -351,20 +350,22 @@ def test_is_irreducible():
 
 
 def test_first_return_golden():
-    f_circ = first_return(GOLDEN, CIRC, 16)
-    assert f_circ.series.coeffs[:4] == (0, 1, 1, 0)
-    assert f_circ.series == TruncatedSeries([0, 1, 1] + [0] * 14, 16)
-    assert f_circ.parts.members_up_to(16) == (1, 2)
-    assert not f_circ.parts.unbounded
-    assert f_circ.parts.max_part == 2
+    f_circ = first_return_matrix(GOLDEN, (CIRC,), 16)[CIRC, CIRC]
+    assert f_circ.coeffs[:4] == (0, 1, 1, 0)
+    assert f_circ == TruncatedSeries([0, 1, 1] + [0] * 14, 16)
+    k_circ = loop_supports(GOLDEN, CIRC, 16)[0]
+    assert k_circ.members_up_to(16) == (1, 2)
+    assert not k_circ.unbounded
+    assert k_circ.max_part == 2
 
-    f_bull = first_return(GOLDEN, BULL, 16)
-    assert f_bull.series.coeffs == (0, 0) + (1,) * 15
-    assert f_bull.parts.members_up_to(16) == tuple(range(2, 17))
-    assert f_bull.parts.unbounded
-    assert f_bull.parts.max_part is None
+    f_bull = first_return_matrix(GOLDEN, (BULL,), 16)[BULL, BULL]
+    assert f_bull.coeffs == (0, 0) + (1,) * 15
+    k_bull = loop_supports(GOLDEN, BULL, 16)[0]
+    assert k_bull.members_up_to(16) == tuple(range(2, 17))
+    assert k_bull.unbounded
+    assert k_bull.max_part is None
     # the support is exact past the truncation order
-    assert f_bull.parts.members_up_to(30) == tuple(range(2, 31))
+    assert k_bull.members_up_to(30) == tuple(range(2, 31))
 
 
 def test_first_return_matches_loop_enumeration():
@@ -372,28 +373,28 @@ def test_first_return_matches_loop_enumeration():
     # no interior s that close back into s
     for shift in (GOLDEN, FULL2, SFT2.shift):
         for s, symbol in enumerate(shift.alphabet):
-            f = first_return(shift, symbol, 8)
+            f = first_return_matrix(shift, (symbol,), 8)[symbol, symbol]
             for n in range(1, 9):
                 loops = [
                     word
                     for word in all_words(shift, n)
                     if word[0] == s and s not in word[1:] and shift.matrix[word[-1]][s]
                 ]
-                assert f.series.coefficient(n) == len(loops)
+                assert f.coefficient(n) == len(loops)
 
 
 def test_first_return_support_analysis():
     loop = VertexShift.from_rows(("a",), ((1,),))
-    f = first_return(loop, "a", 8)
-    assert f.parts.members_up_to(8) == (1,) and f.parts.max_part == 1 and not f.parts.unbounded
+    parts = loop_supports(loop, "a", 8)[0]
+    assert parts.members_up_to(8) == (1,) and parts.max_part == 1 and not parts.unbounded
 
     swap = VertexShift.from_rows(("a", "b"), ((0, 1), (1, 0)))
-    f = first_return(swap, "a", 8)
-    assert f.parts.members_up_to(8) == (2,) and f.parts.max_part == 2
+    parts = loop_supports(swap, "a", 8)[0]
+    assert parts.members_up_to(8) == (2,) and parts.max_part == 2
 
-    f = first_return(SFT2.shift, SFT2.shift.alphabet.symbols[0], 12)
-    assert f.parts.members_up_to(12) == (3, 5, 7, 9, 11)
-    assert f.parts.unbounded and f.parts.max_part is None
+    parts = loop_supports(SFT2.shift, SFT2.shift.alphabet.symbols[0], 12)[0]
+    assert parts.members_up_to(12) == (3, 5, 7, 9, 11)
+    assert parts.unbounded and parts.max_part is None
 
 
 def test_first_return_supports_are_canonical():
@@ -403,7 +404,7 @@ def test_first_return_supports_are_canonical():
     for k in (1, 2, 3):
         for bits in itertools.product((0, 1), repeat=k * k):
             shift = VertexShift.from_rows("abc"[:k], [bits[i * k:i * k + k] for i in range(k)])
-            supports += [first_return(shift, symbol, 1).parts for symbol in shift.alphabet]
+            supports += [loop_supports(shift, symbol, 1)[0] for symbol in shift.alphabet]
     by_members = {}
     for parts in supports:
         by_members.setdefault(parts.members_up_to(40), set()).add(parts)
@@ -411,7 +412,7 @@ def test_first_return_supports_are_canonical():
     assert len(set(supports)) == len(by_members)
     # {2, 3, ...}, walked with period 2
     skew = VertexShift.from_rows("abc", ((0, 0, 1), (1, 0, 1), (1, 1, 0)))
-    parts = first_return(skew, "a", 1).parts
+    parts = loop_supports(skew, "a", 1)[0]
     assert parts == PartSpec.from_min(2) and parts.indicator_gf(8) == ((0, 0, 1), (1, -1))
 
 
@@ -429,7 +430,7 @@ def test_first_return_long_walks():
             rows[i][i % m + 1] = 1
         shift = VertexShift.from_rows([f"v{i}" for i in range(m + 1)], rows)
         loops = {2} | {2 + a * m + b * (m - 1) for a in range(1, 6000 // m + 1) for b in range(6000 // m + 1)}
-        parts = first_return(shift, "v0", 1).parts
+        parts = loop_supports(shift, "v0", 1)[0]
         assert parts.members_up_to(6000) == tuple(sorted(k for k in loops if k <= 6000))
     assert (m - 1) ** 2 > SUPPORT_WALK_LIMIT
     # a cycle of n symbols entered from s and left back to s at one symbol
@@ -450,18 +451,17 @@ def test_first_return_long_walks():
                 rows[first + t][first + (t + 1) % length] = 1
             first += length
         shift = VertexShift.from_rows([f"v{i}" for i in range(size)], rows)
-        system = first_return(shift, "v0", 1)
-        parts = system.parts
+        parts, tails = loop_supports(shift, "v0", 1)
         if not back:
             assert (parts.members_up_to(6000), parts.unbounded, parts.max_part) == ((2,), False, 2)
-            assert system.tails.members_up_to(6000) == (1, *range(3, 6001))
+            assert tails.members_up_to(6000) == (1, *range(3, 6001))
             continue
         loops = {2 + t * n for n in lengths for t in range(3000)}
         top = 6000 if len(lengths) == 4 else SUPPORT_WALK_LIMIT + 2
         assert parts.period == (210 if len(lengths) == 4 else 1)
         assert parts.members_up_to(6000) == (*sorted(k for k in loops if k <= top), *range(top + 1, 6001))
         assert (parts.unbounded, parts.max_part) == (True, None)
-        assert system.tails.members_up_to(6000) == tuple(k for k in range(1, top + 1) if k not in loops)
+        assert tails.members_up_to(6000) == tuple(k for k in range(1, top + 1) if k not in loops)
 
 
 def test_first_return_matrix_two_symbol_hole():
@@ -491,7 +491,7 @@ def test_first_return_matches_zeta_quotient():
                     [[shift.matrix[i][j] for j in rest] for i in rest],
                 )
                 det_b = TruncatedSeries(list(zeta_rational(minor).denominator), order)
-            f = first_return(shift, symbol, order).series
+            f = first_return_matrix(shift, (symbol,), order)[symbol, symbol]
             assert det_a + series_product(det_b, f) == det_b
 
 

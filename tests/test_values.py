@@ -9,7 +9,6 @@ from scaleshift.series import BivariateSeries, RationalFunction, TruncatedSeries
 from scaleshift.shiftspace import (
     Alphabet,
     HigherBlock,
-    LoopSystem,
     SftPresentation,
     VertexShift,
 )
@@ -57,12 +56,6 @@ FROZEN = {
     ScaleClass: (lambda: ScaleClass("a", {1: frozenset({(1,)})}), "symbol"),
     SftPresentation: (lambda: SftPresentation.of(("a", "b"), [("b", "b")]), "forbidden"),
     HigherBlock: (lambda: HigherBlock(VertexShift(AB, GOLDEN_SUCCESSORS), (("a",), ("b",))), "blocks"),
-    LoopSystem: (
-        lambda: LoopSystem(
-            "a", TruncatedSeries((0, 1, 1), 2), PartSpec(start=1, residues={0}), PartSpec()
-        ),
-        "parts",
-    ),
     ScaleStudy: (
         lambda: ScaleStudy(2, {"a": frozenset({(2,)})}, frozenset({(2,)}), frozenset({(2,)}), 1),
         "n",
